@@ -71,10 +71,6 @@ class LoraLinear:
         return {"w0": self.w0, "bias": self.bias, "lora_a": self.lora_a, "lora_b": self.lora_b}
 
 
-def lora_forward(layer: LoraLinear, x: Tensor) -> Tensor:
-    return layer.forward(x)
-
-
 @dataclass
 class LoraHead:
     """One or two LoRA-adapted linear layers with ReLU between."""

@@ -498,34 +498,44 @@ def _pool_view(a: Tensor, window: int, count: int | None):
 
 
 def mean_pool(a, window: int, count: int | None = None) -> Tensor:
-    """Non-overlapping window means along the last axis; trailing remainder dropped."""
+    """Non-overlapping window means along the last axis; trailing remainder dropped.
+
+    The forward pass is one BLAS matrix-vector product of the (..., count,
+    window) view with a ones vector, divided by ``window``: numpy's own
+    reduction over a short trailing axis is several times slower. The backward
+    pass broadcasts ``g / window`` into the (count, window) view of a zero
+    buffer, so the dropped trailing samples get zero gradient.
+    """
     a = as_tensor(a)
     view, lead, t_len, count = _pool_view(a, window, count)
-    out = view.mean(axis=-1)
+    out = (view @ np.ones(window)) / window
 
     def back(g, needs):
         da = np.zeros(lead + (t_len,))
-        da[..., :count * window] = np.repeat(g / window, window, axis=-1)
+        da[..., :count * window].reshape(*lead, count, window)[...] = (g / window)[..., None]
         return (da,)
 
     return _apply("mean_pool", (a,), out, back)
 
 
 def max_pool(a, window: int, count: int | None = None) -> Tensor:
-    """Window maxima; gradient routes to the first maximal index per window."""
+    """Window maxima; gradient routes to the first maximal index per window.
+
+    The forward pass is a plain maximum over the (..., count, window) view.
+    The argmax that routes the gradient is taken in the backward pass, so
+    a forward without a tape never computes it.
+    """
     a = as_tensor(a)
     view, lead, t_len, count = _pool_view(a, window, count)
-    arg = view.argmax(axis=-1)  # np.argmax takes the first tie
-    out = np.take_along_axis(view, arg[..., None], axis=-1)[..., 0]
 
     def back(g, needs):
-        block = np.zeros(lead + (count, window))
-        np.put_along_axis(block, arg[..., None], g[..., None], axis=-1)
+        arg = view.argmax(axis=-1)[..., None]  # np.argmax takes the first tie
         da = np.zeros(lead + (t_len,))
-        da[..., :count * window] = block.reshape(*lead, count * window)
+        block = da[..., :count * window].reshape(*lead, count, window)
+        np.put_along_axis(block, arg, g[..., None], axis=-1)
         return (da,)
 
-    return _apply("max_pool", (a,), out, back)
+    return _apply("max_pool", (a,), view.max(axis=-1), back)
 
 
 _TRIG_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}

@@ -17,7 +17,7 @@ import time
 from . import tasks as tk
 from .config import echo_config, load_config
 from .errors import (
-    ConfigError, DimensionError, EnecgError, NonFiniteLossError,
+    ConfigError, DimensionError, EnecgError, InvariantError, NonFiniteLossError,
     NotApplicableError, ParseError, UsageError,
 )
 from .pipeline import (
@@ -36,6 +36,7 @@ EXIT_CODES = {
     "dimension": 5,
     "not_applicable": 6,
     "nonfinite": 7,
+    "invariant": 8,
 }
 
 _ERROR_CLASSES = [
@@ -44,6 +45,7 @@ _ERROR_CLASSES = [
     (DimensionError, "dimension"),
     (NotApplicableError, "not_applicable"),
     (NonFiniteLossError, "nonfinite"),
+    (InvariantError, "invariant"),
     (UsageError, "usage"),
 ]
 

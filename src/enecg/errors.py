@@ -30,3 +30,7 @@ class NotApplicableError(EnecgError):
 
 class NonFiniteLossError(EnecgError):
     """Training produced a NaN/Inf loss and was aborted."""
+
+
+class InvariantError(EnecgError):
+    """An internal invariant broke, e.g. frozen parameters changed in training."""

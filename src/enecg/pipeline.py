@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import tasks as tk
 from .adapters import LoraHead, build_head, head_checksum, head_forward, trainable_params
 from .autodiff import Tensor, Tape, backward
-from .errors import NonFiniteLossError, NotApplicableError, UsageError
+from .errors import InvariantError, NonFiniteLossError, NotApplicableError, UsageError
 from .experts import ExpertModel, build_expert, expert_forward
 from .gating import (
     GatingNetwork, build_gate, ensemble_combine, gate_forward, gate_input,
@@ -115,12 +115,12 @@ def prepare_dataset(cfg: ExperimentConfig, experts: list[ExpertModel],
     feats: list[list[np.ndarray]] = [[] for _ in experts]
     gates: list[np.ndarray] = []
     labels: list = []
-    buffer: list[np.ndarray] = []
+    buffer: list[Tensor] = []
 
     def flush():
         if not buffer:
             return
-        block = Tensor(np.stack(buffer))
+        block = ad.stack(buffer)
         for i, m in enumerate(experts):
             down = downsample(block, m.required_input_len)
             feats[i].append(expert_forward(m, down).data)
@@ -128,7 +128,7 @@ def prepare_dataset(cfg: ExperimentConfig, experts: list[ExpertModel],
         buffer.clear()
 
     for record, lab in iter_records(gen):
-        buffer.append(record.leads.data)
+        buffer.append(record.leads)
         labels.append(lab)
         if len(buffer) >= chunk:
             flush()
@@ -144,14 +144,22 @@ def prepare_dataset(cfg: ExperimentConfig, experts: list[ExpertModel],
 
 
 def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded shuffle then contiguous partition; disjoint and exhaustive."""
+    """Seeded shuffle then contiguous partition; disjoint and exhaustive.
+
+    Every part must be nonempty: an empty validation split would select
+    the best epoch on a NaN metric.
+    """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise UsageError(f"split ratios must sum to 1, got {tuple(ratios)}")
     if n < 1:
         raise UsageError("cannot split an empty dataset")
-    order = np.random.default_rng(np.random.SeedSequence((seed, 0x5B1))).permutation(n)
     n_train = int(n * ratios[0])
     n_val = int(n * ratios[1])
+    n_test = n - n_train - n_val
+    if min(n_train, n_val, n_test) < 1:
+        raise UsageError(f"split {tuple(ratios)} of {n} records leaves an empty split: "
+                         f"train {n_train}, validation {n_val}, test {n_test}")
+    order = np.random.default_rng(np.random.SeedSequence((seed, 0x5B1))).permutation(n)
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
@@ -269,7 +277,7 @@ def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: Tas
                              f"task {model.task.name} (L={model.task.output_dim})")
     if not batch:
         return []
-    block = Tensor(np.stack([r.leads.data for r in batch]))
+    block = ad.stack([r.leads for r in batch])
     features = [expert_forward(m, downsample(block, m.required_input_len)) for m in experts]
     gate_in = gate_input(block, model.gate.lead_indices, model.gate.pooled_len)
     if model.feature_stats is not None:
@@ -382,10 +390,12 @@ def train(cfg: ExperimentConfig, seed: int | None = None,
           experts: list[ExpertModel] | None = None) -> TrainedModel:
     cfg.validate()
     seed = cfg.seed if seed is None else seed
+    # split first, so a dataset too small to split fails before it is prepared
+    train_idx, val_idx, _ = split_indices(cfg.n_records if prepared is None else prepared.n,
+                                          cfg.split, seed)
     experts = build_experts(cfg) if experts is None else experts
     if prepared is None:
         prepared = prepare_dataset(cfg, experts, seed=seed)
-    train_idx, val_idx, _ = split_indices(prepared.n, cfg.split, seed)
     models = {name: build_task_model(cfg, experts, tk.task_by_name(name), seed)
               for name in cfg.tasks}
     before = _frozen_checksums(experts, models)
@@ -400,7 +410,7 @@ def train(cfg: ExperimentConfig, seed: int | None = None,
     after = _frozen_checksums(experts, models)
     changed = [k for k in before if before[k] != after[k]]
     if changed:
-        raise NonFiniteLossError(f"frozen parameters changed during training: {changed}")
+        raise InvariantError(f"frozen parameters changed during training: {changed}")
     return TrainedModel(cfg=cfg, experts=experts, tasks=models, history=history,
                         train_loss=train_loss)
 

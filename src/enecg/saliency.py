@@ -146,7 +146,15 @@ def load_saliency_csv(csv_path) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"{csv_path}:{i}: expected 3 fields")
-        rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            row = (int(parts[0]), int(parts[1]), float(parts[2]))
+        except ValueError as e:
+            raise ParseError(f"{csv_path}:{i}: {e}") from e
+        if row[0] < 0 or row[1] < 0:
+            raise ParseError(f"{csv_path}:{i}: negative lead or sample index")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{csv_path}: no attribution rows after the header")
     n_leads = max(r[0] for r in rows) + 1
     n_samples = max(r[1] for r in rows) + 1
     out = np.zeros((n_leads, n_samples))

@@ -1,6 +1,8 @@
 """Primitive forward values, gradient checks against central finite
 differences, and tape semantics (accumulation, determinism, errors)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,53 @@ def test_pool_gradients_match_finite_differences():
     y = Tensor(np.linspace(0, 1, 12).reshape(1, 12) + rng.normal(size=(1, 12)) * 0.01)
     analytic, numeric = grad_of(lambda t: ad.reduce_sum(ad.max_pool(t, 4)), y)
     assert_close(analytic, numeric)
+
+
+def pool_oracle(x, window, count, reduce):
+    """Python-loop reference: ``reduce`` over each window of each row."""
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((rows.shape[0], count))
+    for r, row in enumerate(rows):
+        for j in range(count):
+            out[r, j] = reduce(row[j * window:(j + 1) * window].tolist())
+    return out.reshape(x.shape[:-1] + (count,))
+
+
+def pool_cases(window, rng):
+    """(x, count) pairs over 1-D, 2-D and 3-D inputs, with and without a
+    trailing remainder, and with an explicit count below T // window."""
+    for lead in ((), (3,), (2, 3)):
+        for count, extra in ((7, 0), (7, window - 1), (4, 2 * window + 1)):
+            yield rng.normal(size=lead + (count * window + extra,)), count
+
+
+@pytest.mark.parametrize("window", range(1, 21))
+def test_pools_match_python_loop_oracle(window):
+    rng = np.random.default_rng(window)
+    for x, count in pool_cases(window, rng):
+        got = ad.mean_pool(Tensor(x), window, count=count).data
+        want = pool_oracle(x, window, count, lambda w: math.fsum(w) / len(w))
+        # relative to each window's mean, floored by its mean magnitude where samples cancel
+        scale = np.maximum(np.abs(want), pool_oracle(np.abs(x), window, count, lambda w: sum(w) / len(w)))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        got = ad.max_pool(Tensor(x), window, count=count).data
+        assert np.array_equal(got, pool_oracle(x, window, count, max))
+    x = rng.normal(size=(2, 5 * window + window // 2))
+    assert np.array_equal(ad.max_pool(Tensor(x), window).data, pool_oracle(x, window, 5, max))
+
+
+@pytest.mark.parametrize("shape", [(23,), (2, 3, 23)])
+def test_pool_gradients_with_remainder_match_finite_differences(shape):
+    rng = np.random.default_rng(len(shape))
+    weights = Tensor(rng.normal(size=shape[:-1] + (5,)))
+    for pool, count in ((ad.mean_pool, 5), (ad.max_pool, 5), (ad.mean_pool, None), (ad.max_pool, None)):
+        x = Tensor(rng.normal(size=shape))
+        build = lambda t: ad.reduce_sum(ad.mul(pool(t, 4, count=count), weights))
+        analytic, numeric = grad_of(build, x)
+        assert_close(analytic, numeric)
+        # 5 windows of 4 use 20 of the 23 samples; the rest get no gradient
+        assert np.all(analytic[..., 20:] == 0.0)
 
 
 def test_elementwise_and_reduction_gradients():

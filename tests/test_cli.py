@@ -126,6 +126,24 @@ def test_invalid_config_exit_code(tmp_path):
     assert run(["gen", "--config", str(bad), "--out", out]) == EXIT_CODES["config"]
 
 
+def test_empty_split_exits_with_usage(tmp_path, capsys):
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))
+    assert run(["train", "--config", str(tiny), "--out", str(tmp_path / "t")]) == EXIT_CODES["usage"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "validation 0" in record["message"]
+
+
+def test_frozen_checksum_drift_exits_with_invariant(cfg_path, tmp_path, capsys, monkeypatch):
+    from enecg.experts import ExpertModel
+    drift = iter(range(1000))
+    monkeypatch.setattr(ExpertModel, "checksum", lambda self: f"sum{next(drift)}")
+    code = run(["train", "--config", cfg_path, "--out", str(tmp_path / "d")])
+    assert code == EXIT_CODES["invariant"] == 8
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "InvariantError"
+
+
 def test_unknown_flag_exits_with_usage(cfg_path, tmp_path, capsys):
     code = run(["gen", "--config", cfg_path, "--out", str(tmp_path / "x"), "--bogus"])
     assert code == 2

@@ -2,13 +2,17 @@
 contracts (frozen params, identity at init, loss decrease), metric oracles
 and efficiency accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from enecg import pipeline
 from enecg import tasks as tk
 from enecg.adapters import head_forward_frozen
 from enecg.autodiff import Tensor, Tape, backward
-from enecg.errors import UsageError
+from enecg.errors import InvariantError, UsageError
+from enecg.experts import ExpertModel
 from enecg.optim import finite_diff_grad
 from enecg.pipeline import (
     ExperimentConfig, ExpertSpec,
@@ -64,6 +68,26 @@ def test_split_on_pairs_list():
 def test_split_ratio_must_sum_to_one():
     with pytest.raises(UsageError):
         split_indices(10, (0.7, 0.2, 0.2), seed=0)
+
+
+def test_empty_split_is_rejected_before_preparing(monkeypatch):
+    with pytest.raises(UsageError, match="train 2, validation 0, test 2"):
+        split_indices(4, (0.7, 0.2, 0.1), seed=0)
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("dataset prepared before the split was checked")
+
+    monkeypatch.setattr(pipeline, "prepare_dataset", no_prepare)
+    with pytest.raises(UsageError, match="validation 0"):
+        train(tiny_cfg(n_records=4))
+
+
+def test_frozen_checksum_drift_is_an_invariant_error(tiny_setup, monkeypatch):
+    cfg, experts, prepared = tiny_setup
+    drift = iter(range(1000))
+    monkeypatch.setattr(ExpertModel, "checksum", lambda self: f"sum{next(drift)}")
+    with pytest.raises(InvariantError, match="frozen parameters changed"):
+        train(replace(cfg, epochs=1, tasks=("rr",)), prepared=prepared, experts=experts)
 
 
 def test_forward_single_expert_equals_head_logits(tiny_setup):

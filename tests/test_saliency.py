@@ -5,7 +5,7 @@ import pytest
 
 from enecg import autodiff as ad
 from enecg.autodiff import Tensor
-from enecg.errors import DimensionError, UsageError
+from enecg.errors import DimensionError, ParseError, UsageError
 from enecg.saliency import (
     SaliencyMap, export_saliency, integrated_gradients, load_saliency_csv,
 )
@@ -124,3 +124,11 @@ def test_export_roundtrip(tmp_path):
     assert '"completeness_gap"' in sidecar and '"steps": 32' in sidecar
     n_lines = len(csv_path.read_text().splitlines())
     assert n_lines == 4 * 6 + 1
+
+
+@pytest.mark.parametrize("body", ["", "0,1,nan-ish\n", "0,x,1.0\n", "-1,0,1.0\n"])
+def test_malformed_saliency_csv_is_a_parse_error(tmp_path, body):
+    csv_path = tmp_path / "map.csv"
+    csv_path.write_text("lead,sample_index,attribution\n" + body)
+    with pytest.raises(ParseError):
+        load_saliency_csv(csv_path)
