@@ -11,7 +11,7 @@ from .adapters import LoraHead, LoraLinear, build_head, head_forward, trainable_
 from .gating import GatingNetwork, build_gate, ensemble_combine, gate_forward
 from .pipeline import (
     ExperimentConfig, ExpertSpec, MetricsReport, TaskModel, TrainedModel,
-    bench, compare_strategies, evaluate, forward_enecg, run_experiment, split, train,
+    bench, compare_strategies, evaluate, forward_enecg, run_experiment, train,
 )
 from .saliency import SaliencyMap, integrated_gradients
 from .tasks import TASKS, TaskSpec
@@ -26,7 +26,7 @@ __all__ = [
     "GatingNetwork", "build_gate", "ensemble_combine", "gate_forward",
     "ExperimentConfig", "ExpertSpec", "MetricsReport", "TaskModel", "TrainedModel",
     "bench", "compare_strategies", "evaluate", "forward_enecg", "run_experiment",
-    "split", "train",
+    "train",
     "SaliencyMap", "integrated_gradients",
     "TASKS", "TaskSpec",
     "__version__",

@@ -48,12 +48,6 @@ class LoraLinear:
         low = ad.matmul(ad.matmul(x, ad.transpose(self.lora_a)), ad.transpose(self.lora_b))
         return ad.add(ad.add(base, low), self.bias)
 
-    def forward_frozen(self, x: Tensor) -> Tensor:
-        """The same forward with the low-rank update term dropped."""
-        if x.shape[-1] != self.k:
-            raise DimensionError(f"lora layer expects input width {self.k}, got shape {x.shape}")
-        return ad.add(ad.matmul(x, ad.transpose(self.w0)), self.bias)
-
     def trainable(self) -> list[Tensor]:
         params = []
         if self.lora_only:
@@ -104,16 +98,6 @@ def head_forward(head: LoraHead, features: Tensor) -> Tensor:
     h = features
     for i, layer in enumerate(head.layers):
         h = layer.forward(h)
-        if i + 1 < len(head.layers):
-            h = ad.relu(h)
-    return h
-
-
-def head_forward_frozen(head: LoraHead, features: Tensor) -> Tensor:
-    """Head forward with every low-rank update dropped (frozen-base behavior)."""
-    h = features
-    for i, layer in enumerate(head.layers):
-        h = layer.forward_frozen(h)
         if i + 1 < len(head.layers):
             h = ad.relu(h)
     return h
@@ -178,10 +162,18 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
             continue
         fields = lines[i].split()
         if fields[0] == "scalar" and len(fields) == 3:
-            scalars[fields[1]] = float(fields[2])
+            try:
+                scalars[fields[1]] = float(fields[2])
+            except ValueError as e:
+                raise ParseError(f"{path}:{i + 1}: scalar {fields[1]} is not a number: "
+                                 f"{fields[2]!r}") from e
             i += 1
         elif fields[0] == "tensor" and len(fields) == 3:
-            shape = tuple(int(s) for s in fields[2].split("x")) if fields[2] != "0" else ()
+            dims = fields[2].split("x")
+            if not all(d.isdecimal() for d in dims):
+                raise ParseError(f"{path}:{i + 1}: tensor {fields[1]} has a malformed shape "
+                                 f"{fields[2]!r}")
+            shape = tuple(int(d) for d in dims) if fields[2] != "0" else ()
             if i + 1 >= len(lines):
                 raise ParseError(f"{path}:{i + 1}: tensor {fields[1]} has no data line")
             try:
@@ -201,43 +193,3 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
                          f"found {len(tensors) + len(scalars)}")
     return tensors, scalars
 
-
-def save_head(head: LoraHead, path) -> None:
-    tensors: dict[str, Tensor] = {}
-    for i, layer in enumerate(head.layers):
-        for key, t in layer.tensors().items():
-            tensors[f"layer{i}.{key}"] = t
-    scalars = {
-        "depth": float(len(head.layers)),
-        "out_dim": float(head.output_dim),
-        "rank": float(head.layers[0].rank),
-        "train_bias": float(head.layers[0].train_bias),
-        "lora_only": float(head.layers[0].lora_only),
-    }
-    write_tensors(path, tensors, scalars)
-
-
-def load_head(path) -> LoraHead:
-    tensors, scalars = read_tensors(path)
-    depth = int(scalars["depth"])
-    rank = int(scalars["rank"])
-    train_bias = bool(scalars["train_bias"])
-    lora_only = bool(scalars["lora_only"])
-    layers = []
-    for i in range(depth):
-        w0 = tensors[f"layer{i}.w0"]
-        d, k = w0.shape
-        layer_rank = tensors[f"layer{i}.lora_a"].shape[0]
-        layer = LoraLinear(d, k, layer_rank, np.random.default_rng(0), train_bias, lora_only)
-        for key, arr in ((n.split(".", 1)[1], tensors[n]) for n in tensors
-                         if n.startswith(f"layer{i}.")):
-            target = layer.tensors()[key]
-            if target.data.shape != arr.shape:
-                raise ParseError(f"{path}: tensor layer{i}.{key} has shape {arr.shape}, "
-                                 f"expected {target.data.shape}")
-            target.data[...] = arr
-        layers.append(layer)
-    head = LoraHead(layers=layers, output_dim=int(scalars["out_dim"]))
-    if head.layers[0].rank != rank:
-        raise ParseError(f"{path}: rank scalar {rank} disagrees with lora_a shape")
-    return head

@@ -13,16 +13,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import tasks as tk
 from .config import echo_config, load_config
 from .errors import (
-    ConfigError, DimensionError, EnecgError, InvariantError, NonFiniteLossError,
+    ConfigError, DimensionError, InvariantError, NonFiniteLossError,
     NotApplicableError, ParseError, UsageError,
 )
 from .pipeline import (
-    bench, build_experts, compare_strategies, evaluate, load_task_model,
-    prepare_dataset, save_task_model, split_indices, train,
+    TaskResult, TrainedModel, bench, build_experts, compare_strategies, evaluate,
+    load_task_model, prepare_dataset, run_experiment, save_task_model, split_indices, train,
 )
 from .saliency import ensemble_scalar_model, export_saliency, integrated_gradients
 from .signal import generate, iter_records, save_manifest, save_records
@@ -83,7 +84,6 @@ def _progress(verbose: bool, message: str) -> None:
 
 
 def cmd_gen(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
-    from dataclasses import replace
     gen_cfg = replace(cfg.data, seed=cfg.seed, n_records=cfg.n_records)
     chunk: list = []
     paths: list[str] = []
@@ -128,7 +128,6 @@ def cmd_train(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
 
 
 def _load_trained(cfg, out: _Out):
-    from .pipeline import TrainedModel
     experts = build_experts(cfg)
     models = {}
     for name in cfg.tasks:
@@ -144,8 +143,6 @@ def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     if cfg.ensemble != "moe":
         # static/tuned strategies have no checkpointable artifact: fine-tune
         # each expert alone, weight on the validation split, score on test
-        from dataclasses import replace
-        from .pipeline import run_experiment
         report, _ = run_experiment(replace(cfg, repeats=1))
     else:
         trained = _load_trained(cfg, out)
@@ -153,7 +150,6 @@ def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
         _, _, test_idx = split_indices(prepared.n, cfg.split, cfg.seed)
         scores = evaluate(trained, prepared, test_idx)
         report = bench(trained, prepared, test_idx)
-        from .pipeline import TaskResult
         report.tasks = [TaskResult(task=name, metric=tk.task_by_name(name).metric,
                                    mean=value, std=0.0, values=[value])
                         for name, value in scores.items()]
@@ -192,7 +188,6 @@ def cmd_saliency(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     if task.kind == "multiclass" and class_index is None:
         class_index = 0
     trained = _load_trained(cfg, out)
-    from dataclasses import replace
     gen_cfg = replace(cfg.data, seed=cfg.seed, n_records=record_index + 1)
     record, _ = generate(gen_cfg)[record_index]
     model_fn = ensemble_scalar_model(trained.experts, trained.tasks[task_name], task,
@@ -243,17 +238,10 @@ def run(argv) -> int:
         code = COMMANDS[args.command](cfg, saliency_opts, out, args.verbose)
         out.finish()
         return code
-    except EnecgError as e:
-        for klass, label in _ERROR_CLASSES:
-            if isinstance(e, klass):
-                print(json.dumps({"error": type(e).__name__, "message": str(e)}),
-                      file=sys.stderr)
-                return EXIT_CODES[label]
+    except Exception as e:  # one JSON line; anything unclassified is internal
+        label = next((label for klass, label in _ERROR_CLASSES if isinstance(e, klass)), "internal")
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
-        return EXIT_CODES["internal"]
-    except Exception as e:  # pragma: no cover - defensive
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
-        return EXIT_CODES["internal"]
+        return EXIT_CODES[label]
 
 
 def main() -> None:

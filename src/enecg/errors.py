@@ -21,7 +21,7 @@ class ConfigError(EnecgError):
 
 
 class ParseError(EnecgError):
-    """Malformed record, checkpoint or manifest file."""
+    """Malformed record or checkpoint file."""
 
 
 class NotApplicableError(EnecgError):

@@ -117,12 +117,6 @@ def ensemble_combine(logits: Tensor, weights: Tensor) -> Tensor:
     return ad.reduce_sum(ad.mul(weights, logits), axis=expert_axis)
 
 
-def expand_static_weights(w: np.ndarray, out_dim: int) -> Tensor:
-    """Per-expert vector (N,) tiled to the (N, L) weight grid."""
-    w = np.asarray(w, dtype=np.float64)
-    return Tensor(np.repeat(w[:, None], out_dim, axis=1))
-
-
 def uniform_weights(n_experts: int) -> np.ndarray:
     return np.full(n_experts, 1.0 / n_experts)
 

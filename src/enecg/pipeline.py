@@ -15,15 +15,19 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tasks as tk
-from .adapters import LoraHead, build_head, head_checksum, head_forward, trainable_params
+from .adapters import (
+    LoraHead, LoraLinear, build_head, head_checksum, head_forward, read_tensors,
+    trainable_params, write_tensors,
+)
 from .autodiff import Tensor, Tape, backward
-from .errors import InvariantError, NonFiniteLossError, NotApplicableError, UsageError
+from .errors import InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
 from .experts import ExpertModel, build_expert, expert_forward
 from .gating import (
     GatingNetwork, build_gate, ensemble_combine, gate_forward, gate_input,
@@ -36,6 +40,8 @@ from .signal import EcgRecord, GeneratorConfig, downsample, iter_records
 DEFAULT_TASKS = ("rr", "age", "sex", "potassium", "arrhythmia")
 
 STRATEGIES = ("moe", "zero_shot", "greedy", "sample_aware", "uniform")
+
+COMPARED_STRATEGIES = ("zero_shot", "greedy", "sample_aware", "moe")
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,16 @@ def build_experts(cfg: ExperimentConfig) -> list[ExpertModel]:
             for s in cfg.experts]
 
 
+def _block_features(experts: list[ExpertModel], block: Tensor, lead_indices,
+                    pooled_len: int) -> tuple[list[Tensor], Tensor]:
+    """Each frozen expert's features and the gate input of a raw (B,C,T) block."""
+    features = []
+    for m in experts:
+        down = downsample(block, m.required_input_len)
+        features.append(expert_forward(m, down))
+    return features, gate_input(block, lead_indices, pooled_len)
+
+
 def prepare_dataset(cfg: ExperimentConfig, experts: list[ExpertModel],
                     seed: int | None = None, chunk: int = 256) -> PreparedDataset:
     gen = replace(cfg.data, seed=cfg.seed if seed is None else seed, n_records=cfg.n_records)
@@ -120,11 +136,11 @@ def prepare_dataset(cfg: ExperimentConfig, experts: list[ExpertModel],
     def flush():
         if not buffer:
             return
-        block = ad.stack(buffer)
-        for i, m in enumerate(experts):
-            down = downsample(block, m.required_input_len)
-            feats[i].append(expert_forward(m, down).data)
-        gates.append(gate_input(block, cfg.gate_leads, cfg.gate_pooled_len).data)
+        block_feats, gate_in = _block_features(experts, ad.stack(buffer),
+                                               cfg.gate_leads, cfg.gate_pooled_len)
+        for acc, f in zip(feats, block_feats):
+            acc.append(f.data)
+        gates.append(gate_in.data)
         buffer.clear()
 
     for record, lab in iter_records(gen):
@@ -163,12 +179,6 @@ def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, np.ndarray, np
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def split(dataset: list, ratios, seed: int) -> tuple[list, list, list]:
-    train_idx, val_idx, test_idx = split_indices(len(dataset), ratios, seed)
-    pick = lambda idx: [dataset[i] for i in idx]
-    return pick(train_idx), pick(val_idx), pick(test_idx)
-
-
 # ---------------------------------------------------------------------------
 # model assembly and forward
 
@@ -200,6 +210,11 @@ class TaskModel:
 
     def denormalize(self, z: np.ndarray) -> np.ndarray:
         return z * self.target_std + self.target_mean
+
+    def targets(self, prepared: "PreparedDataset") -> np.ndarray:
+        """Training targets for every row: labels, standardized for regression."""
+        y = prepared.labels[self.task.name]
+        return self.normalize(y) if self.task.kind == "regression" else y
 
     def fit_input_stats(self, prepared: "PreparedDataset", train_idx: np.ndarray) -> None:
         self.feature_stats = [
@@ -241,7 +256,15 @@ def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor,
 
     Returns (stacked expert logits (B,N,L), weights, combined (B,L)). With a
     single expert the weight is identically one, so the gate can be skipped.
+    A model whose heads do not match the expert roster or the task is a
+    UsageError, on every path from training to saliency.
     """
+    if len(features) != len(model.heads):
+        raise UsageError(f"{len(features)} experts but {len(model.heads)} heads")
+    for head in model.heads:
+        if head.output_dim != model.task.output_dim:
+            raise UsageError(f"head output dim {head.output_dim} does not match "
+                             f"task {model.task.name} (L={model.task.output_dim})")
     per_expert = [head_forward(h, f) for h, f in zip(model.heads, features)]
     n = len(per_expert)
     stacked = ad.stack(per_expert, axis=1)
@@ -254,40 +277,41 @@ def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor,
     return stacked, weights, combined
 
 
+def _has_stats_for(model: TaskModel, n_experts: int) -> bool:
+    # another roster size stays unscaled: _forward_features rejects it, zip() would hide it
+    return model.feature_stats is not None and len(model.feature_stats) == n_experts
+
+
 def _model_inputs(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray):
     """Standardized feature and gate-input tensors for the given rows."""
-    if model.feature_stats is None:
-        feats = [Tensor(f[idx]) for f in prepared.features]
-        gate_in = Tensor(prepared.gate_inputs[idx])
-    else:
-        feats = [Tensor((f[idx] - m) / s)
-                 for f, (m, s) in zip(prepared.features, model.feature_stats)]
+    feats, gate_in = [f[idx] for f in prepared.features], prepared.gate_inputs[idx]
+    if _has_stats_for(model, len(feats)):
+        feats = [(f - m) / s for f, (m, s) in zip(feats, model.feature_stats)]
         gm, gs = model.gate_stats
-        gate_in = Tensor((prepared.gate_inputs[idx] - gm) / gs)
-    return feats, gate_in
+        gate_in = (gate_in - gm) / gs
+    return [Tensor(f) for f in feats], Tensor(gate_in)
 
 
-def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: TaskModel) -> list[EnsembleOutput]:
-    """Full forward from raw records; one EnsembleOutput per input, in order."""
-    if len(model.heads) != len(experts):
-        raise UsageError(f"{len(experts)} experts but {len(model.heads)} heads")
-    for head in model.heads:
-        if head.output_dim != model.task.output_dim:
-            raise UsageError(f"head output dim {head.output_dim} does not match "
-                             f"task {model.task.name} (L={model.task.output_dim})")
-    if not batch:
-        return []
-    block = ad.stack([r.leads for r in batch])
-    features = [expert_forward(m, downsample(block, m.required_input_len)) for m in experts]
-    gate_in = gate_input(block, model.gate.lead_indices, model.gate.pooled_len)
-    if model.feature_stats is not None:
+def _raw_forward(model: TaskModel, experts: list[ExpertModel], block: Tensor):
+    """(stacked, weights, combined) Tensors for a raw (B,C,T) record block,
+    standardized with the model's train-split statistics on the tape, so
+    saliency can differentiate them with respect to the block."""
+    features, gate_in = _block_features(experts, block, model.gate.lead_indices,
+                                        model.gate.pooled_len)
+    if _has_stats_for(model, len(experts)):
         features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
                     for f, (mean, std) in zip(features, model.feature_stats)]
         gm, gs = model.gate_stats
         gate_in = ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
-    stacked, weights, combined = _forward_features(model, features, gate_in)
-    w = weights.data
-    return [EnsembleOutput(stacked.data[i], w[i], combined.data[i]) for i in range(len(batch))]
+    return _forward_features(model, features, gate_in)
+
+
+def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: TaskModel) -> list[EnsembleOutput]:
+    """Full forward from raw records; one EnsembleOutput per input, in order."""
+    if not batch:
+        return []
+    stacked, weights, combined = _raw_forward(model, experts, ad.stack([r.leads for r in batch]))
+    return [EnsembleOutput(*row) for row in zip(stacked.data, weights.data, combined.data)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,60 +351,69 @@ def _validation_metric(model: TaskModel, prepared: PreparedDataset, idx: np.ndar
     return tk.task_metric(model.task, pred, prepared.labels[model.task.name][idx])
 
 
-def train_task(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDataset,
-               train_idx: np.ndarray, val_idx: np.ndarray, seed: int
-               ) -> tuple[list[float], list[float]]:
-    """Adam over the task's LoRA factors and biases with best-val selection.
+def _train_step(models: list[TaskModel], prepared: PreparedDataset,
+                targets: list[np.ndarray], batch: np.ndarray, opt: Adam,
+                where: str = "") -> tuple[list[float], Tape]:
+    """One Adam step on the summed task losses of ``models`` over ``batch``;
+    returns each task's loss and the tape of the step."""
+    inputs = [_model_inputs(model, prepared, batch) for model in models]
+    opt.zero_grad()
+    with Tape() as tape:
+        losses = []
+        for model, (feats, gate_in), y in zip(models, inputs, targets):
+            _, _, combined = _forward_features(model, feats, gate_in, skip_gate_if_single=True)
+            losses.append(tk.task_loss(model.task, combined, y[batch],
+                                       model.pos_weight, model.neg_weight))
+        values = [loss.item() for loss in losses]
+        for model, value in zip(models, values):
+            if not np.isfinite(value):
+                raise NonFiniteLossError(f"task {model.task.name}: non-finite loss {where}")
+        backward(reduce(ad.add, losses), tape)
+    opt.step()
+    return values, tape
 
-    Returns (validation metric per epoch, mean training loss per epoch)."""
-    task = model.task
-    y = prepared.labels[task.name]
-    model.fit_input_stats(prepared, train_idx)
-    if task.kind == "regression" and cfg.normalize_targets:
-        model.target_mean = float(y[train_idx].mean())
-        model.target_std = float(y[train_idx].std()) or 1.0
-    if task.kind == "binary" and cfg.class_weighted_bce:
-        model.pos_weight, model.neg_weight = tk.class_weights(y[train_idx])
-    targets = model.normalize(y) if task.kind == "regression" else y
 
-    params = model.trainable()
-    opt = Adam(params, lr=cfg.learning_rate)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7E, _task_id(task))))
-    best = None
-    best_state = None
-    history: list[float] = []
-    losses: list[float] = []
+def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDataset,
+         train_idx: np.ndarray, val_idx: np.ndarray, rng: np.random.Generator
+         ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """Adam over the LoRA factors and biases of ``models`` on their summed
+    task losses; each model keeps the parameters of its best validation epoch.
+
+    Parameters are disjoint per task, so training all tasks in one call
+    matches training each alone up to batch order. Returns (validation
+    metric per epoch, mean training loss per epoch), keyed by task."""
+    for model in models:
+        model.fit_input_stats(prepared, train_idx)
+        y = prepared.labels[model.task.name][train_idx]
+        if model.task.kind == "regression" and cfg.normalize_targets:
+            model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
+        if model.task.kind == "binary" and cfg.class_weighted_bce:
+            model.pos_weight, model.neg_weight = tk.class_weights(y)
+    targets = [model.targets(prepared) for model in models]
+    params = [model.trainable() for model in models]
+    opt = Adam([p for group in params for p in group], lr=cfg.learning_rate)
+    history: dict[str, list[float]] = {model.task.name: [] for model in models}
+    losses: dict[str, list[float]] = {model.task.name: [] for model in models}
+    best_state: list[list[np.ndarray] | None] = [None] * len(models)
     for epoch in range(cfg.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            feats, gate_in = _model_inputs(model, prepared, batch)
-            opt.zero_grad()
-            with Tape() as tape:
-                _, _, combined = _forward_features(model, feats, gate_in, skip_gate_if_single=True)
-                loss = tk.task_loss(task, combined, targets[batch],
-                                    model.pos_weight, model.neg_weight)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NonFiniteLossError(
-                        f"task {task.name}: non-finite loss at epoch {epoch}, "
-                        f"batch starting {start}")
-                backward(loss, tape)
-            opt.step()
-            epoch_loss += value
-            n_batches += 1
-        losses.append(epoch_loss / max(n_batches, 1))
-        score = _validation_metric(model, prepared, val_idx)
-        history.append(score)
-        better = (best is None or
-                  (score > best if task.higher_is_better else score < best))
-        if better:
-            best = score
-            best_state = [p.data.copy() for p in params]
-    if best_state is not None:
-        for p, snap in zip(params, best_state):
+        starts = range(0, order.size, cfg.batch_size)
+        sums = [0.0] * len(models)
+        for start in starts:
+            values, _ = _train_step(models, prepared, targets, order[start:start + cfg.batch_size],
+                                    opt, where=f"at epoch {epoch}, batch starting {start}")
+            sums = [acc + value for acc, value in zip(sums, values)]
+        for i, model in enumerate(models):
+            task = model.task
+            losses[task.name].append(sums[i] / max(len(starts), 1))
+            score = _validation_metric(model, prepared, val_idx)
+            scores = history[task.name]
+            # strict improvement on the running best: the first best epoch wins ties
+            if not scores or (score > max(scores) if task.higher_is_better else score < min(scores)):
+                best_state[i] = [p.data.copy() for p in params[i]]
+            scores.append(score)
+    for group, snaps in zip(params, best_state):
+        for p, snap in zip(group, snaps or []):
             p.data[...] = snap
     return history, losses
 
@@ -388,6 +421,8 @@ def train_task(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDatase
 def train(cfg: ExperimentConfig, seed: int | None = None,
           prepared: PreparedDataset | None = None,
           experts: list[ExpertModel] | None = None) -> TrainedModel:
+    """Fit every task of ``cfg``: each task alone with its own RNG, or with
+    ``cfg.joint`` all tasks in one loop on the summed loss."""
     cfg.validate()
     seed = cfg.seed if seed is None else seed
     # split first, so a dataset too small to split fails before it is prepared
@@ -399,65 +434,18 @@ def train(cfg: ExperimentConfig, seed: int | None = None,
     models = {name: build_task_model(cfg, experts, tk.task_by_name(name), seed)
               for name in cfg.tasks}
     before = _frozen_checksums(experts, models)
-    history: dict[str, list[float]] = {}
-    train_loss: dict[str, list[float]] = {}
-    if cfg.joint:
-        history.update(_train_joint(cfg, models, prepared, train_idx, val_idx, seed))
-    else:
-        for name, model in models.items():
-            history[name], train_loss[name] = train_task(cfg, model, prepared,
-                                                         train_idx, val_idx, seed)
+    trained = TrainedModel(cfg=cfg, experts=experts, tasks=models)
+    for group in [list(models.values())] if cfg.joint else [[m] for m in models.values()]:
+        entropy = (seed, 0x701) if cfg.joint else (seed, 0x7E, _task_id(group[0].task))
+        history, losses = _fit(cfg, group, prepared, train_idx, val_idx,
+                               np.random.default_rng(np.random.SeedSequence(entropy)))
+        trained.history.update(history)
+        trained.train_loss.update(losses)
     after = _frozen_checksums(experts, models)
     changed = [k for k in before if before[k] != after[k]]
     if changed:
         raise InvariantError(f"frozen parameters changed during training: {changed}")
-    return TrainedModel(cfg=cfg, experts=experts, tasks=models, history=history,
-                        train_loss=train_loss)
-
-
-def _train_joint(cfg: ExperimentConfig, models: dict[str, TaskModel],
-                 prepared: PreparedDataset, train_idx: np.ndarray, val_idx: np.ndarray,
-                 seed: int) -> dict[str, list[float]]:
-    """Joint mode: one loop, summed task losses. Parameters are disjoint per
-    task, so this matches independent training up to batching order."""
-    targets: dict[str, np.ndarray] = {}
-    for name, model in models.items():
-        y = prepared.labels[name]
-        model.fit_input_stats(prepared, train_idx)
-        if model.task.kind == "regression" and cfg.normalize_targets:
-            model.target_mean = float(y[train_idx].mean())
-            model.target_std = float(y[train_idx].std()) or 1.0
-        if model.task.kind == "binary" and cfg.class_weighted_bce:
-            model.pos_weight, model.neg_weight = tk.class_weights(y[train_idx])
-        targets[name] = model.normalize(y) if model.task.kind == "regression" else y
-    params: list[Tensor] = []
-    for model in models.values():
-        params.extend(model.trainable())
-    opt = Adam(params, lr=cfg.learning_rate)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x701)))
-    history = {name: [] for name in models}
-    for epoch in range(cfg.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            opt.zero_grad()
-            with Tape() as tape:
-                total = None
-                for name, model in models.items():
-                    feats, gate_in = _model_inputs(model, prepared, batch)
-                    _, _, combined = _forward_features(model, feats, gate_in,
-                                                       skip_gate_if_single=True)
-                    loss = tk.task_loss(model.task, combined, targets[name][batch],
-                                        model.pos_weight, model.neg_weight)
-                    total = loss if total is None else ad.add(total, loss)
-                if not np.isfinite(total.item()):
-                    raise NonFiniteLossError(f"joint loss non-finite at epoch {epoch}, "
-                                             f"batch starting {start}")
-                backward(total, tape)
-            opt.step()
-        for name, model in models.items():
-            history[name].append(_validation_metric(model, prepared, val_idx))
-    return history
+    return trained
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +472,7 @@ class MetricsReport:
     wallclock_s: float
 
     def to_json(self) -> str:
-        doc = {
-            "tasks": [{"task": t.task, "metric": t.metric, "mean": t.mean,
-                       "std": t.std, "values": t.values} for t in self.tasks],
-            "params_trainable": self.params_trainable,
-            "params_frozen": self.params_frozen,
-            "params_total": self.params_total,
-            "throughput_sps": self.throughput_sps,
-            "train_throughput_sps": self.train_throughput_sps,
-            "activation_bytes": self.activation_bytes,
-            "wallclock_s": self.wallclock_s,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         lines = ["task,metric,mean,std,params_trainable,params_total,throughput_sps,wallclock_s"]
@@ -554,22 +531,13 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     throughput = idx.size / float(np.median(times))
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
-    feats, gate_in = _model_inputs(first, prepared, batch)
-    y = prepared.labels[first.task.name][batch]
-    targets = first.normalize(y) if first.task.kind == "regression" else y
-    params = first.trainable()
-    probe = Adam(params, lr=0.0)  # lr 0: timed steps leave the model unchanged
+    targets = [first.targets(prepared)]
+    probe = Adam(first.trainable(), lr=0.0)  # lr 0: timed steps leave the model unchanged
     step_times = []
     activation_bytes = 0
     for _ in range(max(3, passes)):
-        probe.zero_grad()
         t0 = time.perf_counter()
-        with Tape() as tape:
-            _, _, combined = _forward_features(first, feats, gate_in, skip_gate_if_single=True)
-            loss = tk.task_loss(first.task, combined, targets,
-                                first.pos_weight, first.neg_weight)
-            backward(loss, tape)
-        probe.step()
+        _, tape = _train_step([first], prepared, targets, batch, probe)
         step_times.append(time.perf_counter() - t0)
         activation_bytes = sum(node.output.data.size for node in tape.nodes) * 8
     probe.zero_grad()
@@ -591,7 +559,6 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
 # task-model checkpoints (adapters' named-tensor container)
 
 def save_task_model(model: TaskModel, path) -> None:
-    from .adapters import write_tensors
     tensors: dict[str, Tensor] = {}
     for i, head in enumerate(model.heads):
         for j, layer in enumerate(head.layers):
@@ -628,42 +595,76 @@ def save_task_model(model: TaskModel, path) -> None:
 
 
 def load_task_model(path) -> TaskModel:
-    from .adapters import LoraLinear, read_tensors
+    """Rebuild a task model written by ``save_task_model``. A missing entry, a
+    non-integer count or a tensor whose shape disagrees with what it fills is
+    a ParseError naming the file and the entry."""
     tensors, scalars = read_tensors(path)
-    task = tk.task_by_name(list(tk.TASKS)[int(scalars["task_id"])])
-    train_bias = bool(scalars["train_bias"])
-    lora_only = bool(scalars["lora_only"])
+
+    def scalar(name: str) -> float:
+        if name not in scalars:
+            raise ParseError(f"{path}: missing scalar {name!r}")
+        return scalars[name]
+
+    def count(name: str) -> int:
+        value = scalar(name)
+        if not (value.is_integer() and value >= 0):
+            raise ParseError(f"{path}: scalar {name!r} must be a count, got {value!r}")
+        return int(value)
+
+    def tensor(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+        if name not in tensors:
+            raise ParseError(f"{path}: missing tensor {name!r}")
+        if shape is not None and tensors[name].shape != shape:
+            raise ParseError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                             f"expected {shape}")
+        return tensors[name]
+
+    task_id = count("task_id")
+    if task_id >= len(tk.TASKS):
+        raise ParseError(f"{path}: scalar 'task_id' {task_id} names no task")
+    task = tk.task_by_name(list(tk.TASKS)[task_id])
+    train_bias, lora_only = bool(count("train_bias")), bool(count("lora_only"))
 
     def rebuild(prefix: str) -> LoraLinear:
-        w0 = tensors[f"{prefix}.w0"]
-        d, k = w0.shape
-        rank = tensors[f"{prefix}.lora_a"].shape[0]
-        layer = LoraLinear(d, k, rank, np.random.default_rng(0), train_bias, lora_only)
-        for key in ("w0", "bias", "lora_a", "lora_b"):
-            layer.tensors()[key].data[...] = tensors[f"{prefix}.{key}"]
+        w0, lora_a = tensor(f"{prefix}.w0"), tensor(f"{prefix}.lora_a")
+        if w0.ndim != 2 or lora_a.ndim != 2:
+            raise ParseError(f"{path}: tensors {prefix!r}.w0 and .lora_a must be matrices")
+        try:
+            layer = LoraLinear(*w0.shape, lora_a.shape[0], np.random.default_rng(0),
+                               train_bias, lora_only)
+        except UsageError as e:  # a rank out of range for the stored widths
+            raise ParseError(f"{path}: {prefix}: {e}") from e
+        for key, t in layer.tensors().items():
+            t.data[...] = tensor(f"{prefix}.{key}", t.data.shape)
         return layer
 
-    n_experts = int(scalars["n_experts"])
-    depth = int(scalars["depth"])
-    heads = [LoraHead(layers=[rebuild(f"head{i}.layer{j}") for j in range(depth)],
-                      output_dim=task.output_dim)
-             for i in range(n_experts)]
+    def rebuild_head(i: int, depth: int) -> LoraHead:
+        layers = [rebuild(f"head{i}.layer{j}") for j in range(depth)]
+        try:
+            return LoraHead(layers=layers, output_dim=task.output_dim)
+        except UsageError as e:  # a depth or output width the task does not have
+            raise ParseError(f"{path}: head{i}: {e}") from e
+
+    n_experts, depth = count("n_experts"), count("depth")
+    heads = [rebuild_head(i, depth) for i in range(n_experts)]
     gate_layers = [rebuild(f"gate.layer{j}") for j in range(2)]
     gate = GatingNetwork(
-        lead_indices=[int(v) for v in tensors["gate.leads"]],
-        pooled_len=int(scalars["pooled_len"]),
+        lead_indices=[int(v) for v in tensor("gate.leads").reshape(-1)],
+        pooled_len=count("pooled_len"),
         n_experts=n_experts,
         out_dim=task.output_dim,
-        per_coordinate=bool(scalars["per_coordinate"]),
+        per_coordinate=bool(count("per_coordinate")),
         layers=gate_layers,
     )
     model = TaskModel(task=task, heads=heads, gate=gate,
-                      target_mean=scalars["target_mean"], target_std=scalars["target_std"],
-                      pos_weight=scalars["pos_weight"], neg_weight=scalars["neg_weight"])
-    if scalars.get("has_stats"):
-        model.feature_stats = [(tensors[f"featstats{i}.mean"], tensors[f"featstats{i}.std"])
-                               for i in range(n_experts)]
-        model.gate_stats = (tensors["gatestats.mean"], tensors["gatestats.std"])
+                      target_mean=scalar("target_mean"), target_std=scalar("target_std"),
+                      pos_weight=scalar("pos_weight"), neg_weight=scalar("neg_weight"))
+    if count("has_stats"):
+        model.feature_stats = [
+            (tensor(f"featstats{i}.mean", (h.in_dim,)), tensor(f"featstats{i}.std", (h.in_dim,)))
+            for i, h in enumerate(heads)]
+        width = (gate_layers[0].k,)
+        model.gate_stats = (tensor("gatestats.mean", width), tensor("gatestats.std", width))
     return model
 
 
@@ -688,22 +689,22 @@ def _single_view(prepared: PreparedDataset, i: int) -> PreparedDataset:
                            prepared.labels, prepared.n)
 
 
-def run_suite(cfg: ExperimentConfig, seeds=None, experts: list[ExpertModel] | None = None,
-              with_moe: bool = True) -> list[SuiteRun]:
-    """Per seed: fine-tune each expert alone and (optionally) the full system."""
+def run_suite(cfg: ExperimentConfig, strategies=COMPARED_STRATEGIES) -> list[SuiteRun]:
+    """Per seed in ``cfg.repeats``: prepare and split the dataset, fine-tune
+    each expert alone if any listed strategy weights singles, and train the
+    full MoE system if "moe" is listed."""
     cfg.validate()
-    experts = build_experts(cfg) if experts is None else experts
-    seeds = [cfg.seed + r for r in range(cfg.repeats)] if seeds is None else list(seeds)
+    experts = build_experts(cfg)
     runs = []
-    for seed in seeds:
+    for seed in range(cfg.seed, cfg.seed + cfg.repeats):
         prepared = prepare_dataset(cfg, experts, seed=seed)
         tr, va, te = split_indices(prepared.n, cfg.split, seed)
         singles = []
-        for i, spec in enumerate(cfg.experts):
-            sub = replace(cfg, experts=(spec,))
-            singles.append(train(sub, seed=seed, prepared=_single_view(prepared, i),
-                                 experts=[experts[i]]))
-        moe = train(cfg, seed=seed, prepared=prepared, experts=experts) if with_moe else None
+        if any(s != "moe" for s in strategies):
+            singles = [train(replace(cfg, experts=(spec,)), seed=seed,
+                             prepared=_single_view(prepared, i), experts=[experts[i]])
+                       for i, spec in enumerate(cfg.experts)]
+        moe = train(cfg, seed=seed, prepared=prepared, experts=experts) if "moe" in strategies else None
         runs.append(SuiteRun(seed, prepared, tr, va, te, singles, moe))
     return runs
 
@@ -810,9 +811,6 @@ class StrategyComparison:
         return "\n".join(lines) + "\n"
 
 
-COMPARED_STRATEGIES = ("zero_shot", "greedy", "sample_aware", "moe")
-
-
 def compare_strategies(cfg: ExperimentConfig, runs: list[SuiteRun] | None = None) -> StrategyComparison:
     """Table of test metrics (mean +- std over seeds) per task and strategy."""
     runs = run_suite(cfg) if runs is None else runs
@@ -830,36 +828,24 @@ def compare_strategies(cfg: ExperimentConfig, runs: list[SuiteRun] | None = None
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list[SuiteRun]]:
-    """Train and evaluate over cfg.repeats seeds; aggregate mean +- std.
+    """Train and evaluate ``cfg.ensemble`` over cfg.repeats seeds; aggregate
+    mean +- std of the test metrics.
 
     With ensemble="moe" the full system is trained; other strategies
     fine-tune each expert alone and combine with strategy weights.
     """
-    cfg.validate()
     t0 = time.perf_counter()
-    moe_mode = cfg.ensemble == "moe"
-    runs = run_suite(cfg, with_moe=moe_mode) if not moe_mode else None
+    runs = run_suite(cfg, strategies=(cfg.ensemble,))
     per_task: dict[str, list[float]] = {name: [] for name in cfg.tasks}
-    if moe_mode:
-        experts = build_experts(cfg)
-        runs = []
-        for rep in range(cfg.repeats):
-            seed = cfg.seed + rep
-            prepared = prepare_dataset(cfg, experts, seed=seed)
-            tr, va, te = split_indices(prepared.n, cfg.split, seed)
-            trained = train(cfg, seed=seed, prepared=prepared, experts=experts)
-            for name, value in evaluate(trained, prepared, te).items():
+    for run in runs:
+        for name in cfg.tasks:
+            value = strategy_score(cfg, run, cfg.ensemble, name)
+            if value is not None:
                 per_task[name].append(value)
-            runs.append(SuiteRun(seed, prepared, tr, va, te, [], trained))
-        last = runs[-1]
+    last = runs[-1]
+    if last.moe is not None:
         report = bench(last.moe, last.prepared, last.test_idx)
     else:
-        for run in runs:
-            for name in cfg.tasks:
-                value = strategy_score(cfg, run, cfg.ensemble, name)
-                if value is not None:
-                    per_task[name].append(value)
-        last = runs[-1]
         report = bench(last.singles[0], _single_view(last.prepared, 0), last.test_idx)
     report.tasks = [
         TaskResult(task=name, metric=tk.task_by_name(name).metric,

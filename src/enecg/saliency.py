@@ -22,9 +22,8 @@ from . import autodiff as ad
 from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, ParseError, UsageError
-from .experts import ExpertModel, expert_forward
-from .gating import gate_input
-from .signal import downsample
+from .experts import ExpertModel
+from .pipeline import _raw_forward
 
 
 @dataclass
@@ -93,17 +92,8 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
     when ``expert_index`` is given. Regression outputs stay in the
     standardized training scale; attribution shape follows the raw record.
     """
-    from .pipeline import _forward_features  # local import to avoid a cycle
-
     def run(block: Tensor) -> Tensor:
-        feats = [expert_forward(m, downsample(block, m.required_input_len)) for m in experts]
-        gate_in = gate_input(block, model.gate.lead_indices, model.gate.pooled_len)
-        if model.feature_stats is not None:
-            feats = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
-                     for f, (mean, std) in zip(feats, model.feature_stats)]
-            gm, gs = model.gate_stats
-            gate_in = ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
-        stacked, _, combined = _forward_features(model, feats, gate_in)
+        stacked, _, combined = _raw_forward(model, experts, block)
         if expert_index is None:
             return scalar_target(task, combined, class_index)
         one = ad.take_rows(stacked, [expert_index], axis=1)

@@ -394,10 +394,3 @@ def save_manifest(paths: Iterable, manifest_path) -> None:
         for p in paths:
             fh.write(f"{p}\n")
 
-
-def load_manifest(manifest_path) -> list[str]:
-    with open(manifest_path) as fh:
-        entries = [line.strip() for line in fh if line.strip()]
-    if not entries:
-        raise ParseError(f"{manifest_path}: empty manifest")
-    return entries

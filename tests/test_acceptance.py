@@ -15,7 +15,7 @@ import pytest
 
 from enecg import autodiff as ad
 from enecg import tasks as tk
-from enecg.adapters import LoraLinear, head_checksum
+from enecg.adapters import LoraLinear, head_checksum, head_forward
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.cli import run as cli_run
 from enecg.gating import build_gate, ensemble_combine, gate_forward
@@ -28,6 +28,7 @@ from enecg.pipeline import (
 )
 from enecg.saliency import ensemble_scalar_model, integrated_gradients
 from enecg.signal import GeneratorConfig, generate, load_records, save_records
+from oracles import head_forward_frozen
 
 SUITE_CFG = ExperimentConfig(seed=1, n_records=10000, epochs=30, repeats=3)
 
@@ -152,7 +153,6 @@ def test_criterion_2_lora_identity_and_frozen_contract(suite):
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=9)
         feats, gate_in = _model_inputs(model, prepared, idx)
-        from enecg.adapters import head_forward, head_forward_frozen
         for head, f in zip(model.heads, feats):
             delta = np.abs(head_forward(head, f).data - head_forward_frozen(head, f).data)
             worst = max(worst, float(delta.max()))

@@ -119,6 +119,30 @@ def test_saliency_single_expert_attribution(cfg_path, tmp_path):
     assert os.path.exists(os.path.join(out, "saliency_rr_expert1.csv"))
 
 
+def test_hand_edited_checkpoint_exits_with_parse(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg_path, "--out", out]) == 0
+    ckpt = os.path.join(out, "checkpoints", "sex.ckpt")
+    text = open(ckpt).read()
+    with open(ckpt, "w") as fh:
+        fh.write(text.replace("scalar task_id 2.0", "scalar task_id abc"))
+    assert run(["eval", "--config", cfg_path, "--out", out]) == EXIT_CODES["parse"] == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ParseError"
+    assert "sex.ckpt" in record["message"] and "task_id" in record["message"]
+
+
+def test_roster_mismatch_exits_with_usage(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg_path, "--out", out]) == 0
+    wider = tmp_path / "wider.cfg"
+    wider.write_text(SMALL_CFG.replace("stat:statistical:2:128:16",
+                                       "stat:statistical:2:128:16; spec2:spectral:3:128:16"))
+    assert run(["eval", "--config", str(wider), "--out", out]) == EXIT_CODES["usage"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["message"] == "3 experts but 2 heads"
+
+
 def test_invalid_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nseed = 1\nsplit = 0.7,0.2,0.2\n")

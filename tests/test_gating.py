@@ -8,7 +8,7 @@ from enecg import tasks as tk
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import DimensionError, NotApplicableError, UsageError
 from enecg.gating import (
-    build_gate, ensemble_combine, expand_static_weights, gate_forward,
+    build_gate, ensemble_combine, gate_forward,
     gate_input, greedy_search_weights, train_sample_aware, uniform_weights,
     zero_shot_confidence_weights,
 )
@@ -91,6 +91,11 @@ def test_one_hot_gating_selects_single_expert_exactly():
         w[j] = 1.0
         out = ensemble_combine(logits, Tensor(w))
         np.testing.assert_array_equal(out.data, logits.data[j])
+
+
+def expand_static_weights(w: np.ndarray, out_dim: int) -> Tensor:
+    """Oracle: a per-expert vector (N,) tiled to the (N, L) weight grid."""
+    return Tensor(np.repeat(np.asarray(w, dtype=np.float64)[:, None], out_dim, axis=1))
 
 
 def test_uniform_gating_is_arithmetic_mean():

@@ -9,18 +9,21 @@ import pytest
 
 from enecg import pipeline
 from enecg import tasks as tk
-from enecg.adapters import head_forward_frozen
+from enecg import autodiff as ad
+from enecg.adapters import head_forward
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import InvariantError, UsageError
 from enecg.experts import ExpertModel
 from enecg.optim import finite_diff_grad
 from enecg.pipeline import (
     ExperimentConfig, ExpertSpec,
-    _forward_features, _model_inputs, _task_logits, bench,
+    PreparedDataset, _forward_features, _model_inputs, _task_logits, bench,
     build_experts, build_task_model, evaluate, forward_enecg, parameter_counts,
-    prepare_dataset, split, split_indices, train,
+    prepare_dataset, split_indices, train,
 )
+from enecg.saliency import ensemble_scalar_model
 from enecg.signal import GeneratorConfig, generate
+from oracles import head_forward_frozen
 
 
 def tiny_cfg(**kw):
@@ -60,7 +63,7 @@ def test_split_is_deterministic_and_partitions():
 
 def test_split_on_pairs_list():
     data = [(i, i) for i in range(50)]
-    tr, va, te = split(data, (0.7, 0.2, 0.1), seed=1)
+    tr, va, te = ([data[i] for i in idx] for idx in split_indices(len(data), (0.7, 0.2, 0.1), seed=1))
     assert len(tr) == 35 and len(va) == 10 and len(te) == 5
     assert {x for x, _ in tr} | {x for x, _ in va} | {x for x, _ in te} == set(range(50))
 
@@ -161,9 +164,7 @@ def test_zero_epochs_keeps_frozen_identity(tiny_setup):
     # with b=0 the adapted forward equals the frozen forward bit-for-bit
     adapted = _task_logits(model, prepared, idx)
     for head, f in zip(model.heads, feats):
-        np.testing.assert_array_equal(
-            head_forward_frozen(head, f).data,
-            __import__("enecg.adapters", fromlist=["head_forward"]).head_forward(head, f).data)
+        np.testing.assert_array_equal(head_forward_frozen(head, f).data, head_forward(head, f).data)
     assert np.isfinite(adapted).all()
 
 
@@ -197,6 +198,59 @@ def test_joint_mode_matches_task_structure(tiny_setup):
     trained = train(joint_cfg, seed=1, prepared=prepared, experts=experts)
     assert set(trained.tasks) == {"rr", "sex"}
     assert len(trained.history["rr"]) == 2
+
+
+def test_joint_mode_restores_best_epoch_and_records_losses(tiny_setup):
+    cfg, experts, prepared = tiny_setup
+    joint_cfg = tiny_cfg(joint=True, epochs=3)
+    trained = train(joint_cfg, seed=1, prepared=prepared, experts=experts)
+    _, va, _ = split_indices(prepared.n, cfg.split, 1)
+    scores = evaluate(trained, prepared, va)
+    for name in cfg.tasks:
+        assert len(trained.train_loss[name]) == 3
+        assert all(np.isfinite(trained.train_loss[name]))
+        task = tk.TASKS[name]
+        best = max(trained.history[name]) if task.higher_is_better else min(trained.history[name])
+        assert scores[name] == best, name
+
+
+def test_roster_mismatch_is_rejected_on_every_path(tiny_setup):
+    cfg, experts, prepared = tiny_setup
+    two = tiny_cfg(experts=cfg.experts[:2], epochs=1, tasks=("rr",))
+    view = PreparedDataset(prepared.features[:2], prepared.gate_inputs, prepared.labels, prepared.n)
+    trained = train(two, seed=cfg.seed, prepared=view, experts=experts[:2])
+    model = trained.tasks["rr"]
+    records = [r for r, _ in generate(
+        GeneratorConfig(seed=9, n_records=2, duration_s=4.0, fs_hz=125.0))]
+    block = ad.stack([r.leads for r in records])
+    with pytest.raises(UsageError, match="3 experts but 2 heads"):
+        evaluate(trained, prepared, np.arange(10))
+    with pytest.raises(UsageError, match="3 experts but 2 heads"):
+        ensemble_scalar_model(experts, model, model.task)(block)
+    with pytest.raises(UsageError, match="3 experts but 2 heads"):
+        forward_enecg(records, experts, model)
+    # and a head whose width is not the task's
+    sex = build_task_model(cfg, experts, tk.TASKS["sex"], seed=0)
+    sex.task = tk.TASKS["arrhythmia"]
+    with pytest.raises(UsageError, match="does not match task arrhythmia"):
+        ensemble_scalar_model(experts, sex, sex.task, class_index=0)(block)
+
+
+def test_raw_and_prepared_forwards_agree(tiny_setup):
+    cfg, experts, prepared = tiny_setup
+    small = tiny_cfg(n_records=12, epochs=1, tasks=("rr", "arrhythmia"))
+    trained = train(small, seed=21, experts=experts)
+    data = prepare_dataset(small, experts, seed=21)
+    records = [r for r, _ in generate(replace(small.data, seed=21, n_records=12))]
+    block = ad.stack([r.leads for r in records])
+    for name, class_index in (("rr", None), ("arrhythmia", 4)):
+        model = trained.tasks[name]
+        raw = np.stack([o.combined for o in forward_enecg(records, experts, model)])
+        np.testing.assert_allclose(raw, _task_logits(model, data, np.arange(12)),
+                                   rtol=1e-10, atol=0)
+        scalar = ensemble_scalar_model(experts, model, model.task, class_index=class_index)
+        column = 0 if class_index is None else class_index
+        np.testing.assert_array_equal(scalar(block).data, raw[:, column])
 
 
 def test_end_to_end_gradients_match_finite_differences(tiny_setup):
