@@ -5,7 +5,7 @@ saliency."""
 
 from .autodiff import Tensor, Tape, backward, no_grad
 from .optim import Adam, finite_diff_grad
-from .signal import EcgRecord, GeneratorConfig, LabelSet, downsample, generate, leads_sample
+from .signal import EcgRecord, GeneratorConfig, LabelSet, downsample, generate
 from .experts import ExpertModel, build_expert, expert_forward
 from .adapters import LoraHead, LoraLinear, build_head, head_forward, trainable_params
 from .gating import GatingNetwork, build_gate, ensemble_combine, gate_forward
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "Tape", "backward", "no_grad", "Adam", "finite_diff_grad",
-    "EcgRecord", "GeneratorConfig", "LabelSet", "downsample", "generate", "leads_sample",
+    "EcgRecord", "GeneratorConfig", "LabelSet", "downsample", "generate",
     "ExpertModel", "build_expert", "expert_forward",
     "LoraHead", "LoraLinear", "build_head", "head_forward", "trainable_params",
     "GatingNetwork", "build_gate", "ensemble_combine", "gate_forward",

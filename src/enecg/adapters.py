@@ -14,13 +14,14 @@ factors then stay at their zero-contribution init and are not trained.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError, ParseError, UsageError
+from .errors import DimensionError, ParseError, UsageError, read_lines
 
 
 class LoraLinear:
@@ -67,17 +68,21 @@ class LoraLinear:
 
 @dataclass
 class LoraHead:
-    """One or two LoRA-adapted linear layers with ReLU between."""
+    """One or two LoRA-adapted linear layers with ReLU between; its widths
+    are those of its layers."""
     layers: list[LoraLinear]
-    output_dim: int
-    in_dim: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= len(self.layers) <= 2:
             raise UsageError(f"head depth must be 1 or 2, got {len(self.layers)}")
-        self.in_dim = self.layers[0].k
-        if self.layers[-1].d != self.output_dim:
-            raise UsageError("last layer width does not match the head's output dim")
+
+    @property
+    def in_dim(self) -> int:
+        return self.layers[0].k
+
+    @property
+    def output_dim(self) -> int:
+        return self.layers[-1].d
 
 
 def build_head(in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: int = 64,
@@ -90,7 +95,7 @@ def build_head(in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: 
                   LoraLinear(out_dim, hidden_dim, min(rank, out_dim), rng, train_bias, lora_only)]
     else:
         raise UsageError(f"head depth must be 1 or 2, got {depth}")
-    return LoraHead(layers=layers, output_dim=out_dim)
+    return LoraHead(layers=layers)
 
 
 def head_forward(head: LoraHead, features: Tensor) -> Tensor:
@@ -145,8 +150,7 @@ def write_tensors(path, tensors: dict[str, Tensor], scalars: dict[str, float]) -
 
 
 def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(_CKPT_MAGIC):
         raise ParseError(f"{path}:1: not a {_CKPT_MAGIC} checkpoint")
     try:
@@ -170,7 +174,8 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
             i += 1
         elif fields[0] == "tensor" and len(fields) == 3:
             dims = fields[2].split("x")
-            if not all(d.isdecimal() for d in dims):
+            # under ten digits: no stored tensor has a billion-long axis
+            if not all(d.isdecimal() and len(d) < 10 for d in dims):
                 raise ParseError(f"{path}:{i + 1}: tensor {fields[1]} has a malformed shape "
                                  f"{fields[2]!r}")
             shape = tuple(int(d) for d in dims) if fields[2] != "0" else ()
@@ -180,7 +185,7 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
                 flat = np.array(lines[i + 1].split(","), dtype=np.float64)
             except ValueError as e:
                 raise ParseError(f"{path}:{i + 2}: unreadable float in tensor {fields[1]}") from e
-            expected = int(np.prod(shape)) if shape else 1
+            expected = math.prod(shape)
             if flat.size != expected:
                 raise ParseError(f"{path}:{i + 2}: tensor {fields[1]} expects {expected} values, "
                                  f"found {flat.size}")

@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from itertools import islice
 
 from . import tasks as tk
 from .config import echo_config, load_config
@@ -26,7 +27,7 @@ from .pipeline import (
     load_task_model, prepare_dataset, run_experiment, save_task_model, split_indices, train,
 )
 from .saliency import ensemble_scalar_model, export_saliency, integrated_gradients
-from .signal import generate, iter_records, save_manifest, save_records
+from .signal import generate, iter_records, save_records
 
 EXIT_CODES = {
     "ok": 0,
@@ -84,28 +85,12 @@ def _progress(verbose: bool, message: str) -> None:
 
 
 def cmd_gen(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
-    gen_cfg = replace(cfg.data, seed=cfg.seed, n_records=cfg.n_records)
-    chunk: list = []
-    paths: list[str] = []
-    index = 0
-
-    def flush():
-        nonlocal index
-        if not chunk:
-            return
-        name = f"records_{index:04d}.txt"
-        save_records(chunk, out.path(name))
-        paths.append(name)
-        chunk.clear()
-        index += 1
-
-    for pair in iter_records(gen_cfg):
-        chunk.append(pair)
-        if len(chunk) >= RECORDS_PER_FILE:
-            flush()
-            _progress(verbose, f"wrote {index * RECORDS_PER_FILE} records")
-    flush()
-    save_manifest(paths, out.path("dataset.manifest"))
+    records = iter_records(replace(cfg.data, seed=cfg.seed, n_records=cfg.n_records))
+    written = 0
+    while chunk := list(islice(records, RECORDS_PER_FILE)):
+        save_records(chunk, out.path(f"records_{written // RECORDS_PER_FILE:04d}.txt"))
+        written += len(chunk)
+        _progress(verbose, f"wrote {written} records")
     return 0
 
 
@@ -138,6 +123,13 @@ def _load_trained(cfg, out: _Out):
     return TrainedModel(cfg=cfg, experts=experts, tasks=models)
 
 
+def _load_with_test_split(cfg, out: _Out):
+    """The trained checkpoints, the config's dataset and its test rows."""
+    trained = _load_trained(cfg, out)
+    prepared = prepare_dataset(cfg, trained.experts, seed=cfg.seed)
+    return trained, prepared, split_indices(prepared.n, cfg.split, cfg.seed)[2]
+
+
 def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     t0 = time.perf_counter()
     if cfg.ensemble != "moe":
@@ -145,9 +137,7 @@ def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
         # each expert alone, weight on the validation split, score on test
         report, _ = run_experiment(replace(cfg, repeats=1))
     else:
-        trained = _load_trained(cfg, out)
-        prepared = prepare_dataset(cfg, trained.experts, seed=cfg.seed)
-        _, _, test_idx = split_indices(prepared.n, cfg.split, cfg.seed)
+        trained, prepared, test_idx = _load_with_test_split(cfg, out)
         scores = evaluate(trained, prepared, test_idx)
         report = bench(trained, prepared, test_idx)
         report.tasks = [TaskResult(task=name, metric=tk.task_by_name(name).metric,
@@ -162,10 +152,7 @@ def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
 
 def cmd_bench(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     t0 = time.perf_counter()
-    trained = _load_trained(cfg, out)
-    prepared = prepare_dataset(cfg, trained.experts, seed=cfg.seed)
-    _, _, test_idx = split_indices(prepared.n, cfg.split, cfg.seed)
-    report = bench(trained, prepared, test_idx, wallclock_s=time.perf_counter() - t0)
+    report = bench(*_load_with_test_split(cfg, out))
     report.wallclock_s = time.perf_counter() - t0
     out.write_text("bench.json", report.to_json())
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .pipeline import ExperimentConfig, ExpertSpec
 from .signal import GeneratorConfig
 
@@ -103,8 +103,7 @@ def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfi
     a missing seed is a config error.
     """
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        lines = read_lines(path, ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
@@ -146,10 +145,6 @@ def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfi
             raw["seed"] = int(env)
         except ValueError as e:
             raise ConfigError(f"bad {ENV_SEED} value {env!r}") from e
-
-    split = raw.get("split")
-    if split is not None and abs(sum(split) - 1.0) > 1e-9:
-        raise ConfigError(f"experiment.split: ratios must sum to 1, got {split}")
 
     data_kwargs = {name.split(".", 1)[1]: value for name, value in raw.items()
                    if name.startswith("data.")}

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all enecg modules.
+"""Exception hierarchy shared by all enecg modules, plus their UTF-8 line reader.
 
 Each class maps to one stable CLI exit code (see cli.EXIT_CODES).
 """
@@ -34,3 +34,12 @@ class NonFiniteLossError(EnecgError):
 
 class InvariantError(EnecgError):
     """An internal invariant broke, e.g. frozen parameters changed in training."""
+
+
+def read_lines(path, error: type[EnecgError] = ParseError) -> list[str]:
+    """Lines of a UTF-8 text file; undecodable bytes raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from e

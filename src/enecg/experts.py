@@ -79,8 +79,6 @@ def build_expert(arch: str, seed: int, required_input_len: int | None = None,
         if length < SPECTRAL_BINS:
             raise UsageError(f"spectral expert needs input length >= {SPECTRAL_BINS}, got {length}")
         in_dim = n_leads * SPECTRAL_BINS
-        params["w"] = _frozen(rng, (in_dim, feature_dim), 1.0 / np.sqrt(in_dim))
-        params["b"] = _frozen(rng, (feature_dim,), 0.05)
     elif arch == "convolutional":
         t1, t2 = _conv_out_len(length)
         if t2 < CONV_POOL_COUNT:
@@ -92,14 +90,13 @@ def build_expert(arch: str, seed: int, required_input_len: int | None = None,
         params["k2"] = _frozen(rng, (CONV_CHANNELS, CONV_CHANNELS, CONV_WIDTHS[1]),
                                1.0 / np.sqrt(CONV_CHANNELS * CONV_WIDTHS[1]))
         in_dim = CONV_CHANNELS * CONV_POOL_COUNT
-        params["w"] = _frozen(rng, (in_dim, feature_dim), 1.0 / np.sqrt(in_dim))
-        params["b"] = _frozen(rng, (feature_dim,), 0.05)
     else:  # statistical
         if length < STAT_PATCHES:
             raise UsageError(f"statistical expert needs input length >= {STAT_PATCHES}, got {length}")
         in_dim = n_leads * STAT_PATCHES * 4
-        params["w"] = _frozen(rng, (in_dim, feature_dim), 1.0 / np.sqrt(in_dim))
-        params["b"] = _frozen(rng, (feature_dim,), 0.05)
+    # every architecture ends in one frozen projection to the feature width
+    params["w"] = _frozen(rng, (in_dim, feature_dim), 1.0 / np.sqrt(in_dim))
+    params["b"] = _frozen(rng, (feature_dim,), 0.05)
 
     return ExpertModel(
         name=name or f"{arch}-{seed}",
@@ -129,14 +126,12 @@ def expert_forward(model: ExpertModel, x: Tensor) -> Tensor:
     if model.arch == "spectral":
         mags = ad.dft_magnitude(batched, SPECTRAL_BINS)
         flat = ad.reshape(mags, (n, c * SPECTRAL_BINS))
-        out = ad.add(ad.matmul(flat, p["w"]), p["b"])
     elif model.arch == "convolutional":
         h1 = ad.relu(ad.conv1d(batched, p["k1"], stride=CONV_STRIDES[0]))
         h2 = ad.relu(ad.conv1d(h1, p["k2"], stride=CONV_STRIDES[1]))
         t2 = h2.shape[-1]
         pooled = ad.mean_pool(h2, t2 // CONV_POOL_COUNT, count=CONV_POOL_COUNT)
         flat = ad.reshape(pooled, (n, CONV_CHANNELS * CONV_POOL_COUNT))
-        out = ad.add(ad.matmul(flat, p["w"]), p["b"])
     else:
         window = length // STAT_PATCHES
         mean = ad.mean_pool(batched, window, count=STAT_PATCHES)
@@ -147,6 +142,5 @@ def expert_forward(model: ExpertModel, x: Tensor) -> Tensor:
         mn = ad.neg(ad.max_pool(ad.neg(batched), window, count=STAT_PATCHES))
         stats = ad.concat([mean, std, mx, mn], axis=-1)
         flat = ad.reshape(stats, (n, c * STAT_PATCHES * 4))
-        out = ad.add(ad.matmul(flat, p["w"]), p["b"])
-
+    out = ad.add(ad.matmul(flat, p["w"]), p["b"])
     return ad.reshape(out, (model.feature_dim,)) if single else out

@@ -15,42 +15,34 @@ split for the third.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tasks as tk
-from .adapters import LoraLinear
+from .adapters import LoraHead, LoraLinear, head_forward, trainable_params
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, NotApplicableError, UsageError
 from .optim import Adam
-from .signal import downsample, leads_sample
+from .signal import downsample
 
 
 @dataclass
-class GatingNetwork:
-    """Two LoRA-adapted layers producing per-expert ensemble weights."""
+class GatingNetwork(LoraHead):
+    """A LoRA head over the pooled lead subset whose outputs are per-expert
+    scores: ``n_experts * weight_dim`` of them, softmaxed over the experts."""
     lead_indices: list[int]
-    pooled_len: int
     n_experts: int
-    out_dim: int                      # L of the task being gated
-    per_coordinate: bool              # True: one weight per (expert, coordinate)
-    layers: list[LoraLinear] = field(repr=False)
 
     @property
     def weight_dim(self) -> int:
-        return self.out_dim if self.per_coordinate else 1
+        """L for one weight per (expert, output coordinate), 1 for one per expert."""
+        return self.output_dim // self.n_experts
 
     @property
-    def input_dim(self) -> int:
-        return len(self.lead_indices) * self.pooled_len
-
-    def trainable(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend(layer.trainable())
-        return out
+    def pooled_len(self) -> int:
+        return self.in_dim // len(self.lead_indices)
 
 
 def build_gate(n_experts: int, out_dim: int, rng: np.random.Generator,
@@ -59,46 +51,32 @@ def build_gate(n_experts: int, out_dim: int, rng: np.random.Generator,
                lora_only: bool = True) -> GatingNetwork:
     if n_experts < 1:
         raise UsageError("gate needs at least one expert")
-    k = out_dim if per_coordinate else 1
+    width = n_experts * (out_dim if per_coordinate else 1)
     in_dim = len(tuple(lead_indices)) * pooled_len
-    layers = [
-        LoraLinear(hidden_dim, in_dim, min(rank, min(hidden_dim, in_dim)), rng, train_bias, lora_only),
-        LoraLinear(n_experts * k, hidden_dim, min(rank, min(n_experts * k, hidden_dim)), rng,
-                   train_bias, lora_only),
-    ]
-    return GatingNetwork(list(lead_indices), pooled_len, n_experts, out_dim,
-                         per_coordinate, layers)
+    layers = [LoraLinear(d, k, min(rank, d, k), rng, train_bias, lora_only)
+              for d, k in [(hidden_dim, in_dim), (width, hidden_dim)]]
+    return GatingNetwork(layers=layers, lead_indices=list(lead_indices), n_experts=n_experts)
 
 
-def gate_input(x, lead_indices, pooled_len: int) -> Tensor:
-    """Mean-pooled lead subset flattened to the gate's input vector.
-
-    Accepts one EcgRecord / (C,T) tensor (giving a flat vector) or a
-    (B,C,T) batch (giving (B, n*pooled)); differentiable throughout.
-    """
+def gate_input(x: Tensor, lead_indices, pooled_len: int) -> Tensor:
+    """Mean-pooled lead subset of a (B,C,T) batch, flattened to the gate's
+    (B, n*pooled) input; differentiable throughout."""
+    if x.data.ndim != 3:
+        raise DimensionError(f"gate input needs a (B,C,T) batch, got shape {x.shape}")
     idx = list(lead_indices)
-    leads = x.leads if hasattr(x, "leads") else x
-    if leads.data.ndim == 2:
-        pooled = downsample(leads_sample(x, idx), pooled_len)
-        return ad.reshape(pooled, (len(idx) * pooled_len,))
-    subset = ad.take_rows(leads, idx, axis=1)
-    pooled = downsample(subset, pooled_len)
-    return ad.reshape(pooled, (leads.shape[0], len(idx) * pooled_len))
+    pooled = downsample(ad.take_rows(x, idx, axis=1), pooled_len)
+    return ad.reshape(pooled, (x.shape[0], len(idx) * pooled_len))
 
 
 def gate_forward(gate: GatingNetwork, pooled_input: Tensor) -> Tensor:
-    """Gating probabilities, shape (N, K) or (B, N, K), softmaxed over experts."""
-    if pooled_input.shape[-1] != gate.input_dim:
+    """Gating probabilities of a (B, input width) batch, shape (B, N, K),
+    softmaxed over the experts."""
+    if pooled_input.data.ndim != 2 or pooled_input.shape[1] != gate.in_dim:
         raise DimensionError(
-            f"gate expects input width {gate.input_dim}, got shape {pooled_input.shape}")
-    single = pooled_input.data.ndim == 1
-    h = ad.relu(gate.layers[0].forward(pooled_input))
-    scores = gate.layers[1].forward(h)
-    if single:
-        grid = ad.reshape(scores, (gate.n_experts, gate.weight_dim))
-        return ad.softmax(grid, axis=0)
-    b = pooled_input.shape[0]
-    grid = ad.reshape(scores, (b, gate.n_experts, gate.weight_dim))
+            f"gate expects input width {gate.in_dim} on a (B, width) batch, "
+            f"got shape {pooled_input.shape}")
+    scores = head_forward(gate, pooled_input)
+    grid = ad.reshape(scores, (pooled_input.shape[0], gate.n_experts, gate.weight_dim))
     return ad.softmax(grid, axis=1)
 
 
@@ -213,7 +191,7 @@ def train_sample_aware(gate_inputs: np.ndarray, logits_per_expert: np.ndarray,
                       pooled_len=pooled_len, hidden_dim=hidden_dim,
                       per_coordinate=per_coordinate, lora_only=False)
     stacked = np.transpose(np.asarray(logits_per_expert, dtype=np.float64), (1, 0, 2))
-    opt = Adam(gate.trainable(), lr=lr)
+    opt = Adam(trainable_params(gate), lr=lr)
     pos_w, neg_w = tk.class_weights(labels) if task.kind == "binary" else (1.0, 1.0)
     for epoch in range(epochs):
         order = rng.permutation(n)

@@ -14,6 +14,7 @@ unchanged by training.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
@@ -87,8 +88,15 @@ class ExperimentConfig:
     data: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def validate(self) -> None:
-        if abs(sum(self.split) - 1.0) > 1e-9 or any(r <= 0 for r in self.split):
-            raise UsageError(f"split ratios must be positive and sum to 1, got {self.split}")
+        if (len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9
+                or any(r <= 0 for r in self.split)):
+            raise UsageError(f"experiment.split: three positive ratios (train, validation, "
+                             f"test) must sum to 1, got {self.split}")
+        n_leads = len(self.data.lead_mix)
+        if (not self.gate_leads or len(set(self.gate_leads)) != len(self.gate_leads)
+                or not all(0 <= i < n_leads for i in self.gate_leads)):
+            raise UsageError(f"gate leads must be distinct indices in 0..{n_leads - 1}, "
+                             f"got {self.gate_leads}")
         if self.ensemble not in STRATEGIES:
             raise UsageError(f"unknown ensemble strategy {self.ensemble!r}; expected one of {STRATEGIES}")
         for name in self.tasks:
@@ -187,23 +195,26 @@ class TaskModel:
     task: tk.TaskSpec
     heads: list[LoraHead]               # one per expert
     gate: GatingNetwork
+    # (mean, std) of each expert's features and of the gate input, fitted on the train
+    # split; z-scored features keep the frozen random projections usable
+    feature_stats: list[tuple[np.ndarray, np.ndarray]]
+    gate_stats: tuple[np.ndarray, np.ndarray]
     target_mean: float = 0.0
     target_std: float = 1.0
     pos_weight: float = 1.0
     neg_weight: float = 1.0
-    # per-expert feature standardization (train-split stats); heads see
-    # z-scored features, which keeps the frozen random projections usable
-    feature_stats: list[tuple[np.ndarray, np.ndarray]] | None = None
-    gate_stats: tuple[np.ndarray, np.ndarray] | None = None
+
+    def named_heads(self) -> dict[str, LoraHead]:
+        """Every LoRA head by checkpoint prefix: head0, head1, ..., gate."""
+        return {**{f"head{i}": h for i, h in enumerate(self.heads)}, "gate": self.gate}
+
+    def adapted(self) -> list[LoraHead]:
+        """The heads training adapts: a single fine-tuned expert has nothing
+        to gate, its weight is 1."""
+        return self.heads + [self.gate] if len(self.heads) > 1 else list(self.heads)
 
     def trainable(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for head in self.heads:
-            out.extend(trainable_params(head))
-        if len(self.heads) > 1:
-            # a single fine-tuned expert has nothing to gate; its weight is 1
-            out.extend(self.gate.trainable())
-        return out
+        return [p for head in self.adapted() for p in trainable_params(head)]
 
     def normalize(self, y: np.ndarray) -> np.ndarray:
         return (y - self.target_mean) / self.target_std
@@ -217,12 +228,9 @@ class TaskModel:
         return self.normalize(y) if self.task.kind == "regression" else y
 
     def fit_input_stats(self, prepared: "PreparedDataset", train_idx: np.ndarray) -> None:
-        self.feature_stats = [
-            (f[train_idx].mean(axis=0), f[train_idx].std(axis=0) + 1e-12)
-            for f in prepared.features
-        ]
-        g = prepared.gate_inputs[train_idx]
-        self.gate_stats = (g.mean(axis=0), g.std(axis=0) + 1e-12)
+        rows = [f[train_idx] for f in prepared.features] + [prepared.gate_inputs[train_idx]]
+        stats = [(x.mean(axis=0), x.std(axis=0) + 1e-12) for x in rows]
+        self.feature_stats, self.gate_stats = stats[:-1], stats[-1]
 
 
 @dataclass
@@ -247,62 +255,56 @@ def build_task_model(cfg: ExperimentConfig, experts: list[ExpertModel],
                       pooled_len=cfg.gate_pooled_len, hidden_dim=cfg.gate_hidden,
                       rank=cfg.head_rank, per_coordinate=cfg.per_coordinate_weights,
                       train_bias=cfg.train_bias, lora_only=cfg.lora_only)
-    return TaskModel(task=task, heads=heads, gate=gate)
+    identity = [(np.zeros(h.in_dim), np.ones(h.in_dim)) for h in heads + [gate]]  # until _fit
+    return TaskModel(task=task, heads=heads, gate=gate,
+                     feature_stats=identity[:-1], gate_stats=identity[-1])
 
 
-def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor,
-                      skip_gate_if_single: bool = False):
-    """Batched forward from already-standardized expert features.
-
-    Returns (stacked expert logits (B,N,L), weights, combined (B,L)). With a
-    single expert the weight is identically one, so the gate can be skipped.
-    A model whose heads do not match the expert roster or the task is a
-    UsageError, on every path from training to saliency.
-    """
-    if len(features) != len(model.heads):
-        raise UsageError(f"{len(features)} experts but {len(model.heads)} heads")
+def _check_roster(model: TaskModel, n_experts: int) -> None:
+    """A model whose heads do not match the expert roster or the task is a
+    UsageError, on every path from training to saliency; checked before
+    standardization, where zip() would hide a mismatched roster."""
+    if n_experts != len(model.heads):
+        raise UsageError(f"{n_experts} experts but {len(model.heads)} heads")
     for head in model.heads:
         if head.output_dim != model.task.output_dim:
             raise UsageError(f"head output dim {head.output_dim} does not match "
                              f"task {model.task.name} (L={model.task.output_dim})")
+
+
+def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor):
+    """Batched forward from already-standardized expert features.
+
+    Returns (stacked expert logits (B,N,L), weights, combined (B,L)). With a
+    single expert the weight is identically one, so the gate is skipped.
+    """
     per_expert = [head_forward(h, f) for h, f in zip(model.heads, features)]
-    n = len(per_expert)
     stacked = ad.stack(per_expert, axis=1)
-    if n == 1 and skip_gate_if_single:
-        b = per_expert[0].shape[0]
-        weights = Tensor(np.ones((b, 1, 1)))
-    else:
-        weights = gate_forward(model.gate, gate_in)
+    weights = (Tensor(np.ones((stacked.shape[0], 1, 1))) if len(model.heads) == 1
+               else gate_forward(model.gate, gate_in))
     combined = ensemble_combine(stacked, weights)
     return stacked, weights, combined
 
 
-def _has_stats_for(model: TaskModel, n_experts: int) -> bool:
-    # another roster size stays unscaled: _forward_features rejects it, zip() would hide it
-    return model.feature_stats is not None and len(model.feature_stats) == n_experts
-
-
 def _model_inputs(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray):
     """Standardized feature and gate-input tensors for the given rows."""
-    feats, gate_in = [f[idx] for f in prepared.features], prepared.gate_inputs[idx]
-    if _has_stats_for(model, len(feats)):
-        feats = [(f - m) / s for f, (m, s) in zip(feats, model.feature_stats)]
-        gm, gs = model.gate_stats
-        gate_in = (gate_in - gm) / gs
-    return [Tensor(f) for f in feats], Tensor(gate_in)
+    _check_roster(model, len(prepared.features))
+    feats = [(f[idx] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
+    gm, gs = model.gate_stats
+    return [Tensor(f) for f in feats], Tensor((prepared.gate_inputs[idx] - gm) / gs)
 
 
 def _raw_forward(model: TaskModel, experts: list[ExpertModel], block: Tensor):
     """(stacked, weights, combined) Tensors for a raw (B,C,T) record block,
-    standardized with the model's train-split statistics on the tape, so
-    saliency can differentiate them with respect to the block."""
+    standardized with the model's statistics on the tape, so saliency can
+    differentiate them with respect to the block."""
+    _check_roster(model, len(experts))
     features, gate_in = _block_features(experts, block, model.gate.lead_indices,
                                         model.gate.pooled_len)
-    if _has_stats_for(model, len(experts)):
-        features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
-                    for f, (mean, std) in zip(features, model.feature_stats)]
-        gm, gs = model.gate_stats
-        gate_in = ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
+    features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
+                for f, (mean, std) in zip(features, model.feature_stats)]
+    gm, gs = model.gate_stats
+    gate_in = ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
     return _forward_features(model, features, gate_in)
 
 
@@ -329,22 +331,19 @@ class TrainedModel:
 def _frozen_checksums(experts: list[ExpertModel], models: dict[str, TaskModel]) -> dict[str, str]:
     sums = {f"expert.{m.name}": m.checksum() for m in experts}
     for name, tm in models.items():
-        for i, head in enumerate(tm.heads):
-            sums[f"{name}.head{i}.w0"] = head_checksum(head)
-        sums[f"{name}.gate.w0"] = head_checksum(LoraHead(layers=tm.gate.layers,
-                                                         output_dim=tm.gate.layers[-1].d))
+        for key, head in tm.named_heads().items():
+            sums[f"{name}.{key}.w0"] = head_checksum(head)
     return sums
 
 
-def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray,
-                 skip_gate: bool = False) -> np.ndarray:
+def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -> np.ndarray:
     feats, gate_in = _model_inputs(model, prepared, idx)
-    _, _, combined = _forward_features(model, feats, gate_in, skip_gate_if_single=skip_gate)
+    _, _, combined = _forward_features(model, feats, gate_in)
     return combined.data
 
 
 def _validation_metric(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -> float:
-    logits = _task_logits(model, prepared, idx, skip_gate=True)
+    logits = _task_logits(model, prepared, idx)
     pred = tk.predictions(model.task, logits)
     if model.task.kind == "regression":
         pred = model.denormalize(pred)
@@ -361,7 +360,7 @@ def _train_step(models: list[TaskModel], prepared: PreparedDataset,
     with Tape() as tape:
         losses = []
         for model, (feats, gate_in), y in zip(models, inputs, targets):
-            _, _, combined = _forward_features(model, feats, gate_in, skip_gate_if_single=True)
+            _, _, combined = _forward_features(model, feats, gate_in)
             losses.append(tk.task_loss(model.task, combined, y[batch],
                                        model.pos_weight, model.neg_weight))
         values = [loss.item() for loss in losses]
@@ -502,10 +501,7 @@ def parameter_counts(trained: TrainedModel) -> tuple[int, int]:
     for m in trained.experts:
         frozen += sum(p.data.size for p in m.params.values())
     for model in trained.tasks.values():
-        layers = [l for h in model.heads for l in h.layers]
-        if len(model.heads) > 1:
-            layers += model.gate.layers
-        for layer in layers:
+        for layer in [l for h in model.adapted() for l in h.layers]:
             for t in (layer.w0, layer.lora_a, layer.lora_b, layer.bias):
                 if t.requires_grad:
                     trainable += t.data.size
@@ -515,29 +511,33 @@ def parameter_counts(trained: TrainedModel) -> tuple[int, int]:
 
 
 def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
-          passes: int = 3, wallclock_s: float = 0.0) -> MetricsReport:
-    """Throughput (median of timed passes), exact parameter counts and a
-    shape-derived activation-memory estimate; metrics left empty."""
+          passes: int = 3) -> MetricsReport:
+    """Throughput of the whole system (median of timed passes, each scoring
+    or training every task), exact parameter counts and a shape-derived
+    activation-memory estimate of one training step; metrics and wallclock
+    are left to the caller."""
     if idx.size == 0:
         idx = np.arange(prepared.n)
     trainable, frozen = parameter_counts(trained)
-    first = next(iter(trained.tasks.values()))
+    models = list(trained.tasks.values())
 
     times = []
     for _ in range(max(3, passes)):
         t0 = time.perf_counter()
-        _task_logits(first, prepared, idx)
+        for model in models:
+            _task_logits(model, prepared, idx)
         times.append(time.perf_counter() - t0)
     throughput = idx.size / float(np.median(times))
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
-    targets = [first.targets(prepared)]
-    probe = Adam(first.trainable(), lr=0.0)  # lr 0: timed steps leave the model unchanged
+    targets = [model.targets(prepared) for model in models]
+    # lr 0: timed steps leave the models unchanged
+    probe = Adam([p for model in models for p in model.trainable()], lr=0.0)
     step_times = []
     activation_bytes = 0
     for _ in range(max(3, passes)):
         t0 = time.perf_counter()
-        _, tape = _train_step([first], prepared, targets, batch, probe)
+        _, tape = _train_step(models, prepared, targets, batch, probe)
         step_times.append(time.perf_counter() - t0)
         activation_bytes = sum(node.output.data.size for node in tape.nodes) * 8
     probe.zero_grad()
@@ -551,7 +551,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
         throughput_sps=throughput,
         train_throughput_sps=train_throughput,
         activation_bytes=activation_bytes,
-        wallclock_s=wallclock_s,
+        wallclock_s=0.0,
     )
 
 
@@ -559,50 +559,45 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
 # task-model checkpoints (adapters' named-tensor container)
 
 def save_task_model(model: TaskModel, path) -> None:
+    """Write the model's tensors and the scalars no tensor shape determines;
+    ``load_task_model`` reads the structure back from the shapes."""
     tensors: dict[str, Tensor] = {}
-    for i, head in enumerate(model.heads):
+    for prefix, head in model.named_heads().items():
         for j, layer in enumerate(head.layers):
             for key, t in layer.tensors().items():
-                tensors[f"head{i}.layer{j}.{key}"] = t
-    for j, layer in enumerate(model.gate.layers):
-        for key, t in layer.tensors().items():
-            tensors[f"gate.layer{j}.{key}"] = t
-    if model.feature_stats is not None:
-        for i, (mean, std) in enumerate(model.feature_stats):
-            tensors[f"featstats{i}.mean"] = Tensor(mean)
-            tensors[f"featstats{i}.std"] = Tensor(std)
-        gm, gs = model.gate_stats
-        tensors["gatestats.mean"] = Tensor(gm)
-        tensors["gatestats.std"] = Tensor(gs)
+                tensors[f"{prefix}.layer{j}.{key}"] = t
+    for i, (mean, std) in enumerate(model.feature_stats):
+        tensors[f"featstats{i}.mean"] = Tensor(mean)
+        tensors[f"featstats{i}.std"] = Tensor(std)
+    gm, gs = model.gate_stats
+    tensors["gatestats.mean"] = Tensor(gm)
+    tensors["gatestats.std"] = Tensor(gs)
     tensors["gate.leads"] = Tensor(np.asarray(model.gate.lead_indices, dtype=np.float64))
     first = model.heads[0].layers[0]
     scalars = {
         "task_id": float(_task_id(model.task)),
-        "n_experts": float(len(model.heads)),
-        "depth": float(len(model.heads[0].layers)),
-        "rank": float(first.rank),
         "train_bias": float(first.train_bias),
         "lora_only": float(first.lora_only),
-        "per_coordinate": float(model.gate.per_coordinate),
-        "pooled_len": float(model.gate.pooled_len),
         "target_mean": model.target_mean,
         "target_std": model.target_std,
         "pos_weight": model.pos_weight,
         "neg_weight": model.neg_weight,
-        "has_stats": float(model.feature_stats is not None),
     }
     write_tensors(path, tensors, scalars)
 
 
 def load_task_model(path) -> TaskModel:
-    """Rebuild a task model written by ``save_task_model``. A missing entry, a
-    non-integer count or a tensor whose shape disagrees with what it fills is
-    a ParseError naming the file and the entry."""
+    """Rebuild a task model written by ``save_task_model``; the tensor names
+    give its heads and layers, their shapes every width and rank. A missing
+    entry, a non-finite value, a non-integer count or lead, or a shape that
+    disagrees with what it fills is a ParseError naming the file and entry."""
     tensors, scalars = read_tensors(path)
 
     def scalar(name: str) -> float:
         if name not in scalars:
             raise ParseError(f"{path}: missing scalar {name!r}")
+        if not np.isfinite(scalars[name]):
+            raise ParseError(f"{path}: scalar {name!r} is not finite")
         return scalars[name]
 
     def count(name: str) -> int:
@@ -617,6 +612,8 @@ def load_task_model(path) -> TaskModel:
         if shape is not None and tensors[name].shape != shape:
             raise ParseError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                              f"expected {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise ParseError(f"{path}: tensor {name!r} has non-finite values")
         return tensors[name]
 
     task_id = count("task_id")
@@ -624,6 +621,10 @@ def load_task_model(path) -> TaskModel:
         raise ParseError(f"{path}: scalar 'task_id' {task_id} names no task")
     task = tk.task_by_name(list(tk.TASKS)[task_id])
     train_bias, lora_only = bool(count("train_bias")), bool(count("lora_only"))
+    depth: dict[str, int] = {}                  # layers per head prefix
+    for name in tensors:
+        if m := re.fullmatch(r"(head[0-9]{1,4}|gate)\.layer([0-9]{1,4})\.\w+", name):
+            depth[m[1]] = max(depth.get(m[1], 0), int(m[2]) + 1)
 
     def rebuild(prefix: str) -> LoraLinear:
         w0, lora_a = tensor(f"{prefix}.w0"), tensor(f"{prefix}.lora_a")
@@ -638,34 +639,35 @@ def load_task_model(path) -> TaskModel:
             t.data[...] = tensor(f"{prefix}.{key}", t.data.shape)
         return layer
 
-    def rebuild_head(i: int, depth: int) -> LoraHead:
-        layers = [rebuild(f"head{i}.layer{j}") for j in range(depth)]
+    def head(prefix: str, widths: tuple[int, ...], make=LoraHead, **fields) -> LoraHead:
         try:
-            return LoraHead(layers=layers, output_dim=task.output_dim)
-        except UsageError as e:  # a depth or output width the task does not have
-            raise ParseError(f"{path}: head{i}: {e}") from e
+            built = make(layers=[rebuild(f"{prefix}.layer{j}")
+                                 for j in range(depth.get(prefix, 1))], **fields)
+        except UsageError as e:  # a depth the heads do not have
+            raise ParseError(f"{path}: {prefix}: {e}") from e
+        if built.output_dim not in widths:
+            raise ParseError(f"{path}: {prefix}.layer{len(built.layers) - 1} has width "
+                             f"{built.output_dim}; {task.name} needs {' or '.join(map(str, widths))}")
+        return built
 
-    n_experts, depth = count("n_experts"), count("depth")
-    heads = [rebuild_head(i, depth) for i in range(n_experts)]
-    gate_layers = [rebuild(f"gate.layer{j}") for j in range(2)]
-    gate = GatingNetwork(
-        lead_indices=[int(v) for v in tensor("gate.leads").reshape(-1)],
-        pooled_len=count("pooled_len"),
-        n_experts=n_experts,
-        out_dim=task.output_dim,
-        per_coordinate=bool(count("per_coordinate")),
-        layers=gate_layers,
-    )
-    model = TaskModel(task=task, heads=heads, gate=gate,
-                      target_mean=scalar("target_mean"), target_std=scalar("target_std"),
-                      pos_weight=scalar("pos_weight"), neg_weight=scalar("neg_weight"))
-    if count("has_stats"):
-        model.feature_stats = [
-            (tensor(f"featstats{i}.mean", (h.in_dim,)), tensor(f"featstats{i}.std", (h.in_dim,)))
-            for i, h in enumerate(heads)]
-        width = (gate_layers[0].k,)
-        model.gate_stats = (tensor("gatestats.mean", width), tensor("gatestats.std", width))
-    return model
+    n = max(sum(prefix.startswith("head") for prefix in depth), 1)
+    heads = [head(f"head{i}", (task.output_dim,)) for i in range(n)]
+    leads = tensor("gate.leads").reshape(-1)
+    if not all(v >= 0 and v.is_integer() for v in leads.tolist()):
+        raise ParseError(f"{path}: tensor 'gate.leads' must hold lead indices, got {leads.tolist()}")
+    # one weight per (expert, output coordinate), or one per expert
+    gate = head("gate", (n * task.output_dim, n), GatingNetwork,
+                lead_indices=[int(v) for v in leads], n_experts=n)
+    if leads.size == 0 or gate.in_dim % leads.size:
+        raise ParseError(f"{path}: tensor 'gate.leads' lists {leads.size} leads, which do not "
+                         f"divide the gate.layer0 input width {gate.in_dim}")
+    stats = [(tensor(f"featstats{i}.mean", (h.in_dim,)), tensor(f"featstats{i}.std", (h.in_dim,)))
+             for i, h in enumerate(heads)]
+    return TaskModel(task=task, heads=heads, gate=gate, feature_stats=stats,
+                     gate_stats=(tensor("gatestats.mean", (gate.in_dim,)),
+                                 tensor("gatestats.std", (gate.in_dim,))),
+                     target_mean=scalar("target_mean"), target_std=scalar("target_std"),
+                     pos_weight=scalar("pos_weight"), neg_weight=scalar("neg_weight"))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +718,7 @@ def single_expert_logits(run: SuiteRun, task_name: str, idx: np.ndarray) -> np.n
     singles compute identical train-split statistics)."""
     views = [_single_view(run.prepared, i) for i in range(len(run.singles))]
     return np.stack([
-        _task_logits(single.tasks[task_name], view, idx, skip_gate=True)
+        _task_logits(single.tasks[task_name], view, idx)
         for single, view in zip(run.singles, views)
     ])
 
@@ -760,8 +762,7 @@ def strategy_score(cfg: ExperimentConfig, run: SuiteRun, strategy: str,
                                   batch_size=cfg.batch_size, lr=cfg.learning_rate,
                                   per_coordinate=cfg.per_coordinate_weights)
         w = gate_forward(gate, Tensor(run.prepared.gate_inputs[run.test_idx])).data
-        stacked = np.transpose(real_test, (1, 0, 2))
-        combined = (w * stacked).sum(axis=1)
+        combined = (w * np.transpose(real_test, (1, 0, 2))).sum(axis=1)
         return tk.metric_from_logits(task, combined, y_test)
     else:
         raise UsageError(f"unknown strategy {strategy!r}")

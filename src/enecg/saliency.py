@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
-from .errors import DimensionError, ParseError, UsageError
+from .errors import DimensionError, ParseError, UsageError, read_lines
 from .experts import ExpertModel
 from .pipeline import _raw_forward
 
@@ -127,8 +127,7 @@ def export_saliency(smap: SaliencyMap, csv_path, json_path=None) -> None:
 
 
 def load_saliency_csv(csv_path) -> np.ndarray:
-    with open(csv_path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(csv_path)
     if not lines or lines[0] != "lead,sample_index,attribution":
         raise ParseError(f"{csv_path}:1: not a saliency CSV")
     rows = []

@@ -1,5 +1,5 @@
 """Synthetic 12-lead ECG-like records with oracle labels, plus
-downsampling, lead selection and the text record format.
+downsampling and the text record format.
 
 Each record is a train of Gaussian P-QRS-T complexes rendered into three
 source rows (P, QRS, T), mixed into 12 leads through a fixed matrix and
@@ -17,8 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, mean_pool, take_rows
-from .errors import DimensionError, ParseError, UsageError
+from .autodiff import Tensor, mean_pool
+from .errors import DimensionError, ParseError, UsageError, read_lines
 
 
 @dataclass(frozen=True)
@@ -305,17 +305,6 @@ def downsample(x, target_len: int) -> Tensor:
     return mean_pool(leads, window, count=target_len)
 
 
-def leads_sample(x, indices: Iterable[int]) -> Tensor:
-    """Row-selected copy of the chosen leads, in the given order."""
-    leads = _leads_of(x)
-    idx = [int(i) for i in indices]
-    if not idx:
-        raise UsageError("leads_sample needs at least one lead index")
-    if len(set(idx)) != len(idx):
-        raise UsageError(f"duplicate lead indices: {idx}")
-    return take_rows(leads, idx)
-
-
 # ---------------------------------------------------------------------------
 # record file format
 #
@@ -323,7 +312,7 @@ def leads_sample(x, indices: Iterable[int]) -> Tensor:
 #   <C lines of T comma-separated floats, full round-trip precision>
 #   rr_ms,age_years,sex,potassium_abnormal,arrhythmia_class
 #
-# Records concatenate; a dataset manifest lists record files one per line.
+# Records concatenate.
 
 _MAGIC = "ENECG1"
 
@@ -341,8 +330,7 @@ def save_records(pairs: Iterable[tuple[EcgRecord, LabelSet]], path) -> None:
 
 
 def load_records(path) -> list[tuple[EcgRecord, LabelSet]]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty record file")
     out: list[tuple[EcgRecord, LabelSet]] = []
@@ -362,7 +350,7 @@ def load_records(path) -> list[tuple[EcgRecord, LabelSet]]:
         while end < len(lines) and not lines[end].startswith(_MAGIC + " "):
             end += 1
         block = [(i + 1 + k, lines[i + 1 + k]) for k in range(end - i - 1) if lines[i + 1 + k].strip()]
-        if len(block) != n_leads + 1:
+        if n_leads < 1 or len(block) != n_leads + 1:
             raise ParseError(f"{path}:{i + 1}: header declares {n_leads} lead rows "
                              f"(+1 label line) but found {len(block)} lines")
         rows = []
@@ -387,10 +375,4 @@ def load_records(path) -> list[tuple[EcgRecord, LabelSet]]:
         out.append((record, labels))
         i = end
     return out
-
-
-def save_manifest(paths: Iterable, manifest_path) -> None:
-    with open(manifest_path, "w") as fh:
-        for p in paths:
-            fh.write(f"{p}\n")
 

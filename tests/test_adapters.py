@@ -215,9 +215,20 @@ def _set_line(lines, prefix, replacement):
     lines[i:i + len(replacement)] = replacement
 
 
+def _resize_rows(lines, layer, d):
+    """Give every output-side tensor of ``layer`` d rows of zeros, keeping it
+    self-consistent, so only the width the layer has differs."""
+    for key in ("w0", "lora_b", "bias"):
+        prefix = f"tensor {layer}.{key} "
+        dims = next(line for line in lines if line.startswith(prefix)).split()[2].split("x")
+        shape = [d] + [int(s) for s in dims[1:]]
+        _set_line(lines, prefix, [prefix + "x".join(map(str, shape)),
+                                  ",".join(["0.0"] * int(np.prod(shape)))])
+
+
 HAND_EDITS = {
     "non-numeric scalar": ("task_id", lambda ls: _set_line(ls, "scalar task_id ", ["scalar task_id abc"])),
-    "non-integer count": ("n_experts", lambda ls: _set_line(ls, "scalar n_experts ", ["scalar n_experts 1.5"])),
+    "non-integer count": ("lora_only", lambda ls: _set_line(ls, "scalar lora_only ", ["scalar lora_only 1.5"])),
     "task id out of range": ("task_id", lambda ls: _set_line(ls, "scalar task_id ", ["scalar task_id 9.0"])),
     "task of another width": ("head0", lambda ls: _set_line(ls, "scalar task_id ", ["scalar task_id 0.0"])),
     "bad shape field": ("gate.leads", lambda ls: _set_line(ls, "tensor gate.leads ", ["tensor gate.leads 2xq"])),
@@ -237,6 +248,23 @@ HAND_EDITS = {
                          lambda ls: _set_line(ls, "tensor gate.layer1.lora_a ",
                                               ["tensor gate.layer1.lora_a 7x6",
                                                ",".join(["0.0"] * 42)])),
+    "non-finite weight": ("head0.layer0.bias",
+                          lambda ls: _set_line(ls, "tensor head0.layer0.bias ",
+                                               ["tensor head0.layer0.bias 6",
+                                                "nan,0.0,0.0,0.0,0.0,0.0"])),
+    "non-integer lead": ("gate.leads", lambda ls: _set_line(ls, "tensor gate.leads ",
+                                                            ["tensor gate.leads 1", "nan"])),
+    "infinite lead": ("gate.leads", lambda ls: _set_line(ls, "tensor gate.leads ",
+                                                         ["tensor gate.leads 1", "inf"])),
+    "fractional lead": ("gate.leads", lambda ls: _set_line(ls, "tensor gate.leads ",
+                                                           ["tensor gate.leads 1", "1.5"])),
+    # 2 experts of a 15-class task: the gate scores 30 (expert, class) pairs or 2 experts
+    "gate width neither n*L nor n": ("gate.layer1", lambda ls: _resize_rows(ls, "gate.layer1", 4)),
+    # 8 gate inputs cannot be 3 leads of equal pooled length
+    "lead count not dividing gate input": ("gate.leads",
+                                           lambda ls: _set_line(ls, "tensor gate.leads ",
+                                                                ["tensor gate.leads 3",
+                                                                 "0.0,1.0,2.0"])),
 }
 
 

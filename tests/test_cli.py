@@ -45,11 +45,12 @@ def test_gen_writes_dataset_and_rerun_is_byte_identical(cfg_path, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(["gen", "--config", cfg_path, "--out", out1]) == 0
     assert run(["gen", "--config", cfg_path, "--out", out2]) == 0
-    for name in ("records_0000.txt", "dataset.manifest", "config.echo.txt"):
+    for name in ("records_0000.txt", "config.echo.txt"):
         with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
     manifest = open(os.path.join(out1, "manifest.txt")).read().splitlines()
-    assert "records_0000.txt" in manifest and "dataset.manifest" in manifest
+    assert manifest == ["config.echo.txt", "records_0000.txt"]
+    assert not os.path.exists(os.path.join(out1, "dataset.manifest"))
 
 
 def test_train_then_eval_emits_full_metrics_report(cfg_path, tmp_path):
@@ -148,6 +149,20 @@ def test_invalid_config_exit_code(tmp_path):
     bad.write_text("[experiment]\nseed = 1\nsplit = 0.7,0.2,0.2\n")
     out = str(tmp_path / "o")
     assert run(["gen", "--config", str(bad), "--out", out]) == EXIT_CODES["config"]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("pooled_len = 25", "pooled_len = 25\nleads = 1,1"),
+    ("pooled_len = 25", "pooled_len = 25\nleads = 12"),
+    ("repeats = 1", "repeats = 1\nsplit = 1.0"),
+    ("repeats = 1", "repeats = 1\nsplit = 0.2,0.2,0.2,0.4"),
+], ids=["duplicate-lead", "lead-out-of-range", "one-ratio", "four-ratios"])
+def test_bad_gate_leads_or_split_exits_with_config(tmp_path, capsys, old, new):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CFG.replace(old, new))
+    assert run(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == EXIT_CODES["config"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
 
 
 def test_empty_split_exits_with_usage(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from enecg import tasks as tk
+from enecg.adapters import trainable_params
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import DimensionError, NotApplicableError, UsageError
 from enecg.gating import (
@@ -13,6 +14,7 @@ from enecg.gating import (
     zero_shot_confidence_weights,
 )
 from enecg.optim import finite_diff_grad
+from enecg.signal import GeneratorConfig, downsample, generate
 
 
 def test_equal_scores_give_uniform_weights():
@@ -20,8 +22,8 @@ def test_equal_scores_give_uniform_weights():
     gate = build_gate(3, 2, rng, lead_indices=(0,), pooled_len=4)
     for layer in gate.layers:
         layer.w0.data[...] = 0.0
-    w = gate_forward(gate, Tensor(np.ones(4)))
-    np.testing.assert_allclose(w.data, np.full((3, 2), 1 / 3), rtol=1e-12)
+    w = gate_forward(gate, Tensor(np.ones((1, 4))))
+    np.testing.assert_allclose(w.data, np.full((1, 3, 2), 1 / 3), rtol=1e-12)
 
 
 def test_weight_columns_sum_to_one_and_nonnegative():
@@ -50,13 +52,41 @@ def test_per_expert_scalar_weights_mode():
 
 def test_gate_input_shapes_single_and_batch():
     rng = np.random.default_rng(2)
-    single = Tensor(rng.normal(size=(12, 100)))
-    flat = gate_input(single, [1, 3], 10)
-    assert flat.shape == (20,)
     batch = Tensor(rng.normal(size=(5, 12, 100)))
     grid = gate_input(batch, [1, 3], 10)
     assert grid.shape == (5, 20)
-    np.testing.assert_allclose(grid.data[0], gate_input(Tensor(batch.data[0]), [1, 3], 10).data)
+    single = gate_input(Tensor(batch.data[:1]), [1, 3], 10)
+    assert single.shape == (1, 20)
+    np.testing.assert_array_equal(grid.data[:1], single.data)
+    # one record is a batch of one: a bare (C,T) record and a 1-D gate input are rejected
+    with pytest.raises(DimensionError):
+        gate_input(Tensor(batch.data[0]), [1, 3], 10)
+    gate = build_gate(2, 1, rng, lead_indices=(1, 3), pooled_len=10)
+    with pytest.raises(DimensionError):
+        gate_forward(gate, Tensor(grid.data[0]))
+
+
+def _records_block(n=2):
+    cfg = GeneratorConfig(seed=11, n_records=n, duration_s=4.0, fs_hz=100.0)
+    return Tensor(np.stack([rec.leads.data for rec, _ in generate(cfg)]))
+
+
+def test_gate_input_takes_leads_in_order_and_checks_range():
+    block = _records_block()
+    full = gate_input(block, range(12), 400)
+    np.testing.assert_array_equal(full.data, block.data.reshape(2, -1))
+    pair = gate_input(block, [3, 1], 400).data.reshape(2, 2, 400)
+    np.testing.assert_array_equal(pair[:, 0], block.data[:, 3])
+    np.testing.assert_array_equal(pair[:, 1], block.data[:, 1])
+    with pytest.raises(DimensionError):
+        gate_input(block, [12], 400)
+
+
+def test_gate_input_commutes_with_downsample():
+    block = _records_block()
+    a = gate_input(downsample(block, 100), [2, 5], 100)
+    b = gate_input(block, [2, 5], 100)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_gate_gradients_match_finite_differences():
@@ -71,7 +101,7 @@ def test_gate_gradients_match_finite_differences():
         combined = ensemble_combine(logits, w)
         return tk.task_loss(tk.TASKS["rr"], combined, y)
 
-    params = gate.trainable()
+    params = trainable_params(gate)
     with Tape() as tape:
         backward(loss_fn(), tape)
     for p in params:

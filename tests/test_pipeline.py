@@ -363,6 +363,15 @@ def test_bench_reports_counts_and_throughput(tiny_setup):
     assert report.to_csv().startswith("task,metric,mean,std")
 
 
+def test_bench_times_every_task(tiny_setup):
+    cfg, experts, prepared = tiny_setup
+    idx = np.arange(40)
+    reports = [bench(train(tiny_cfg(epochs=0, tasks=tasks), seed=5, prepared=prepared,
+                           experts=experts), prepared, idx)
+               for tasks in [("rr",), ("rr", "arrhythmia")]]
+    assert reports[1].activation_bytes > reports[0].activation_bytes
+
+
 def test_bench_throughput_reproducible_within_half(tiny_setup):
     cfg, experts, prepared = tiny_setup
     trained = train(tiny_cfg(epochs=0), seed=5, prepared=prepared, experts=experts)
@@ -382,6 +391,18 @@ def test_evaluate_requires_nonempty_split(tiny_setup):
     trained = train(tiny_cfg(epochs=0), seed=5, prepared=prepared, experts=experts)
     with pytest.raises(UsageError):
         evaluate(trained, prepared, np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(gate_leads=()), dict(gate_leads=(1, 1)), dict(gate_leads=(12,)), dict(gate_leads=(-1,)),
+    dict(gate_leads=(3,), data=GeneratorConfig(lead_mix=((1.0, 1.0, 1.0),) * 3)),
+    dict(split=(1.0,)), dict(split=(0.2, 0.2, 0.2, 0.4)),
+], ids=["no-leads", "duplicate-lead", "lead-12", "negative-lead", "lead-beyond-mix",
+        "one-ratio", "four-ratios"])
+def test_config_rejects_bad_gate_leads_and_split_arity(bad):
+    with pytest.raises(UsageError):
+        ExperimentConfig(**bad).validate()
+    ExperimentConfig(gate_leads=(11, 0)).validate()
 
 
 def test_config_validation_errors():

@@ -6,7 +6,7 @@ import pytest
 from enecg.errors import DimensionError, ParseError, UsageError
 from enecg.signal import (
     DEFAULT_TEMPLATES, EcgRecord, GeneratorConfig, LabelSet, Tensor,
-    downsample, generate, iter_records, leads_sample, load_records, save_records,
+    downsample, generate, iter_records, load_records, save_records,
 )
 
 
@@ -103,28 +103,6 @@ def test_downsample_errors():
         downsample(rec, 0)
     with pytest.raises(DimensionError):
         downsample(rec, 11)
-
-
-def test_leads_sample_orders_and_errors():
-    rec, _ = generate(small_cfg(n_records=1))[0]
-    full = leads_sample(rec, range(12))
-    assert np.array_equal(full.data, rec.leads.data)
-    one = leads_sample(rec, [1])
-    assert one.shape == (1, rec.n_samples)
-    pair = leads_sample(rec, [3, 1])
-    assert np.array_equal(pair.data[0], rec.leads.data[3])
-    assert np.array_equal(pair.data[1], rec.leads.data[1])
-    with pytest.raises(DimensionError):
-        leads_sample(rec, [12])
-    with pytest.raises(UsageError):
-        leads_sample(rec, [1, 1])
-
-
-def test_downsample_commutes_with_lead_selection():
-    rec, _ = generate(small_cfg(n_records=1))[0]
-    a = leads_sample(EcgRecord(downsample(rec, 100), rec.sampling_rate_hz, rec.record_id), [2, 5])
-    b = downsample(leads_sample(rec, [2, 5]), 100)
-    assert np.array_equal(a.data, b.data)
 
 
 def test_record_roundtrip_is_value_exact(tmp_path):
