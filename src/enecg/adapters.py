@@ -7,8 +7,8 @@ dense rank-r update, so the per-sample cost is O(dk + r(d+k)). ``lora_b``
 starts at zero, which makes the adapted layer exactly equal to the frozen
 base at initialization.
 
-A config switch unfreezes ``w0`` instead (full fine-tune ablation); the
-factors then stay at their zero-contribution init and are not trained.
+A head is two such layers with ReLU between. ``lora_only=False`` (the
+sample-aware baseline's gate) trains ``w0`` instead and freezes the factors.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ class LoraLinear:
         if rank < 1 or rank > min(d, k):
             raise UsageError(f"rank must lie in [1, min(d,k)={min(d, k)}], got {rank}")
         self.d, self.k, self.rank = d, k, rank
-        self.lora_only = bool(lora_only)
-        self.train_bias = bool(train_bias)
-        self.w0 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(k), size=(d, k)))
-        self.w0.requires_grad = not self.lora_only
+        self.w0 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(k), size=(d, k)),
+                         requires_grad=not lora_only)
         limit = 1.0 / np.sqrt(k)
-        self.lora_a = Tensor(rng.uniform(-limit, limit, size=(rank, k)),
-                             requires_grad=self.lora_only)
-        self.lora_b = Tensor(np.zeros((d, rank)), requires_grad=self.lora_only)
-        self.bias = Tensor(np.zeros(d), requires_grad=self.train_bias)
+        self.lora_a = Tensor(rng.uniform(-limit, limit, size=(rank, k)), requires_grad=lora_only)
+        self.lora_b = Tensor(np.zeros((d, rank)), requires_grad=lora_only)
+        self.bias = Tensor(np.zeros(d), requires_grad=train_bias)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.k:
@@ -50,14 +47,7 @@ class LoraLinear:
         return ad.add(ad.add(base, low), self.bias)
 
     def trainable(self) -> list[Tensor]:
-        params = []
-        if self.lora_only:
-            params += [self.lora_a, self.lora_b]
-        else:
-            params.append(self.w0)
-        if self.train_bias:
-            params.append(self.bias)
-        return params
+        return [t for t in (self.lora_a, self.lora_b, self.w0, self.bias) if t.requires_grad]
 
     def trainable_count(self) -> int:
         return sum(p.data.size for p in self.trainable())
@@ -68,13 +58,9 @@ class LoraLinear:
 
 @dataclass
 class LoraHead:
-    """One or two LoRA-adapted linear layers with ReLU between; its widths
-    are those of its layers."""
+    """Two LoRA-adapted linear layers with ReLU between; its widths are
+    those of its layers."""
     layers: list[LoraLinear]
-
-    def __post_init__(self):
-        if not 1 <= len(self.layers) <= 2:
-            raise UsageError(f"head depth must be 1 or 2, got {len(self.layers)}")
 
     @property
     def in_dim(self) -> int:
@@ -86,16 +72,9 @@ class LoraHead:
 
 
 def build_head(in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: int = 64,
-               rank: int = 4, depth: int = 2, train_bias: bool = True,
-               lora_only: bool = True) -> LoraHead:
-    if depth == 1:
-        layers = [LoraLinear(out_dim, in_dim, rank, rng, train_bias, lora_only)]
-    elif depth == 2:
-        layers = [LoraLinear(hidden_dim, in_dim, rank, rng, train_bias, lora_only),
-                  LoraLinear(out_dim, hidden_dim, min(rank, out_dim), rng, train_bias, lora_only)]
-    else:
-        raise UsageError(f"head depth must be 1 or 2, got {depth}")
-    return LoraHead(layers=layers)
+               rank: int = 4, train_bias: bool = True) -> LoraHead:
+    return LoraHead(layers=[LoraLinear(hidden_dim, in_dim, rank, rng, train_bias),
+                            LoraLinear(out_dim, hidden_dim, min(rank, out_dim), rng, train_bias)])
 
 
 def head_forward(head: LoraHead, features: Tensor) -> Tensor:
@@ -109,8 +88,8 @@ def head_forward(head: LoraHead, features: Tensor) -> Tensor:
 
 
 def trainable_params(head: LoraHead) -> list[Tensor]:
-    """Exactly the low-rank factors (plus biases if enabled); never w0 in
-    LoRA mode, never expert parameters."""
+    """The layers' tensors that require gradients: for a ``build_head`` head
+    the low-rank factors (plus biases if enabled), never w0."""
     out: list[Tensor] = []
     for layer in head.layers:
         out.extend(layer.trainable())

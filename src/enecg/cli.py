@@ -120,6 +120,12 @@ def _load_trained(cfg, out: _Out):
         if not os.path.exists(path):
             raise UsageError(f"no checkpoint for task {name!r} under {out.root}; run train first")
         models[name] = load_task_model(path)
+        gate = models[name].gate
+        # evaluate scores gate inputs built from the config, so both must agree
+        if (tuple(gate.lead_indices), gate.pooled_len) != (cfg.gate_leads, cfg.gate_pooled_len):
+            raise UsageError(f"{path}: gate reads leads {gate.lead_indices} pooled to "
+                             f"{gate.pooled_len}; config has gating.leads {cfg.gate_leads}, "
+                             f"gating.pooled_len {cfg.gate_pooled_len}")
     return TrainedModel(cfg=cfg, experts=experts, tasks=models)
 
 

@@ -72,9 +72,7 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("experts", "roster"): (_parse_roster, "experts"),
     ("heads", "hidden_dim"): (int, "head_hidden"),
     ("heads", "rank"): (int, "head_rank"),
-    ("heads", "depth"): (int, "head_depth"),
     ("heads", "train_bias"): (_parse_bool, "train_bias"),
-    ("heads", "lora_only"): (_parse_bool, "lora_only"),
     ("gating", "leads"): (_parse_ints, "gate_leads"),
     ("gating", "pooled_len"): (int, "gate_pooled_len"),
     ("gating", "hidden_dim"): (int, "gate_hidden"),
@@ -85,14 +83,28 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("data", "noise_amplitude"): (float, "data.noise_amplitude"),
     ("data", "potassium_rate"): (float, "data.potassium_rate"),
     ("data", "sex_ratio"): (float, "data.sex_ratio"),
-    ("saliency", "task"): (str, "saliency.task"),
-    ("saliency", "steps"): (int, "saliency.steps"),
-    ("saliency", "record_index"): (int, "saliency.record_index"),
-    ("saliency", "expert_index"): (int, "saliency.expert_index"),
     ("saliency", "class_index"): (int, "saliency.class_index"),
+    ("saliency", "expert_index"): (int, "saliency.expert_index"),
+    ("saliency", "record_index"): (int, "saliency.record_index"),
+    ("saliency", "steps"): (int, "saliency.steps"),
+    ("saliency", "task"): (str, "saliency.task"),
 }
 
 _SECTIONS = {section for section, _ in _SCHEMA}
+
+# value parser -> the text it parses back, for echo_config
+_FORMATS = {
+    int: str,
+    float: repr,
+    str: str,
+    _parse_bool: lambda v: str(v).lower(),
+    _parse_floats: lambda v: ",".join(map(repr, v)),
+    _parse_ints: lambda v: ",".join(map(str, v)),
+    _parse_names: ",".join,
+    _parse_roster: lambda specs: "; ".join(
+        f"{s.name}:{s.arch}:{s.seed}:{'-' if s.input_len is None else s.input_len}:{s.feature_dim}"
+        for s in specs),
+}
 
 
 def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfig, dict]:
@@ -164,51 +176,19 @@ def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfi
 
 
 def echo_config(cfg: ExperimentConfig, saliency: dict | None = None) -> str:
-    """Render the effective configuration; load_config(echo) reproduces it."""
-    roster = "; ".join(
-        f"{s.name}:{s.arch}:{s.seed}:{'-' if s.input_len is None else s.input_len}:{s.feature_dim}"
-        for s in cfg.experts)
-    lines = [
-        "# effective configuration (auto-generated)",
-        "[experiment]",
-        f"seed = {cfg.seed}",
-        f"n_records = {cfg.n_records}",
-        f"epochs = {cfg.epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"learning_rate = {cfg.learning_rate!r}",
-        f"split = {','.join(repr(r) for r in cfg.split)}",
-        f"tasks = {','.join(cfg.tasks)}",
-        f"ensemble = {cfg.ensemble}",
-        f"repeats = {cfg.repeats}",
-        f"joint = {str(cfg.joint).lower()}",
-        f"normalize_targets = {str(cfg.normalize_targets).lower()}",
-        f"class_weighted_bce = {str(cfg.class_weighted_bce).lower()}",
-        "",
-        "[experts]",
-        f"roster = {roster}",
-        "",
-        "[heads]",
-        f"hidden_dim = {cfg.head_hidden}",
-        f"rank = {cfg.head_rank}",
-        f"depth = {cfg.head_depth}",
-        f"train_bias = {str(cfg.train_bias).lower()}",
-        f"lora_only = {str(cfg.lora_only).lower()}",
-        "",
-        "[gating]",
-        f"leads = {','.join(str(i) for i in cfg.gate_leads)}",
-        f"pooled_len = {cfg.gate_pooled_len}",
-        f"hidden_dim = {cfg.gate_hidden}",
-        f"per_coordinate = {str(cfg.per_coordinate_weights).lower()}",
-        "",
-        "[data]",
-        f"duration_s = {cfg.data.duration_s!r}",
-        f"fs_hz = {cfg.data.fs_hz!r}",
-        f"heart_rate_bpm = {','.join(repr(v) for v in cfg.data.heart_rate_bpm)}",
-        f"noise_amplitude = {cfg.data.noise_amplitude!r}",
-        f"potassium_rate = {cfg.data.potassium_rate!r}",
-        f"sex_ratio = {cfg.data.sex_ratio!r}",
-    ]
-    if saliency:
-        lines += ["", "[saliency]"]
-        lines += [f"{k} = {v}" for k, v in sorted(saliency.items())]
+    """Render the effective configuration, every ``_SCHEMA`` key in order
+    (saliency keys only when set); load_config(echo) reproduces it."""
+    saliency = saliency or {}
+    lines = ["# effective configuration (auto-generated)"]
+    section = None
+    for (sec, key), (parser, field_name) in _SCHEMA.items():
+        scope, _, name = field_name.rpartition(".")
+        if scope == "saliency" and name not in saliency:
+            continue
+        value = (saliency[name] if scope == "saliency"
+                 else getattr(cfg.data if scope == "data" else cfg, name))
+        if sec != section:
+            lines += [""] * (section is not None) + [f"[{sec}]"]
+            section = sec
+        lines.append(f"{key} = {_FORMATS[parser](value)}")
     return "\n".join(lines) + "\n"

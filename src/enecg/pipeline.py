@@ -14,7 +14,6 @@ unchanged by training.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
@@ -78,9 +77,7 @@ class ExperimentConfig:
     experts: tuple[ExpertSpec, ...] = DEFAULT_ROSTER
     head_hidden: int = 64
     head_rank: int = 4
-    head_depth: int = 2
     train_bias: bool = True
-    lora_only: bool = True
     gate_leads: tuple[int, ...] = (1,)
     gate_pooled_len: int = 250
     gate_hidden: int = 64
@@ -248,13 +245,12 @@ def build_task_model(cfg: ExperimentConfig, experts: list[ExpertModel],
                      task: tk.TaskSpec, seed: int) -> TaskModel:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4EAD, _task_id(task))))
     heads = [build_head(m.feature_dim, task.output_dim, rng, hidden_dim=cfg.head_hidden,
-                        rank=cfg.head_rank, depth=cfg.head_depth,
-                        train_bias=cfg.train_bias, lora_only=cfg.lora_only)
+                        rank=cfg.head_rank, train_bias=cfg.train_bias)
              for m in experts]
     gate = build_gate(len(experts), task.output_dim, rng, lead_indices=cfg.gate_leads,
                       pooled_len=cfg.gate_pooled_len, hidden_dim=cfg.gate_hidden,
                       rank=cfg.head_rank, per_coordinate=cfg.per_coordinate_weights,
-                      train_bias=cfg.train_bias, lora_only=cfg.lora_only)
+                      train_bias=cfg.train_bias)
     identity = [(np.zeros(h.in_dim), np.ones(h.in_dim)) for h in heads + [gate]]  # until _fit
     return TaskModel(task=task, heads=heads, gate=gate,
                      feature_stats=identity[:-1], gate_stats=identity[-1])
@@ -573,11 +569,9 @@ def save_task_model(model: TaskModel, path) -> None:
     tensors["gatestats.mean"] = Tensor(gm)
     tensors["gatestats.std"] = Tensor(gs)
     tensors["gate.leads"] = Tensor(np.asarray(model.gate.lead_indices, dtype=np.float64))
-    first = model.heads[0].layers[0]
     scalars = {
         "task_id": float(_task_id(model.task)),
-        "train_bias": float(first.train_bias),
-        "lora_only": float(first.lora_only),
+        "train_bias": float(model.heads[0].layers[0].bias.requires_grad),
         "target_mean": model.target_mean,
         "target_std": model.target_std,
         "pos_weight": model.pos_weight,
@@ -587,11 +581,12 @@ def save_task_model(model: TaskModel, path) -> None:
 
 
 def load_task_model(path) -> TaskModel:
-    """Rebuild a task model written by ``save_task_model``; the tensor names
-    give its heads and layers, their shapes every width and rank. A missing
-    entry, a non-finite value, a non-integer count or lead, or a shape that
-    disagrees with what it fills is a ParseError naming the file and entry."""
+    """Rebuild a task model written by ``save_task_model``: tensor names give
+    its heads (two layers each), shapes every width and rank. A missing or
+    unexpected entry, a non-finite value, a non-integer count or lead, or a
+    shape that disagrees with what it fills is a ParseError naming both."""
     tensors, scalars = read_tensors(path)
+    unread = set(tensors)
 
     def scalar(name: str) -> float:
         if name not in scalars:
@@ -614,25 +609,21 @@ def load_task_model(path) -> TaskModel:
                              f"expected {shape}")
         if not np.isfinite(tensors[name]).all():
             raise ParseError(f"{path}: tensor {name!r} has non-finite values")
+        unread.discard(name)
         return tensors[name]
 
     task_id = count("task_id")
     if task_id >= len(tk.TASKS):
         raise ParseError(f"{path}: scalar 'task_id' {task_id} names no task")
     task = tk.task_by_name(list(tk.TASKS)[task_id])
-    train_bias, lora_only = bool(count("train_bias")), bool(count("lora_only"))
-    depth: dict[str, int] = {}                  # layers per head prefix
-    for name in tensors:
-        if m := re.fullmatch(r"(head[0-9]{1,4}|gate)\.layer([0-9]{1,4})\.\w+", name):
-            depth[m[1]] = max(depth.get(m[1], 0), int(m[2]) + 1)
+    train_bias = bool(count("train_bias"))
 
     def rebuild(prefix: str) -> LoraLinear:
         w0, lora_a = tensor(f"{prefix}.w0"), tensor(f"{prefix}.lora_a")
         if w0.ndim != 2 or lora_a.ndim != 2:
             raise ParseError(f"{path}: tensors {prefix!r}.w0 and .lora_a must be matrices")
         try:
-            layer = LoraLinear(*w0.shape, lora_a.shape[0], np.random.default_rng(0),
-                               train_bias, lora_only)
+            layer = LoraLinear(*w0.shape, lora_a.shape[0], np.random.default_rng(0), train_bias)
         except UsageError as e:  # a rank out of range for the stored widths
             raise ParseError(f"{path}: {prefix}: {e}") from e
         for key, t in layer.tensors().items():
@@ -640,17 +631,13 @@ def load_task_model(path) -> TaskModel:
         return layer
 
     def head(prefix: str, widths: tuple[int, ...], make=LoraHead, **fields) -> LoraHead:
-        try:
-            built = make(layers=[rebuild(f"{prefix}.layer{j}")
-                                 for j in range(depth.get(prefix, 1))], **fields)
-        except UsageError as e:  # a depth the heads do not have
-            raise ParseError(f"{path}: {prefix}: {e}") from e
+        built = make(layers=[rebuild(f"{prefix}.layer{j}") for j in (0, 1)], **fields)
         if built.output_dim not in widths:
-            raise ParseError(f"{path}: {prefix}.layer{len(built.layers) - 1} has width "
-                             f"{built.output_dim}; {task.name} needs {' or '.join(map(str, widths))}")
+            raise ParseError(f"{path}: {prefix}.layer1 has width {built.output_dim}; "
+                             f"{task.name} needs {' or '.join(map(str, widths))}")
         return built
 
-    n = max(sum(prefix.startswith("head") for prefix in depth), 1)
+    n = max(len({name.split(".")[0] for name in tensors if name.startswith("head")}), 1)
     heads = [head(f"head{i}", (task.output_dim,)) for i in range(n)]
     leads = tensor("gate.leads").reshape(-1)
     if not all(v >= 0 and v.is_integer() for v in leads.tolist()):
@@ -663,9 +650,10 @@ def load_task_model(path) -> TaskModel:
                          f"divide the gate.layer0 input width {gate.in_dim}")
     stats = [(tensor(f"featstats{i}.mean", (h.in_dim,)), tensor(f"featstats{i}.std", (h.in_dim,)))
              for i, h in enumerate(heads)]
-    return TaskModel(task=task, heads=heads, gate=gate, feature_stats=stats,
-                     gate_stats=(tensor("gatestats.mean", (gate.in_dim,)),
-                                 tensor("gatestats.std", (gate.in_dim,))),
+    gate_stats = (tensor("gatestats.mean", (gate.in_dim,)), tensor("gatestats.std", (gate.in_dim,)))
+    if unread:  # e.g. a third layer: every head and the gate have two
+        raise ParseError(f"{path}: unexpected tensor {min(unread)!r}")
+    return TaskModel(task=task, heads=heads, gate=gate, feature_stats=stats, gate_stats=gate_stats,
                      target_mean=scalar("target_mean"), target_std=scalar("target_std"),
                      pos_weight=scalar("pos_weight"), neg_weight=scalar("neg_weight"))
 

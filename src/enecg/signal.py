@@ -362,6 +362,8 @@ def load_records(path) -> list[tuple[EcgRecord, LabelSet]]:
                 rows.append(np.array(fields, dtype=np.float64))
             except ValueError as e:
                 raise ParseError(f"{path}:{idx + 1}: unreadable float: {e}") from e
+            if not np.isfinite(rows[-1]).all():
+                raise ParseError(f"{path}:{idx + 1}: non-finite sample")
         label_no = block[n_leads][0] + 1
         fields = block[n_leads][1].split(",")
         if len(fields) != 5:
@@ -371,7 +373,10 @@ def load_records(path) -> list[tuple[EcgRecord, LabelSet]]:
                               int(fields[2]), int(fields[3]), int(fields[4]))
         except (ValueError, UsageError) as e:
             raise ParseError(f"{path}:{label_no}: bad label line: {e}") from e
-        record = EcgRecord(Tensor(np.stack(rows)), fs, header[1])
+        try:
+            record = EcgRecord(Tensor(np.stack(rows)), fs, header[1])
+        except (DimensionError, UsageError) as e:  # too few samples, or fs <= 0
+            raise ParseError(f"{path}:{i + 1}: bad record: {e}") from e
         out.append((record, labels))
         i = end
     return out

@@ -11,6 +11,7 @@ from enecg import tasks as tk
 from enecg.adapters import LoraLinear, build_head, head_checksum, head_forward, trainable_params
 from enecg.autodiff import Tensor, Tape, backward, reduce_sum
 from enecg.errors import DimensionError, ParseError, UsageError
+from enecg.gating import build_gate
 from enecg.optim import Adam, finite_diff_grad
 from enecg.pipeline import (
     ExperimentConfig, ExpertSpec, build_experts, build_task_model, load_task_model,
@@ -81,10 +82,11 @@ def test_trainable_params_never_include_w0_in_lora_mode():
 
 def test_full_finetune_mode_trains_w0_instead():
     rng = np.random.default_rng(4)
-    head = build_head(8, 1, rng, hidden_dim=4, rank=2, lora_only=False)
-    params = trainable_params(head)
+    gate = build_gate(2, 1, rng, lead_indices=(0,), pooled_len=8, hidden_dim=4, rank=2,
+                      lora_only=False)
+    params = trainable_params(gate)
     ids = {id(p) for p in params}
-    for layer in head.layers:
+    for layer in gate.layers:
         assert id(layer.w0) in ids
         assert id(layer.lora_a) not in ids
 
@@ -179,7 +181,17 @@ def test_checkpoint_roundtrip_is_value_exact(tmp_path):
     model = trained_like_task_model()
     path = tmp_path / "task.ckpt"
     save_task_model(model, path)
-    loaded = load_task_model(path)
+    lines = path.read_text().splitlines()
+    assert sum(line.startswith("scalar ") for line in lines) == 6
+    # checkpoints that still carry the retired lora_only scalar load to the same model
+    _add_entries(lines, ["scalar lora_only 1.0"])
+    old = tmp_path / "old.ckpt"
+    old.write_text("\n".join(lines) + "\n")
+    for loaded in (load_task_model(path), load_task_model(old)):
+        _assert_same_model(model, loaded)
+
+
+def _assert_same_model(model, loaded):
     assert loaded.task == model.task
     assert all(h.output_dim == 15 for h in loaded.heads)
     layers = [(l0, l1) for h0, h1 in zip(model.heads, loaded.heads)
@@ -210,6 +222,13 @@ def _drop_entry(lines, name):
     lines[0] = f"{magic} {int(n) - 1}"
 
 
+def _add_entries(lines, new):
+    """Append scalar or tensor entries and fix the header's entry count."""
+    lines += new
+    magic, n = lines[0].split()
+    lines[0] = f"{magic} {int(n) + sum(line.split()[0] in ('scalar', 'tensor') for line in new)}"
+
+
 def _set_line(lines, prefix, replacement):
     i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
     lines[i:i + len(replacement)] = replacement
@@ -228,12 +247,18 @@ def _resize_rows(lines, layer, d):
 
 HAND_EDITS = {
     "non-numeric scalar": ("task_id", lambda ls: _set_line(ls, "scalar task_id ", ["scalar task_id abc"])),
-    "non-integer count": ("lora_only", lambda ls: _set_line(ls, "scalar lora_only ", ["scalar lora_only 1.5"])),
+    "non-integer count": ("train_bias", lambda ls: _set_line(ls, "scalar train_bias ", ["scalar train_bias 1.5"])),
     "task id out of range": ("task_id", lambda ls: _set_line(ls, "scalar task_id ", ["scalar task_id 9.0"])),
     "task of another width": ("head0", lambda ls: _set_line(ls, "scalar task_id ", ["scalar task_id 0.0"])),
     "bad shape field": ("gate.leads", lambda ls: _set_line(ls, "tensor gate.leads ", ["tensor gate.leads 2xq"])),
     "missing scalar": ("train_bias", lambda ls: _drop_entry(ls, "train_bias")),
     "missing tensor": ("head1.layer0.lora_b", lambda ls: _drop_entry(ls, "head1.layer0.lora_b")),
+    # every head and the gate have exactly two layers
+    "one-layer head": ("head0.layer1", lambda ls: [_drop_entry(ls, f"head0.layer1.{key}")
+                                                   for key in ("w0", "bias", "lora_a", "lora_b")]),
+    "third layer": ("head0.layer2", lambda ls: _add_entries(
+        ls, [line for key in ("w0", "bias", "lora_a", "lora_b")
+             for line in (f"tensor head0.layer2.{key} 1", "0.0")])),
     "broadcastable bias": ("head0.layer0.bias",
                            lambda ls: _set_line(ls, "tensor head0.layer0.bias ",
                                                 ["tensor head0.layer0.bias 1", "0.5"])),

@@ -144,6 +144,62 @@ def test_roster_mismatch_exits_with_usage(cfg_path, tmp_path, capsys):
     assert record["message"] == "3 experts but 2 heads"
 
 
+@pytest.mark.parametrize("old,new", [
+    ("pooled_len = 25", "pooled_len = 25\nleads = 0"),
+    ("pooled_len = 25", "pooled_len = 20"),
+], ids=["other-lead", "other-pooled-len"])
+def test_gate_settings_differing_from_checkpoint_exit_with_usage(cfg_path, tmp_path, capsys,
+                                                                old, new):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg_path, "--out", out]) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(SMALL_CFG.replace(old, new))
+    for command in ("eval", "bench", "saliency"):
+        assert run([command, "--config", str(other), "--out", out]) == EXIT_CODES["usage"]
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "UsageError" and "gating.leads" in record["message"]
+
+
+def test_checkpoint_lead_beyond_the_data_exits_with_usage(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg_path, "--out", out]) == 0
+    ckpt = os.path.join(out, "checkpoints", "rr.ckpt")
+    lines = open(ckpt).read().splitlines()
+    at = lines.index("tensor gate.leads 1")
+    lines[at + 1] = "12.0"
+    with open(ckpt, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run(["eval", "--config", cfg_path, "--out", out]) == EXIT_CODES["usage"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "rr.ckpt" in record["message"] and "[12]" in record["message"]
+
+
+# every documented switch at its non-default value, added after the line it
+# follows in SMALL_CFG; the ensemble selector applies to eval only
+SWITCHES = [
+    ("pooled_len = 25", "per_coordinate = false"),
+    ("repeats = 1", "joint = true"),
+    ("repeats = 1", "normalize_targets = false"),
+    ("repeats = 1", "class_weighted_bce = false"),
+    ("rank = 2", "train_bias = false"),
+    ("pooled_len = 25", "leads = 0,1,6"),
+    ("repeats = 1", "ensemble = zero_shot"),
+    ("repeats = 1", "ensemble = greedy"),
+    ("repeats = 1", "ensemble = sample_aware"),
+]
+
+
+@pytest.mark.parametrize("anchor,setting", SWITCHES, ids=[s for _, s in SWITCHES])
+def test_every_switch_runs_train_eval_saliency(tmp_path, anchor, setting):
+    path = tmp_path / "switch.cfg"
+    path.write_text(SMALL_CFG.replace(anchor, f"{anchor}\n{setting}"))
+    out = str(tmp_path / "run")
+    for command in ("train", "eval", "saliency"):
+        assert run([command, "--config", str(path), "--out", out]) == 0, command
+    doc = json.loads(open(os.path.join(out, "metrics.json")).read())
+    assert all(np.isfinite(t["mean"]) for t in doc["tasks"] if t["values"])
+
+
 def test_invalid_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nseed = 1\nsplit = 0.7,0.2,0.2\n")

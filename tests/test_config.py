@@ -2,7 +2,7 @@
 
 import pytest
 
-from enecg.config import ENV_SEED, echo_config, load_config
+from enecg.config import _SCHEMA, ENV_SEED, echo_config, load_config
 from enecg.errors import ConfigError
 
 
@@ -94,3 +94,26 @@ def test_echo_roundtrip(tmp_path):
     cfg2, sal2 = load_config(echoed)
     assert cfg == cfg2
     assert sal2 == {"steps": 32}
+
+
+@pytest.mark.parametrize("key", ["depth = 1", "lora_only = false"])
+def test_retired_head_keys_are_unknown(tmp_path, key):
+    path = write(tmp_path, f"[experiment]\nseed = 1\n[heads]\n{key}\n")
+    with pytest.raises(ConfigError, match=r":4: unknown key heads\." + key.split()[0]):
+        load_config(path)
+
+
+def test_echo_lists_every_schema_key(tmp_path):
+    cfg, _ = load_config(write(tmp_path, "[experiment]\nseed = 1\n"))
+    saliency = {"task": "sex", "steps": 8, "record_index": 2, "expert_index": 0, "class_index": 1}
+    echo = echo_config(cfg, saliency)
+    section = None
+    keys = set()
+    for line in echo.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif " = " in line:
+            keys.add((section, line.split(" = ")[0]))
+    assert keys == set(_SCHEMA)
+    cfg2, sal2 = load_config(write(tmp_path, echo))
+    assert (cfg2, sal2) == (cfg, saliency)

@@ -150,6 +150,17 @@ def test_unreadable_float_names_line(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("ENECG1 r 1 3 100.0\n0.1,nan,0.2\n800.0,40.0,0,0,0\n", 2),
+    ("ENECG1 r 1 1 100.0\n0.1\n800.0,40.0,0,0,0\n", 1),
+], ids=["nan-sample", "one-sample"])
+def test_unusable_record_is_parse_error_naming_line(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"bad.txt:{line}:"):
+        load_records(path)
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         GeneratorConfig(heart_rate_bpm=(0.0, 60.0)).validate()
