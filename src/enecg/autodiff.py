@@ -3,9 +3,10 @@
 Tensors wrap 64-bit numpy arrays. While a Tape is active, every primitive
 whose inputs require gradients records itself onto it (define-by-run; the
 tape is rebuilt each forward pass). ``backward`` replays the tape in
-reverse and accumulates gradients (+=) into every requires_grad tensor
-reachable from the chosen scalar, so calling it twice without zeroing
-doubles gradients.
+reverse and accumulates gradients (+=) into the leaves reachable from the
+chosen scalar: the requires_grad tensors no node of the tape produced, such
+as parameters and input probes. The ``.grad`` of every node output stays
+None. Calling ``backward`` twice without zeroing doubles leaf gradients.
 
 Primitives keep the backward table small and auditable: elementwise
 arithmetic, matmul, conv1d, relu/softplus/sqrt, softmax/log_softmax,
@@ -124,7 +125,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -132,10 +132,6 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         _TAPE_STACK.pop()
-
-    def _record(self, op, inputs, output, backward) -> None:
-        self.nodes.append(_Node(op, inputs, output, backward))
-        self._produced.add(id(output))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -163,32 +159,28 @@ def _apply(op, inputs, out_arr, backward) -> Tensor:
     out = _make(out_arr, any(t.requires_grad for t in inputs))
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape._record(op, inputs, out, backward)
+        tape.nodes.append(_Node(op, inputs, out, backward))
     return out
 
 
 def backward(scalar: Tensor, tape: Tape) -> None:
-    """Replay ``tape`` in reverse from ``scalar`` and accumulate gradients."""
-    if id(scalar) not in tape._produced:
+    """Replay ``tape`` in reverse from ``scalar`` and accumulate gradients
+    into its leaves; node outputs keep ``.grad`` None."""
+    if not any(node.output is scalar for node in reversed(tape.nodes)):
         raise UsageError("backward: scalar was not produced on this tape")
     if scalar.data.size != 1:
         raise UsageError(f"backward: expected a single-element tensor, got shape {scalar.shape}")
-    # Upstream gradients are propagated through a local accumulator and only
-    # deposited into .grad at the end, so repeated backward calls add cleanly.
+    # A node is reached only after every node that consumed its output, so
+    # what still flows after the loop belongs to leaves.
     flowing: dict[int, np.ndarray] = {id(scalar): np.ones_like(scalar.data)}
-    holders: dict[int, Tensor] = {id(scalar): scalar}
-    produced = tape._produced
+    holders: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
         g = flowing.pop(id(node.output), None)
         if g is None:
             continue
-        out = node.output
-        if out.requires_grad:
-            out.grad = g.copy() if out.grad is None else out.grad + g
-        needs = tuple(t.requires_grad or id(t) in produced for t in node.inputs)
-        grads = node.backward(g, needs)
+        grads = node.backward(g, tuple(t.requires_grad for t in node.inputs))
         for t, gi in zip(node.inputs, grads):
-            if gi is None or not (t.requires_grad or id(t) in produced):
+            if gi is None or not t.requires_grad:
                 continue
             key = id(t)
             acc = flowing.get(key)
@@ -196,8 +188,7 @@ def backward(scalar: Tensor, tape: Tape) -> None:
             holders[key] = t
     for key, g in flowing.items():
         t = holders[key]
-        if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+        t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -27,7 +27,7 @@ from .pipeline import (
     load_task_model, prepare_dataset, run_experiment, save_task_model, split_indices, train,
 )
 from .saliency import ensemble_scalar_model, export_saliency, integrated_gradients
-from .signal import generate, iter_records, save_records
+from .signal import iter_records, save_records, synthesize
 
 EXIT_CODES = {
     "ok": 0,
@@ -100,10 +100,7 @@ def _checkpoint_name(task_name: str) -> str:
 
 def cmd_train(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     t0 = time.perf_counter()
-    experts = build_experts(cfg)
-    prepared = prepare_dataset(cfg, experts, seed=cfg.seed)
-    _progress(verbose, f"prepared {prepared.n} records")
-    trained = train(cfg, seed=cfg.seed, prepared=prepared, experts=experts)
+    trained = train(cfg, seed=cfg.seed)
     os.makedirs(os.path.join(out.root, "checkpoints"), exist_ok=True)
     for name, model in trained.tasks.items():
         save_task_model(model, out.path(_checkpoint_name(name)))
@@ -172,20 +169,30 @@ def cmd_compare(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
 
 
 def cmd_saliency(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
+    # every option is checked against the config before any checkpoint loads
     task_name = saliency_opts.get("task", "rr")
-    steps = saliency_opts.get("steps", 256)
-    record_index = saliency_opts.get("record_index", 0)
-    expert_index = saliency_opts.get("expert_index")
-    class_index = saliency_opts.get("class_index")
+    if task_name not in cfg.tasks:
+        raise ConfigError(f"saliency.task must be one of experiment.tasks "
+                          f"{','.join(cfg.tasks)}, got {task_name!r}")
     task = tk.task_by_name(task_name)
-    if task.kind == "multiclass" and class_index is None:
-        class_index = 0
+    classes = task.output_dim if task.kind == "multiclass" else 0
+    opts = {"steps": 256, "record_index": 0, "expert_index": None,
+            "class_index": 0 if classes else None, **saliency_opts}
+    # key -> (lowest value, one past the highest; None: no upper bound, 0: unset)
+    bounds = {"steps": (1, None), "record_index": (0, None),
+              "expert_index": (0, len(cfg.experts)), "class_index": (0, classes)}
+    for key, (lo, hi) in bounds.items():
+        value = opts[key]
+        if value is not None and not (lo <= value and (hi is None or value < hi)):
+            allowed = (f">= {lo}" if hi is None else f"in {lo}..{hi - 1}" if hi
+                       else f"unset for the {task.kind} task {task_name}")
+            raise ConfigError(f"saliency.{key} must be {allowed}, got {value}")
+    expert_index = opts["expert_index"]
     trained = _load_trained(cfg, out)
-    gen_cfg = replace(cfg.data, seed=cfg.seed, n_records=record_index + 1)
-    record, _ = generate(gen_cfg)[record_index]
+    record, _ = synthesize(replace(cfg.data, seed=cfg.seed), opts["record_index"])
     model_fn = ensemble_scalar_model(trained.experts, trained.tasks[task_name], task,
-                                     expert_index=expert_index, class_index=class_index)
-    smap = integrated_gradients(model_fn, record.leads, steps=steps)
+                                     expert_index=expert_index, class_index=opts["class_index"])
+    smap = integrated_gradients(model_fn, record.leads, steps=opts["steps"])
     tag = "ensemble" if expert_index is None else f"expert{expert_index}"
     csv_path = out.path(f"saliency_{task_name}_{tag}.csv")
     json_path = out.path(f"saliency_{task_name}_{tag}.json")

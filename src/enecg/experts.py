@@ -109,38 +109,34 @@ def build_expert(arch: str, seed: int, required_input_len: int | None = None,
 
 
 def expert_forward(model: ExpertModel, x: Tensor) -> Tensor:
-    """Features for one (C,L) input or a (B,C,L) batch."""
-    if x.data.ndim not in (2, 3):
-        raise DimensionError(f"expert input must be (C,L) or (B,C,L), got shape {x.shape}")
-    single = x.data.ndim == 2
-    c, length = x.shape[-2], x.shape[-1]
+    """Features of a (B,C,L) batch."""
+    if x.data.ndim != 3:
+        raise DimensionError(f"expert input must be (B,C,L), got shape {x.shape}")
+    n, c, length = x.shape
     if length != model.required_input_len:
         raise DimensionError(
             f"expert {model.name!r} requires input length {model.required_input_len}, got {length}")
     if c != model.n_leads:
         raise DimensionError(f"expert {model.name!r} expects {model.n_leads} leads, got {c}")
-    batched = ad.reshape(x, (1, c, length)) if single else x
-    n = batched.shape[0]
     p = model.params
 
     if model.arch == "spectral":
-        mags = ad.dft_magnitude(batched, SPECTRAL_BINS)
+        mags = ad.dft_magnitude(x, SPECTRAL_BINS)
         flat = ad.reshape(mags, (n, c * SPECTRAL_BINS))
     elif model.arch == "convolutional":
-        h1 = ad.relu(ad.conv1d(batched, p["k1"], stride=CONV_STRIDES[0]))
+        h1 = ad.relu(ad.conv1d(x, p["k1"], stride=CONV_STRIDES[0]))
         h2 = ad.relu(ad.conv1d(h1, p["k2"], stride=CONV_STRIDES[1]))
         t2 = h2.shape[-1]
         pooled = ad.mean_pool(h2, t2 // CONV_POOL_COUNT, count=CONV_POOL_COUNT)
         flat = ad.reshape(pooled, (n, CONV_CHANNELS * CONV_POOL_COUNT))
     else:
         window = length // STAT_PATCHES
-        mean = ad.mean_pool(batched, window, count=STAT_PATCHES)
-        ex2 = ad.mean_pool(ad.mul(batched, batched), window, count=STAT_PATCHES)
+        mean = ad.mean_pool(x, window, count=STAT_PATCHES)
+        ex2 = ad.mean_pool(ad.mul(x, x), window, count=STAT_PATCHES)
         var = ad.relu(ad.sub(ex2, ad.mul(mean, mean)))
         std = ad.sqrt(ad.add(var, 1e-12))
-        mx = ad.max_pool(batched, window, count=STAT_PATCHES)
-        mn = ad.neg(ad.max_pool(ad.neg(batched), window, count=STAT_PATCHES))
+        mx = ad.max_pool(x, window, count=STAT_PATCHES)
+        mn = ad.neg(ad.max_pool(ad.neg(x), window, count=STAT_PATCHES))
         stats = ad.concat([mean, std, mx, mn], axis=-1)
         flat = ad.reshape(stats, (n, c * STAT_PATCHES * 4))
-    out = ad.add(ad.matmul(flat, p["w"]), p["b"])
-    return ad.reshape(out, (model.feature_dim,)) if single else out
+    return ad.add(ad.matmul(flat, p["w"]), p["b"])

@@ -52,8 +52,8 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     diff = x.data - base.data
 
     alphas = (np.arange(steps) + 0.5) / steps
-    points = base.data[None, ...] + alphas.reshape((-1,) + (1,) * x.data.ndim) * diff[None, ...]
-    probe = Tensor(points, requires_grad=True)
+    probe = Tensor(base.data[None, ...] + alphas.reshape((-1,) + (1,) * x.data.ndim) * diff[None, ...],
+                   requires_grad=True)
     with Tape() as tape:
         out = model(probe)
         if out.data.size != steps:

@@ -107,7 +107,6 @@ class GeneratorConfig:
     rt_range_s: tuple[float, float] = (0.26, 0.42)   # per-record R-to-T interval
     age_noise_years: float = 2.0
     templates: tuple[BeatTemplate, ...] = DEFAULT_TEMPLATES
-    class_weights: tuple[float, ...] | None = None   # None = uniform over templates
 
     def validate(self) -> None:
         if self.n_records < 0:
@@ -124,11 +123,6 @@ class GeneratorConfig:
             raise UsageError("lead_mix needs at least one lead row")
         if not self.templates:
             raise UsageError("at least one beat template is required")
-        if self.class_weights is not None:
-            if len(self.class_weights) != len(self.templates):
-                raise UsageError("class_weights must match the number of templates")
-            if any(w < 0 for w in self.class_weights) or sum(self.class_weights) <= 0:
-                raise UsageError("class_weights must be nonnegative with positive sum")
 
 
 @dataclass
@@ -190,16 +184,14 @@ def _record_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-def _synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
+def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
+    """Record ``index`` of the dataset ``cfg.seed`` describes; ``cfg.n_records``
+    plays no part."""
     rng = _record_rng(cfg.seed, index)
     t_len = int(round(cfg.duration_s * cfg.fs_hz))
 
     # label draws, in a fixed order
-    if cfg.class_weights is None:
-        cls = int(rng.integers(len(cfg.templates)))
-    else:
-        w = np.asarray(cfg.class_weights, dtype=np.float64)
-        cls = int(rng.choice(len(cfg.templates), p=w / w.sum()))
+    cls = int(rng.integers(len(cfg.templates)))
     tpl = cfg.templates[cls]
     heart_rate = float(rng.uniform(*cfg.heart_rate_bpm)) * tpl.hr_scale
     sex = int(rng.random() < cfg.sex_ratio)
@@ -275,7 +267,7 @@ def iter_records(cfg: GeneratorConfig) -> Iterator[tuple[EcgRecord, LabelSet]]:
     """Yield records one at a time; each is a pure function of (seed, index)."""
     cfg.validate()
     for i in range(cfg.n_records):
-        yield _synthesize(cfg, i)
+        yield synthesize(cfg, i)
 
 
 def generate(cfg: GeneratorConfig) -> list[tuple[EcgRecord, LabelSet]]:

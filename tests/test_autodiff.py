@@ -273,6 +273,32 @@ def test_backward_requires_scalar_from_tape():
         backward(stray, tape)  # not on the tape
 
 
+def test_backward_fills_leaves_only():
+    w = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    x = Tensor([0.3, -0.7], requires_grad=True)
+    const = Tensor([2.0, 1.0])
+    with Tape() as tape:
+        y = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(w, x)), const))
+        backward(y, tape)
+    assert tape.nodes and all(node.output.grad is None for node in tape.nodes)
+    assert const.grad is None
+    pre = w.data @ x.data
+    g = const.data * (pre > 0)
+    assert_close(w.grad, np.outer(g, x.data))
+    assert_close(x.grad, w.data.T @ g)
+
+
+def test_output_of_an_earlier_tape_is_a_leaf_of_the_next():
+    x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    with Tape():
+        h = ad.mul(x, 3.0)
+    with Tape() as tape:
+        y = ad.reduce_sum(ad.mul(h, h))
+        backward(y, tape)
+    assert_close(h.grad, 2 * h.data, rtol=0, atol=0)
+    assert x.grad is None
+
+
 def test_gradient_accumulation_is_additive():
     x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
     with Tape() as tape:

@@ -229,6 +229,47 @@ def test_empty_split_exits_with_usage(tmp_path, capsys):
     assert "validation 0" in record["message"]
 
 
+def test_train_splits_before_it_prepares(tmp_path, capsys, monkeypatch):
+    import enecg.cli
+    import enecg.pipeline
+
+    def prepare_dataset(*args, **kwargs):
+        raise AssertionError("prepare_dataset called before the split was checked")
+
+    monkeypatch.setattr(enecg.cli, "prepare_dataset", prepare_dataset)
+    monkeypatch.setattr(enecg.pipeline, "prepare_dataset", prepare_dataset)
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))
+    assert run(["train", "--config", str(tiny), "--out", str(tmp_path / "t")]) == EXIT_CODES["usage"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "UsageError" and "empty split" in record["message"]
+
+
+# (old, new, key): each value lies outside the range of saliency.<key>
+BAD_SALIENCY = [
+    ("record_index = 0", "record_index = -1", "record_index"),
+    ("record_index = 0", "record_index = -3", "record_index"),
+    ("task = rr", "task = arrhythmia\nclass_index = 15", "class_index"),
+    ("task = rr", "task = arrhythmia\nclass_index = -1", "class_index"),
+    ("record_index = 0", "record_index = 0\nclass_index = 0", "class_index"),
+    ("record_index = 0", "record_index = 0\nexpert_index = 2", "expert_index"),
+    ("record_index = 0", "record_index = 0\nexpert_index = -1", "expert_index"),
+    ("task = rr", "[experiment]\ntasks = rr,age\n[saliency]\ntask = sex", "task"),
+    ("task = rr", "task = bogus", "task"),
+    ("steps = 16", "steps = 0", "steps"),
+]
+
+
+@pytest.mark.parametrize("old,new,key", BAD_SALIENCY, ids=[n.replace("\n", "; ") for _, n, _ in BAD_SALIENCY])
+def test_bad_saliency_option_exits_with_config(tmp_path, capsys, old, new, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CFG.replace(old, new))
+    # no checkpoints under --out: the options are checked before any loads
+    assert run(["saliency", "--config", str(bad), "--out", str(tmp_path / "s")]) == EXIT_CODES["config"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and f"saliency.{key} " in record["message"]
+
+
 def test_frozen_checksum_drift_exits_with_invariant(cfg_path, tmp_path, capsys, monkeypatch):
     from enecg.experts import ExpertModel
     drift = iter(range(1000))

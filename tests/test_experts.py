@@ -29,9 +29,9 @@ def test_forward_output_length_is_feature_dim():
     rng = np.random.default_rng(0)
     for arch in ARCHITECTURES:
         m = build_expert(arch, seed=1, feature_dim=64)
-        x = Tensor(rng.normal(size=(12, m.required_input_len)))
+        x = Tensor(rng.normal(size=(1, 12, m.required_input_len)))
         out = expert_forward(m, x)
-        assert out.shape == (64,)
+        assert out.shape == (1, 64)
 
 
 def test_default_input_lengths_are_distinct():
@@ -42,23 +42,23 @@ def test_default_input_lengths_are_distinct():
 def test_spectral_expert_separates_frequencies():
     m = build_expert("spectral", seed=2, required_input_len=256, n_leads=1, feature_dim=16)
     t = np.arange(256)
-    lo = Tensor(np.sin(2 * np.pi * 5 * t / 256)[None, :])
-    hi = Tensor(np.sin(2 * np.pi * 20 * t / 256)[None, :])
+    lo = Tensor(np.sin(2 * np.pi * 5 * t / 256)[None, None, :])
+    hi = Tensor(np.sin(2 * np.pi * 20 * t / 256)[None, None, :])
     d = expert_forward(m, lo).data - expert_forward(m, hi).data
     assert np.linalg.norm(d) > 0
 
 
 def test_zero_input_through_spectral_gives_bias():
     m = small_expert("spectral")
-    out = expert_forward(m, Tensor(np.zeros((2, 64))))
-    np.testing.assert_array_equal(out.data, m.params["b"].data)
+    out = expert_forward(m, Tensor(np.zeros((1, 2, 64))))
+    np.testing.assert_array_equal(out.data[0], m.params["b"].data)
 
 
 def test_forward_is_deterministic_and_pure():
     rng = np.random.default_rng(3)
     for arch in ARCHITECTURES:
         m = small_expert(arch)
-        x = Tensor(rng.normal(size=(2, m.required_input_len)))
+        x = Tensor(rng.normal(size=(1, 2, m.required_input_len)))
         before = m.checksum()
         first = expert_forward(m, x).data
         second = expert_forward(m, x).data
@@ -73,14 +73,20 @@ def test_batched_forward_matches_per_sample():
         xs = rng.normal(size=(3, 2, m.required_input_len))
         batched = expert_forward(m, Tensor(xs)).data
         for i in range(3):
-            single = expert_forward(m, Tensor(xs[i])).data
-            np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=0)
+            single = expert_forward(m, Tensor(xs[i:i + 1])).data
+            np.testing.assert_allclose(batched[i:i + 1], single, rtol=1e-12, atol=0)
 
 
 def test_wrong_input_length_names_expected():
     m = small_expert("spectral")
     with pytest.raises(DimensionError, match="64"):
-        expert_forward(m, Tensor(np.zeros((2, 65))))
+        expert_forward(m, Tensor(np.zeros((1, 2, 65))))
+
+
+def test_single_record_input_is_dimension_error():
+    m = small_expert("spectral")
+    with pytest.raises(DimensionError, match=r"\(B,C,L\)"):
+        expert_forward(m, Tensor(np.zeros((2, 64))))
 
 
 def test_unknown_architecture_rejected():
@@ -105,7 +111,7 @@ def test_input_gradients_match_finite_differences():
         m = small_expert(arch)
         probe = Tensor(rng.normal(size=(m.feature_dim,)))
         window = m.required_input_len // 32 if arch == "statistical" else 1
-        x = Tensor(draw_away_from_ties(rng, (2, m.required_input_len), window),
+        x = Tensor(draw_away_from_ties(rng, (2, m.required_input_len), window)[None],
                    requires_grad=True)
 
         def scalar(t):
