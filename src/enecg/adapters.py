@@ -1,14 +1,18 @@
 """Per-expert, per-task output heads adapted through low-rank factors.
 
 Each layer holds a frozen base weight ``w0`` (d x k) plus trainable factors
-``lora_a`` (r x k) and ``lora_b`` (d x r). The forward pass computes
-``w0 @ x + lora_b @ (lora_a @ x) + bias`` without ever materializing the
-dense rank-r update, so the per-sample cost is O(dk + r(d+k)). ``lora_b``
-starts at zero, which makes the adapted layer exactly equal to the frozen
-base at initialization.
+``lora_a`` (r x k) and ``lora_b`` (d x r). The forward pass is one
+``lora_linear`` node computing ``w0 @ x + lora_b @ (lora_a @ x) + bias``
+without ever materializing the dense rank-r update, so the per-sample cost
+is O(dk + r(d+k)). ``lora_b`` starts at zero, which makes the adapted layer
+exactly equal to the frozen base at initialization.
 
 A head is two such layers with ReLU between. ``lora_only=False`` (the
 sample-aware baseline's gate) trains ``w0`` instead and freezes the factors.
+
+A task model's expert heads live in a ``HeadStack``: heads of equal shape
+(in practice, experts of equal feature width) share one head whose tensors
+carry a leading expert axis, so each of its layers is one batched node.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from .errors import DimensionError, ParseError, UsageError, read_lines
 
 
 class LoraLinear:
-    """Frozen d x k base weight with a trainable rank-r update and bias."""
+    """Frozen d x k base weight with a trainable rank-r update and bias; a
+    stacked layer's four tensors carry one more, leading, expert axis."""
 
     def __init__(self, d: int, k: int, rank: int, rng: np.random.Generator,
                  train_bias: bool = True, lora_only: bool = True):
         if rank < 1 or rank > min(d, k):
             raise UsageError(f"rank must lie in [1, min(d,k)={min(d, k)}], got {rank}")
-        self.d, self.k, self.rank = d, k, rank
         self.w0 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(k), size=(d, k)),
                          requires_grad=not lora_only)
         limit = 1.0 / np.sqrt(k)
@@ -39,12 +43,29 @@ class LoraLinear:
         self.lora_b = Tensor(np.zeros((d, rank)), requires_grad=lora_only)
         self.bias = Tensor(np.zeros(d), requires_grad=train_bias)
 
+    @classmethod
+    def of(cls, w0: Tensor, bias: Tensor, lora_a: Tensor, lora_b: Tensor) -> "LoraLinear":
+        """A layer over existing tensors, keyed as in ``tensors()``."""
+        layer = cls.__new__(cls)
+        layer.w0, layer.bias, layer.lora_a, layer.lora_b = w0, bias, lora_a, lora_b
+        return layer
+
+    @property
+    def d(self) -> int:
+        return self.w0.shape[-2]
+
+    @property
+    def k(self) -> int:
+        return self.w0.shape[-1]
+
+    @property
+    def rank(self) -> int:
+        return self.lora_a.shape[-2]
+
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.k:
+        if x.shape[-1:] != (self.k,):
             raise DimensionError(f"lora layer expects input width {self.k}, got shape {x.shape}")
-        base = ad.matmul(x, ad.transpose(self.w0))
-        low = ad.matmul(ad.matmul(x, ad.transpose(self.lora_a)), ad.transpose(self.lora_b))
-        return ad.add(ad.add(base, low), self.bias)
+        return ad.lora_linear(x, self.w0, self.lora_a, self.lora_b, self.bias)
 
     def trainable(self) -> list[Tensor]:
         return [t for t in (self.lora_a, self.lora_b, self.w0, self.bias) if t.requires_grad]
@@ -78,13 +99,74 @@ def build_head(in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: 
 
 
 def head_forward(head: LoraHead, features: Tensor) -> Tensor:
-    """Task logits for (k,) features or a (B,k) batch."""
+    """Task logits for (k,) features or a (B,k) batch; a stacked head maps
+    (N,B,k) to (N,B,L)."""
     h = features
     for i, layer in enumerate(head.layers):
         h = layer.forward(h)
         if i + 1 < len(head.layers):
             h = ad.relu(h)
     return h
+
+
+@dataclass
+class HeadStack:
+    """The expert heads of a task model, stored stacked: each group is one
+    head over the experts in its ``members`` (roster positions, ascending)
+    whose tensors carry a leading expert axis."""
+    groups: list[LoraHead]
+    members: list[list[int]]
+
+    def __len__(self) -> int:
+        return sum(len(m) for m in self.members)
+
+    def heads(self) -> list[LoraHead]:
+        """One head per expert in roster order, viewing the stacked tensors:
+        a write to a view's data is a write to the stack."""
+        views: dict[int, LoraHead] = {}
+        for group, members in zip(self.groups, self.members):
+            for j, i in enumerate(members):
+                views[i] = LoraHead([LoraLinear.of(**{key: ad._make(t.data[j], t.requires_grad)
+                                                      for key, t in layer.tensors().items()})
+                                     for layer in group.layers])
+        return [views[i] for i in range(len(self))]
+
+    def group_inputs(self, features: list[Tensor]) -> list[Tensor]:
+        """Each group's (n,B,k) input from per-expert (B,k) features."""
+        return [ad.stack([features[i] for i in m]) for m in self.members]
+
+
+def stack_heads(heads: list[LoraHead]) -> HeadStack:
+    """Group heads whose tensors have equal shapes (a roster that mixes
+    feature widths gives one group per width) and stack each group."""
+    members: dict[tuple, list[int]] = {}
+    for i, head in enumerate(heads):
+        shapes = tuple(t.shape for layer in head.layers for t in layer.tensors().values())
+        members.setdefault(shapes, []).append(i)
+    groups = []
+    for m in members.values():
+        layers = []
+        for j, first in enumerate(heads[m[0]].layers):
+            layers.append(LoraLinear.of(**{
+                key: Tensor(np.stack([heads[i].layers[j].tensors()[key].data for i in m]),
+                            requires_grad=t.requires_grad)
+                for key, t in first.tensors().items()}))
+        groups.append(LoraHead(layers))
+    return HeadStack(groups, list(members.values()))
+
+
+def stack_forward(stack: HeadStack, inputs: list[Tensor]) -> Tensor:
+    """(B, N, L) logits of all N expert heads from each group's (n,B,k) input."""
+    # expert axis second before the groups are joined, so each expert's
+    # gradient arrives as a (B,L) view of a (B,N,L) array, as from a
+    # per-head loop stacked on axis 1
+    outs = [ad.transpose(head_forward(group, x), (1, 0, 2))
+            for group, x in zip(stack.groups, inputs)]
+    logits = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
+    order = [i for m in stack.members for i in m]
+    if order != sorted(order):  # groups interleave on the roster
+        logits = ad.take_rows(logits, np.argsort(order), axis=1)
+    return logits
 
 
 def trainable_params(head: LoraHead) -> list[Tensor]:

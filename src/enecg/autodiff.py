@@ -9,10 +9,10 @@ as parameters and input probes. The ``.grad`` of every node output stays
 None. Calling ``backward`` twice without zeroing doubles leaf gradients.
 
 Primitives keep the backward table small and auditable: elementwise
-arithmetic, matmul, conv1d, relu/softplus/sqrt, softmax/log_softmax,
-window pooling, DFT magnitude, row gather, concat/reshape/transpose and
-reductions. Everything downstream (experts, LoRA heads, gating, losses,
-saliency) composes from these.
+arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
+softmax/log_softmax, window pooling, DFT magnitude, row gather,
+concat/reshape/transpose and reductions. Everything downstream (experts,
+LoRA heads, gating, losses, saliency) composes from these.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import DimensionError, UsageError
 __all__ = [
     "Tensor", "Tape", "no_grad", "backward", "as_tensor",
     "add", "sub", "mul", "neg",
-    "matmul", "transpose", "reshape", "concat", "stack", "take_rows",
+    "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
     "conv1d", "mean_pool", "max_pool", "dft_magnitude",
     "reduce_sum", "reduce_mean",
@@ -270,15 +270,65 @@ def matmul(a, b) -> Tensor:
     return _apply("matmul", (a, b), out, back)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got shape {a.shape}")
+def lora_linear(x, w0, a, b, bias) -> Tensor:
+    """One LoRA layer, ``x @ w0.T + (x @ a.T) @ b.T + bias``, as a single node.
+
+    Plain: w0 (d,k), a (r,k), b (d,r), bias (d,) and x (k,) or (B,k).
+    Stacked over N experts: w0 (N,d,k), a (N,r,k), b (N,d,r), bias (N,d)
+    and x (N,B,k), one batched product per term. The transposed weights are
+    contiguous copies and the backward forms every product from the same
+    operand layouts as the matmul/transpose/add composition of the layer, so
+    the two agree bit for bit. Any of the five inputs may require a gradient.
+    """
+    x, w0, a, b, bias = (as_tensor(t) for t in (x, w0, a, b, bias))
+    xd = x.data
+    lead = w0.shape[:-2]
+    ok = w0.data.ndim in (2, 3) and a.data.ndim == w0.data.ndim
+    if ok:
+        (d, k), r = w0.shape[-2:], a.shape[-2]
+        ok = (b.shape == lead + (d, r) and bias.shape == lead + (d,) and xd.shape[-1:] == (k,)
+              and a.shape == lead + (r, k)
+              and (xd.ndim == 3 and xd.shape[0] == lead[0] if lead else xd.ndim in (1, 2)))
+    if not ok:
+        raise DimensionError(f"lora_linear: x {x.shape}, w0 {w0.shape}, a {a.shape}, "
+                             f"b {b.shape} and bias {bias.shape} do not form a layer")
+
+    w0t, at, bt = (t.data.swapaxes(-1, -2).copy() for t in (w0, a, b))
+    xa = xd @ at
+    out = xd @ w0t + xa @ bt + (bias.data[:, None, :] if lead else bias.data)
 
     def back(g, needs):
-        return (g.T,)
+        # a single sample is differentiated as a one-row batch
+        x2, xa2, g2 = (xd[None], xa[None], g[None]) if xd.ndim == 1 else (xd, xa, g)
+        dxa = g2 @ bt.swapaxes(-1, -2) if needs[0] or needs[2] else None
+        dx = None
+        if needs[0]:
+            dx = (dxa @ at.swapaxes(-1, -2) + g2 @ w0t.swapaxes(-1, -2)).reshape(xd.shape)
+        return (dx,
+                (x2.swapaxes(-1, -2) @ g2).swapaxes(-1, -2) if needs[1] else None,
+                (x2.swapaxes(-1, -2) @ dxa).swapaxes(-1, -2) if needs[2] else None,
+                (xa2.swapaxes(-1, -2) @ g2).swapaxes(-1, -2) if needs[3] else None,
+                # contiguous: a strided (N,B,1) view would be summed in
+                # another order than each expert's (B,1) column
+                np.ascontiguousarray(g2).sum(axis=-2) if needs[4] else None)
 
-    return _apply("transpose", (a,), a.data.T.copy(), back)
+    return _apply("lora_linear", (x, w0, a, b, bias), out, back)
+
+
+def transpose(a, axes=None) -> Tensor:
+    """Swap the two axes of a matrix, or permute any tensor's axes by ``axes``."""
+    a = as_tensor(a)
+    if axes is None and a.data.ndim != 2:
+        raise DimensionError(f"transpose expects a 2-D tensor, got shape {a.shape}")
+    axes = tuple(range(a.data.ndim))[::-1] if axes is None else tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"transpose: {axes} is not a permutation of the axes of {a.shape}")
+    inverse = tuple(np.argsort(axes))
+
+    def back(g, needs):
+        return (g.transpose(inverse),)
+
+    return _apply("transpose", (a,), a.data.transpose(axes).copy(), back)
 
 
 def reshape(a, shape) -> Tensor:

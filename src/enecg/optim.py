@@ -13,9 +13,11 @@ from .errors import UsageError
 class Adam:
     """Bias-corrected Adam over an explicit parameter list.
 
-    Holds per-parameter first/second-moment accumulators and a step counter.
-    ``step`` applies the update in place and leaves gradients untouched;
-    zeroing them is the caller's job.
+    Holds first/second-moment accumulators over all parameters as two flat
+    buffers (parameter order, row-major) and a step counter. ``step``
+    applies one vectorized update, writes each parameter's slice back in
+    place and leaves gradients untouched; zeroing them is the caller's job.
+    The update is elementwise, so it equals a per-parameter loop bit for bit.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
@@ -26,8 +28,10 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._ends = np.cumsum([p.data.size for p in self.params], dtype=np.int64)
+        size = int(self._ends[-1]) if self.params else 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -37,13 +41,17 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # with no parameters, an empty update
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params] or [self.m])
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        m_hat = self.m / c1
+        v_hat = self.v / c2
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        start = 0
+        for p, end in zip(self.params, self._ends):
+            p.data -= update[start:end].reshape(p.data.shape)
+            start = end
 
     def zero_grad(self) -> None:
         for p in self.params:

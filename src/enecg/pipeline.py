@@ -3,8 +3,10 @@
 The forward path per task is: per-expert downsample -> frozen expert ->
 LoRA head -> logit stack -> gate weights from a pooled lead subset ->
 weighted sum -> task loss. Experts are frozen, so their features are
-precomputed once per dataset and training only runs heads and gate on
-batched feature tensors; that keeps the whole suite at desk scale.
+precomputed once per dataset, standardized once per fit, and training
+only runs heads and gate on batched feature tensors; that keeps the whole
+suite at desk scale. A task model's expert heads are stacked, so each head
+layer is one ``lora_linear`` node over all experts of a feature width.
 
 Optimization touches exactly the LoRA factors and biases of heads and
 gate; expert parameters and every frozen base weight are checksum-verified
@@ -23,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from . import tasks as tk
 from .adapters import (
-    LoraHead, LoraLinear, build_head, head_checksum, head_forward, read_tensors,
-    trainable_params, write_tensors,
+    HeadStack, LoraHead, LoraLinear, build_head, head_checksum, read_tensors, stack_forward,
+    stack_heads, trainable_params, write_tensors,
 )
 from .autodiff import Tensor, Tape, backward
 from .errors import InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
@@ -190,7 +192,7 @@ def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, np.ndarray, np
 @dataclass
 class TaskModel:
     task: tk.TaskSpec
-    heads: list[LoraHead]               # one per expert
+    stack: HeadStack                    # one head per expert, stacked by shape
     gate: GatingNetwork
     # (mean, std) of each expert's features and of the gate input, fitted on the train
     # split; z-scored features keep the frozen random projections usable
@@ -201,6 +203,11 @@ class TaskModel:
     pos_weight: float = 1.0
     neg_weight: float = 1.0
 
+    @property
+    def heads(self) -> list[LoraHead]:
+        """One head per expert, in roster order, viewing the stacked tensors."""
+        return self.stack.heads()
+
     def named_heads(self) -> dict[str, LoraHead]:
         """Every LoRA head by checkpoint prefix: head0, head1, ..., gate."""
         return {**{f"head{i}": h for i, h in enumerate(self.heads)}, "gate": self.gate}
@@ -208,7 +215,8 @@ class TaskModel:
     def adapted(self) -> list[LoraHead]:
         """The heads training adapts: a single fine-tuned expert has nothing
         to gate, its weight is 1."""
-        return self.heads + [self.gate] if len(self.heads) > 1 else list(self.heads)
+        groups = list(self.stack.groups)
+        return groups + [self.gate] if len(self.stack) > 1 else groups
 
     def trainable(self) -> list[Tensor]:
         return [p for head in self.adapted() for p in trainable_params(head)]
@@ -252,7 +260,7 @@ def build_task_model(cfg: ExperimentConfig, experts: list[ExpertModel],
                       rank=cfg.head_rank, per_coordinate=cfg.per_coordinate_weights,
                       train_bias=cfg.train_bias)
     identity = [(np.zeros(h.in_dim), np.ones(h.in_dim)) for h in heads + [gate]]  # until _fit
-    return TaskModel(task=task, heads=heads, gate=gate,
+    return TaskModel(task=task, stack=stack_heads(heads), gate=gate,
                      feature_stats=identity[:-1], gate_stats=identity[-1])
 
 
@@ -260,26 +268,31 @@ def _check_roster(model: TaskModel, n_experts: int) -> None:
     """A model whose heads do not match the expert roster or the task is a
     UsageError, on every path from training to saliency; checked before
     standardization, where zip() would hide a mismatched roster."""
-    if n_experts != len(model.heads):
-        raise UsageError(f"{n_experts} experts but {len(model.heads)} heads")
-    for head in model.heads:
+    if n_experts != len(model.stack):
+        raise UsageError(f"{n_experts} experts but {len(model.stack)} heads")
+    for head in model.stack.groups:
         if head.output_dim != model.task.output_dim:
             raise UsageError(f"head output dim {head.output_dim} does not match "
                              f"task {model.task.name} (L={model.task.output_dim})")
 
 
-def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor):
-    """Batched forward from already-standardized expert features.
+def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor):
+    """Batched forward from already-standardized features, one (n,B,k) input
+    per head group.
 
     Returns (stacked expert logits (B,N,L), weights, combined (B,L)). With a
     single expert the weight is identically one, so the gate is skipped.
     """
-    per_expert = [head_forward(h, f) for h, f in zip(model.heads, features)]
-    stacked = ad.stack(per_expert, axis=1)
-    weights = (Tensor(np.ones((stacked.shape[0], 1, 1))) if len(model.heads) == 1
+    stacked = stack_forward(model.stack, inputs)
+    weights = (Tensor(np.ones((stacked.shape[0], 1, 1))) if len(model.stack) == 1
                else gate_forward(model.gate, gate_in))
     combined = ensemble_combine(stacked, weights)
     return stacked, weights, combined
+
+
+def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor):
+    """``_forward_grouped`` from per-expert (B,k) features."""
+    return _forward_grouped(model, model.stack.group_inputs(features), gate_in)
 
 
 def _model_inputs(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray):
@@ -288,6 +301,18 @@ def _model_inputs(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray):
     feats = [(f[idx] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
     gm, gs = model.gate_stats
     return [Tensor(f) for f in feats], Tensor((prepared.gate_inputs[idx] - gm) / gs)
+
+
+def _grouped_inputs(model: TaskModel, prepared: PreparedDataset) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every row's standardized features, stacked per head group, and gate
+    input: standardized once, then indexed by each step's rows."""
+    feats, gate_in = _model_inputs(model, prepared, np.arange(prepared.n))
+    return [x.data for x in model.stack.group_inputs(feats)], gate_in.data
+
+
+def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple[list[Tensor], Tensor]:
+    feats, gate_in = inputs
+    return [Tensor(x[:, idx]) for x in feats], Tensor(gate_in[idx])
 
 
 def _raw_forward(model: TaskModel, experts: list[ExpertModel], block: Tensor):
@@ -338,25 +363,24 @@ def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -
     return combined.data
 
 
-def _validation_metric(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -> float:
-    logits = _task_logits(model, prepared, idx)
+def _metric(model: TaskModel, logits: np.ndarray, labels: np.ndarray) -> float:
     pred = tk.predictions(model.task, logits)
     if model.task.kind == "regression":
         pred = model.denormalize(pred)
-    return tk.task_metric(model.task, pred, prepared.labels[model.task.name][idx])
+    return tk.task_metric(model.task, pred, labels)
 
 
-def _train_step(models: list[TaskModel], prepared: PreparedDataset,
-                targets: list[np.ndarray], batch: np.ndarray, opt: Adam,
-                where: str = "") -> tuple[list[float], Tape]:
-    """One Adam step on the summed task losses of ``models`` over ``batch``;
-    returns each task's loss and the tape of the step."""
-    inputs = [_model_inputs(model, prepared, batch) for model in models]
+def _train_step(models: list[TaskModel], inputs: list, targets: list[np.ndarray],
+                batch: np.ndarray, opt: Adam, where: str = "") -> tuple[list[float], Tape]:
+    """One Adam step on the summed task losses of ``models`` over ``batch``,
+    reading each model's ``_grouped_inputs``; returns each task's loss and
+    the tape of the step."""
+    rows = [_rows(x, batch) for x in inputs]
     opt.zero_grad()
     with Tape() as tape:
         losses = []
-        for model, (feats, gate_in), y in zip(models, inputs, targets):
-            _, _, combined = _forward_features(model, feats, gate_in)
+        for model, (feats, gate_in), y in zip(models, rows, targets):
+            _, _, combined = _forward_grouped(model, feats, gate_in)
             losses.append(tk.task_loss(model.task, combined, y[batch],
                                        model.pos_weight, model.neg_weight))
         values = [loss.item() for loss in losses]
@@ -384,6 +408,7 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
             model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
         if model.task.kind == "binary" and cfg.class_weighted_bce:
             model.pos_weight, model.neg_weight = tk.class_weights(y)
+    inputs = [_grouped_inputs(model, prepared) for model in models]
     targets = [model.targets(prepared) for model in models]
     params = [model.trainable() for model in models]
     opt = Adam([p for group in params for p in group], lr=cfg.learning_rate)
@@ -395,13 +420,14 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
         starts = range(0, order.size, cfg.batch_size)
         sums = [0.0] * len(models)
         for start in starts:
-            values, _ = _train_step(models, prepared, targets, order[start:start + cfg.batch_size],
+            values, _ = _train_step(models, inputs, targets, order[start:start + cfg.batch_size],
                                     opt, where=f"at epoch {epoch}, batch starting {start}")
             sums = [acc + value for acc, value in zip(sums, values)]
         for i, model in enumerate(models):
             task = model.task
             losses[task.name].append(sums[i] / max(len(starts), 1))
-            score = _validation_metric(model, prepared, val_idx)
+            _, _, combined = _forward_grouped(model, *_rows(inputs[i], val_idx))
+            score = _metric(model, combined.data, prepared.labels[task.name][val_idx])
             scores = history[task.name]
             # strict improvement on the running best: the first best epoch wins ties
             if not scores or (score > max(scores) if task.higher_is_better else score < min(scores)):
@@ -486,7 +512,7 @@ def evaluate(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     out: dict[str, float] = {}
     for name in (tasks or tuple(trained.tasks)):
         model = trained.tasks[name]
-        out[name] = _validation_metric(model, prepared, idx)
+        out[name] = _metric(model, _task_logits(model, prepared, idx), prepared.labels[name][idx])
     return out
 
 
@@ -526,6 +552,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     throughput = idx.size / float(np.median(times))
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
+    inputs = [_grouped_inputs(model, prepared) for model in models]
     targets = [model.targets(prepared) for model in models]
     # lr 0: timed steps leave the models unchanged
     probe = Adam([p for model in models for p in model.trainable()], lr=0.0)
@@ -533,7 +560,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     activation_bytes = 0
     for _ in range(max(3, passes)):
         t0 = time.perf_counter()
-        _, tape = _train_step(models, prepared, targets, batch, probe)
+        _, tape = _train_step(models, inputs, targets, batch, probe)
         step_times.append(time.perf_counter() - t0)
         activation_bytes = sum(node.output.data.size for node in tape.nodes) * 8
     probe.zero_grad()
@@ -571,7 +598,7 @@ def save_task_model(model: TaskModel, path) -> None:
     tensors["gate.leads"] = Tensor(np.asarray(model.gate.lead_indices, dtype=np.float64))
     scalars = {
         "task_id": float(_task_id(model.task)),
-        "train_bias": float(model.heads[0].layers[0].bias.requires_grad),
+        "train_bias": float(model.stack.groups[0].layers[0].bias.requires_grad),
         "target_mean": model.target_mean,
         "target_std": model.target_std,
         "pos_weight": model.pos_weight,
@@ -653,9 +680,10 @@ def load_task_model(path) -> TaskModel:
     gate_stats = (tensor("gatestats.mean", (gate.in_dim,)), tensor("gatestats.std", (gate.in_dim,)))
     if unread:  # e.g. a third layer: every head and the gate have two
         raise ParseError(f"{path}: unexpected tensor {min(unread)!r}")
-    return TaskModel(task=task, heads=heads, gate=gate, feature_stats=stats, gate_stats=gate_stats,
-                     target_mean=scalar("target_mean"), target_std=scalar("target_std"),
-                     pos_weight=scalar("pos_weight"), neg_weight=scalar("neg_weight"))
+    return TaskModel(task=task, stack=stack_heads(heads), gate=gate, feature_stats=stats,
+                     gate_stats=gate_stats, target_mean=scalar("target_mean"),
+                     target_std=scalar("target_std"), pos_weight=scalar("pos_weight"),
+                     neg_weight=scalar("neg_weight"))
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,23 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
 
 def scalar_target(task: tk.TaskSpec, logits: Tensor, class_index: int | None = None) -> Tensor:
     """Designated scalar per task kind: the regression value, the binary
-    logit, or the logit of a chosen class."""
+    logit, or the logit of a chosen class. A multiclass task needs a
+    ``class_index`` in 0..L-1; no other task takes one."""
     n = logits.shape[0]
-    if task.kind == "multiclass":
-        if class_index is None:
-            raise UsageError("multiclass attribution needs a class_index")
-        pick = np.zeros((1, task.output_dim))
-        pick[0, class_index] = 1.0
-        return ad.reduce_sum(ad.mul(logits, Tensor(pick)), axis=1)
-    return ad.reshape(logits, (n,))
+    if task.kind != "multiclass":
+        if class_index is not None:
+            raise UsageError(f"class_index applies only to a multiclass task, not "
+                             f"{task.kind} task {task.name!r}")
+        return ad.reshape(logits, (n,))
+    if class_index is None:
+        raise UsageError("multiclass attribution needs a class_index")
+    if (isinstance(class_index, bool) or not isinstance(class_index, (int, np.integer))
+            or not 0 <= class_index < task.output_dim):
+        raise UsageError(f"class_index must be an integer in 0..{task.output_dim - 1} for "
+                         f"task {task.name!r}, got {class_index!r}")
+    pick = np.zeros((1, task.output_dim))
+    pick[0, class_index] = 1.0
+    return ad.reduce_sum(ad.mul(logits, Tensor(pick)), axis=1)
 
 
 def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,

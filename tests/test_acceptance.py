@@ -73,12 +73,14 @@ def test_criterion_1_gradient_suite():
     mat = Tensor(rng.normal(size=(4, 3)))
     kern = Tensor(rng.normal(size=(2, 3, 3)))
     away = Tensor(np.linspace(0.2, 3.0, 12).reshape(3, 4) * np.sign(rng.normal(size=(3, 4))))
+    lora = [Tensor(rng.normal(size=s)) for s in [(2, 4), (1, 4), (2, 1), (2,), (3, 2)]]
     primitives = [
         ("add", lambda t: ad.reduce_sum(ad.add(t, w1))),
         ("sub", lambda t: ad.reduce_sum(ad.sub(w1, t))),
         ("mul", lambda t: ad.reduce_sum(ad.mul(t, t))),
         ("neg", lambda t: ad.reduce_sum(ad.neg(t))),
         ("matmul", lambda t: ad.reduce_sum(ad.matmul(t, mat))),
+        ("lora_linear", lambda t: ad.reduce_sum(ad.mul(ad.lora_linear(t, *lora[:4]), lora[4]))),
         ("transpose", lambda t: ad.reduce_sum(ad.mul(ad.transpose(t), ad.transpose(w1)))),
         ("reshape", lambda t: ad.reduce_sum(ad.mul(ad.reshape(t, (4, 3)), mat))),
         ("concat", lambda t: ad.reduce_sum(ad.mul(ad.concat([t, t], axis=1),

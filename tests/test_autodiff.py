@@ -67,6 +67,88 @@ def test_matvec_and_dot_gradients():
     assert_close(analytic, numeric)
 
 
+def lora_operands(rng, lead=(), batch=(3,), d=4, k=5, r=2):
+    """x, w0, a, b, bias of one LoRA layer, optionally stacked over ``lead``."""
+    shapes = [lead + batch + (k,), lead + (d, k), lead + (r, k), lead + (d, r), lead + (d,)]
+    return [Tensor(rng.normal(size=s)) for s in shapes]
+
+
+@pytest.mark.parametrize("lead,batch", [((), ()), ((), (3,)), ((2,), (3,))],
+                         ids=["sample", "batch", "stacked"])
+def test_lora_linear_gradients_match_finite_differences(lead, batch):
+    rng = np.random.default_rng(21)
+    operands = lora_operands(rng, lead, batch)
+    weight = Tensor(rng.normal(size=lead + batch + (4,)))
+    for i in range(5):  # x, w0 (trainable, as in the sample-aware gate), a, b, bias
+        def build(t):
+            args = list(operands)
+            args[i] = t
+            return ad.reduce_sum(ad.mul(ad.lora_linear(*args), weight))
+
+        analytic, numeric = grad_of(build, operands[i])
+        assert_close(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
+def test_lora_linear_matches_its_composition_bit_for_bit():
+    rng = np.random.default_rng(22)
+    x, w0, a, b, bias = lora_operands(rng, batch=(6,), d=7, k=5, r=3)
+    weight = Tensor(rng.normal(size=(6, 7)))
+    grads = []
+    for fused in (True, False):
+        for t in (x, w0, a, b, bias):
+            t.requires_grad, t.grad = True, None
+        with Tape() as tape:
+            if fused:
+                out = ad.lora_linear(x, w0, a, b, bias)
+            else:
+                base = ad.matmul(x, ad.transpose(w0))
+                low = ad.matmul(ad.matmul(x, ad.transpose(a)), ad.transpose(b))
+                out = ad.add(ad.add(base, low), bias)
+            backward(ad.reduce_sum(ad.mul(out, weight)), tape)
+        grads.append([out.data] + [t.grad for t in (x, w0, a, b, bias)])
+    for fused, composed in zip(*grads):
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_stacked_lora_linear_equals_each_expert_alone():
+    rng = np.random.default_rng(23)
+    stacked = lora_operands(rng, lead=(3,), batch=(5,))
+    out = ad.lora_linear(*stacked).data
+    for n in range(3):
+        np.testing.assert_array_equal(out[n], ad.lora_linear(*[t.data[n] for t in stacked]).data)
+
+
+def test_lora_linear_shape_errors_name_every_operand():
+    rng = np.random.default_rng(24)
+    x, w0, a, b, bias = lora_operands(rng, lead=(2,), batch=(3,))
+    cases = [
+        (x.data[0], w0, a, b, bias),            # unstacked input to a stacked layer
+        (x.data[:1], w0, a, b, bias),           # wrong expert count
+        (x, w0, a.data[0], b, bias),            # one factor unstacked
+        (x, w0, a, b.data[:, :, :1], bias),     # rank mismatch
+        (x, w0, a, b, bias.data[0]),            # bias unstacked
+        (x.data[..., :4], w0, a, b, bias),      # input width
+        (x, w0.data[0, 0], a, b, bias),         # w0 a vector
+    ]
+    for args in cases:
+        with pytest.raises(DimensionError, match="do not form a layer"):
+            ad.lora_linear(*args)
+
+
+def test_transpose_permutes_axes_and_back():
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w = Tensor(rng.normal(size=(3, 2, 4)))
+    out = ad.transpose(x, (1, 0, 2))
+    np.testing.assert_array_equal(out.data, x.data.transpose(1, 0, 2))
+    analytic, numeric = grad_of(lambda t: ad.reduce_sum(ad.mul(ad.transpose(t, (1, 0, 2)), w)), x)
+    assert_close(analytic, numeric)
+    with pytest.raises(DimensionError, match="permutation"):
+        ad.transpose(x, (0, 0, 1))
+    with pytest.raises(DimensionError, match="2-D"):
+        ad.transpose(x)
+
+
 def test_conv1d_identity_tap():
     x = Tensor([[1.0, 2.0, 3.0, 4.0]])
     k = Tensor([[[1.0, 0.0]]])

@@ -79,3 +79,27 @@ def test_finite_diff_restores_input():
 def test_finite_diff_requires_positive_step():
     with pytest.raises(UsageError):
         finite_diff_grad(lambda t: 0.0, Tensor([1.0]), h=0.0)
+
+
+def test_flat_adam_equals_a_per_tensor_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (5,), (2, 3, 2), (1,), (4, 1)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 3e-2, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):  # the per-tensor update, term by term
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            ref[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, r in zip(params, ref):
+            np.testing.assert_array_equal(p.data, r)

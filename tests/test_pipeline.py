@@ -10,11 +10,11 @@ import pytest
 from enecg import pipeline
 from enecg import tasks as tk
 from enecg import autodiff as ad
-from enecg.adapters import head_forward
+from enecg.adapters import head_forward, stack_forward, trainable_params
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import InvariantError, UsageError
 from enecg.experts import ExpertModel
-from enecg.optim import finite_diff_grad
+from enecg.optim import Adam, finite_diff_grad
 from enecg.pipeline import (
     ExperimentConfig, ExpertSpec,
     PreparedDataset, _forward_features, _model_inputs, _task_logits, bench,
@@ -414,3 +414,59 @@ def test_config_validation_errors():
         ExperimentConfig(tasks=("rr", "bogus")).validate()
     with pytest.raises(UsageError):
         ExperimentConfig(experts=()).validate()
+
+
+@pytest.mark.parametrize("task", ["rr", "arrhythmia"])
+def test_mixed_width_roster_matches_a_per_head_loop(task):
+    """Widths 16, 8, 16: two stacked groups whose experts interleave on the
+    roster give the logits and gradients of one head per expert, bit for bit."""
+    cfg = tiny_cfg(experts=(ExpertSpec("a", "spectral", 1, 128, 16),
+                            ExpertSpec("b", "statistical", 2, 128, 8),
+                            ExpertSpec("c", "spectral", 3, 128, 16)))
+    model = build_task_model(cfg, build_experts(cfg), tk.TASKS[task], seed=4)
+    assert model.stack.members == [[0, 2], [1]]
+    rng = np.random.default_rng(5)
+    for group in model.stack.groups:
+        for layer in group.layers:
+            for t in (layer.lora_b, layer.bias):
+                t.data[...] = rng.normal(size=t.shape)
+    heads = model.heads
+    feats = [Tensor(rng.normal(size=(6, h.in_dim)), requires_grad=True) for h in heads]
+    weight = Tensor(rng.normal(size=(6, 3, model.task.output_dim)))
+    results = []
+    for per_head in (False, True):
+        for t in feats:
+            t.grad = None
+        with Tape() as tape:
+            if per_head:
+                logits = ad.stack([head_forward(h, f) for h, f in zip(heads, feats)], axis=1)
+            else:
+                logits = stack_forward(model.stack, model.stack.group_inputs(feats))
+            backward(ad.reduce_sum(ad.mul(logits, weight)), tape)
+        results.append((logits.data, [f.grad for f in feats]))
+    np.testing.assert_array_equal(results[0][0], results[1][0])
+    for stacked_grad, loop_grad in zip(results[0][1], results[1][1]):
+        np.testing.assert_array_equal(stacked_grad, loop_grad)
+    for group, members in zip(model.stack.groups, model.stack.members):
+        for j, layer in enumerate(group.layers):
+            for key, t in layer.tensors().items():
+                for pos, i in enumerate(members):
+                    view = heads[i].layers[j].tensors()[key]
+                    assert (t.grad is None) == (view.grad is None)
+                    if t.grad is not None:
+                        np.testing.assert_array_equal(t.grad[pos], view.grad)
+
+
+def test_single_task_moe_step_records_at_most_20_nodes():
+    cfg = ExperimentConfig(n_records=40)
+    experts = build_experts(cfg)
+    prepared = prepare_dataset(cfg, experts, seed=0)
+    for name in cfg.tasks:
+        model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
+        model.fit_input_stats(prepared, np.arange(prepared.n))
+        _, tape = pipeline._train_step([model], [pipeline._grouped_inputs(model, prepared)],
+                                       [model.targets(prepared)], np.arange(32),
+                                       Adam(model.trainable()))
+        assert len(tape) <= 20, name
+        # one node per layer: both head layers over all three experts, both gate layers
+        assert [node.op for node in tape.nodes].count("lora_linear") == 4, name

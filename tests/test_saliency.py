@@ -93,6 +93,18 @@ def test_scalar_target_picks_the_chosen_class():
     np.testing.assert_array_equal(reg.data, [2.5, 1.5])
 
 
+def test_scalar_target_rejects_a_class_index_it_cannot_use():
+    from enecg import tasks as tk
+    from enecg.saliency import scalar_target
+    logits = Tensor(np.arange(30.0).reshape(2, 15))
+    for bad in (-1, 15, 2.0, True):
+        with pytest.raises(UsageError, match="class_index must be an integer in 0..14"):
+            scalar_target(tk.TASKS["arrhythmia"], logits, class_index=bad)
+    for name in ("rr", "sex"):
+        with pytest.raises(UsageError, match="only to a multiclass task"):
+            scalar_target(tk.TASKS[name], Tensor([[2.5], [1.5]]), class_index=0)
+
+
 def test_deterministic_under_fixed_inputs():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(2, 5)))
