@@ -6,15 +6,24 @@ m interpolation points (t - 0.5)/m along the straight line and averaged,
 then scaled by (x - baseline). The completeness gap |sum(IG) - (F(x) -
 F(baseline))| is computed and stored rather than hidden.
 
-All m interpolation points are pushed through the model as one batch; the
-sum of the m scalar outputs is differentiated once, which yields each
-point's input gradient in a single backward pass.
+A scalar model is read as a linear front (raw block -> views) followed by a
+head (views -> one scalar per row). The straight-line path commutes with a
+linear map (Sundararajan et al. 2017, arXiv 1703.01365), so the points are
+interpolated between the baseline's and the input's views, never in raw
+sample space: the ensemble's experts and gate see a record only through
+window means, so no point is pooled from raw samples, forward or backward.
+The points run in chunks of ``IG_CHUNK``, one tape each, and the
+point-averaged view gradients are pulled back to raw samples once, by
+differentiating the front on one record-sized tape. A plain callable has an
+identity front.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,7 +32,11 @@ from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, ParseError, UsageError, read_lines
 from .experts import ExpertModel
-from .pipeline import _raw_forward
+from .pipeline import _views, _views_forward
+
+# interpolation points per tape: bounds IG's working set by the chunk, not
+# by the step count
+IG_CHUNK = 32
 
 
 @dataclass
@@ -36,13 +49,35 @@ class SaliencyMap:
     baseline_value: float           # F(baseline)
 
 
+@dataclass(frozen=True)
+class SplitModel:
+    """A scalar model split at its linear front: ``front`` maps a (B, ...)
+    block linearly to an iterable of views, ``head`` maps the views to one
+    scalar per row. Calling it runs both."""
+    front: Callable[[Tensor], Iterable[Tensor]]
+    head: Callable[[Iterable[Tensor]], Tensor]
+
+    def __call__(self, block: Tensor) -> Tensor:
+        return self.head(self.front(block))
+
+
+def _split(model) -> SplitModel:
+    """A plain callable is its own head behind an identity front."""
+    if isinstance(model, SplitModel):
+        return model
+    return SplitModel(lambda block: [block], lambda views: model(views[0]))
+
+
 def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
                          steps: int = 64) -> SaliencyMap:
     """Midpoint-rule integrated gradients of a scalar-valued model.
 
-    ``model(t)`` must return a single-element Tensor built from the
-    primitives, where ``t`` may carry a leading batch axis (each batch row
-    then contributes one scalar; their sum is differentiated).
+    ``model(t)`` must return one scalar per row of ``t``, a batch of inputs
+    along a new leading axis, built from the primitives. A ``SplitModel``'s
+    front must be linear; its head receives the interpolated views. Each
+    chunk of ``IG_CHUNK`` points is one tape whose summed output is
+    differentiated once; the view gradients, averaged over the points, are
+    pulled back through the front on one record-sized tape.
     """
     if steps < 1:
         raise UsageError(f"integrated gradients needs steps >= 1, got {steps}")
@@ -50,22 +85,36 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     if base.shape != x.shape:
         raise DimensionError(f"baseline shape {base.shape} != input shape {x.shape}")
     diff = x.data - base.data
+    split = _split(model)
+    x_views = list(split.front(Tensor(x.data[None, ...])))
+    b_views = list(split.front(Tensor(base.data[None, ...])))
 
     alphas = (np.arange(steps) + 0.5) / steps
-    probe = Tensor(base.data[None, ...] + alphas.reshape((-1,) + (1,) * x.data.ndim) * diff[None, ...],
-                   requires_grad=True)
-    with Tape() as tape:
-        out = model(probe)
-        if out.data.size != steps:
-            raise UsageError(f"model returned {out.data.size} values for {steps} points; "
-                             "expected one scalar per interpolation point")
-        total = ad.reduce_sum(out)
-        backward(total, tape)
-    mean_grad = probe.grad.mean(axis=0)
-    attributions = diff * mean_grad
+    grad_sums = [np.zeros(v.shape) for v in x_views]
+    for lo in range(0, steps, IG_CHUNK):
+        chunk = alphas[lo:lo + IG_CHUNK]
+        points = [Tensor(b.data + chunk.reshape((-1,) + (1,) * (b.data.ndim - 1)) * (v.data - b.data),
+                         requires_grad=True)
+                  for v, b in zip(x_views, b_views)]
+        with Tape() as tape:
+            out = split.head(points)
+            if out.data.size != chunk.size:
+                raise UsageError(f"model returned {out.data.size} values for {chunk.size} points; "
+                                 "expected one scalar per interpolation point")
+            backward(ad.reduce_sum(out), tape)
+        for acc, p in zip(grad_sums, points):
+            if p.grad is not None:     # a view the target does not read gets none
+                acc += p.grad.sum(axis=0, keepdims=True)
 
-    f_x = float(model(Tensor(x.data[None, ...])).data.reshape(-1)[0])
-    f_base = float(model(Tensor(base.data[None, ...])).data.reshape(-1)[0])
+    probe = Tensor(np.zeros((1,) + x.shape), requires_grad=True)
+    with Tape() as tape:
+        terms = [ad.reduce_sum(ad.mul(v, Tensor(g / steps)))
+                 for v, g in zip(split.front(probe), grad_sums)]
+        backward(reduce(ad.add, terms), tape)
+    attributions = diff * probe.grad[0]
+
+    f_x = float(split.head(x_views).data.reshape(-1)[0])
+    f_base = float(split.head(b_views).data.reshape(-1)[0])
     gap = abs(attributions.sum() - (f_x - f_base))
     label = "zeros" if baseline is None else f"tensor{base.shape}"
     return SaliencyMap(attributions, label, steps, gap, f_x, f_base)
@@ -93,22 +142,27 @@ def scalar_target(task: tk.TaskSpec, logits: Tensor, class_index: int | None = N
 
 
 def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
-                          expert_index: int | None = None, class_index: int | None = None):
+                          expert_index: int | None = None, class_index: int | None = None) -> SplitModel:
     """Scalar model over a raw (B,C,T) record batch for IG attribution.
 
     Attributes the combined logit by default, or a single expert's logit
     when ``expert_index`` is given. Regression outputs stay in the
     standardized training scale; attribution shape follows the raw record.
+    The front is each expert's downsample and the gate input; the head is
+    the rest of the raw-record forward.
     """
-    def run(block: Tensor) -> Tensor:
-        stacked, _, combined = _raw_forward(model, experts, block)
+    def front(block: Tensor):
+        return _views(experts, block, model.gate.lead_indices, model.gate.pooled_len)
+
+    def head(views) -> Tensor:
+        stacked, _, combined = _views_forward(model, experts, views)
         if expert_index is None:
             return scalar_target(task, combined, class_index)
         one = ad.take_rows(stacked, [expert_index], axis=1)
         single = ad.reshape(one, (stacked.shape[0], task.output_dim))
         return scalar_target(task, single, class_index)
 
-    return run
+    return SplitModel(front, head)
 
 
 def export_saliency(smap: SaliencyMap, csv_path, json_path=None) -> None:

@@ -1,14 +1,21 @@
 """Integrated-gradients exactness, completeness trend and export format."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from enecg import autodiff as ad
-from enecg.autodiff import Tensor
+from enecg import pipeline as pl
+from enecg import tasks as tk
+from enecg.autodiff import Tape, Tensor, backward
 from enecg.errors import DimensionError, ParseError, UsageError
 from enecg.saliency import (
-    SaliencyMap, export_saliency, integrated_gradients, load_saliency_csv,
+    IG_CHUNK, SaliencyMap, ensemble_scalar_model, export_saliency, integrated_gradients,
+    load_saliency_csv,
 )
+from enecg.signal import EcgRecord, GeneratorConfig, synthesize
 
 
 def linear_model(w):
@@ -144,3 +151,108 @@ def test_malformed_saliency_csv_is_a_parse_error(tmp_path, body):
     csv_path.write_text("lead,sample_index,attribution\n" + body)
     with pytest.raises(ParseError):
         load_saliency_csv(csv_path)
+
+
+# ---------------------------------------------------------------------------
+# the ensemble's split model against the raw-space computation
+
+# (task, expert_index, class_index): a combined regression logit, a combined
+# class logit, and one expert's logit, which neither the gate nor the other
+# experts' views feed
+ENSEMBLE_TARGETS = [("rr", None, None), ("arrhythmia", None, 4), ("sex", 1, None)]
+
+
+@pytest.fixture(scope="module")
+def small_ensemble():
+    """A briefly trained three-expert run on 500-sample records whose gate
+    reads two leads, and one record with a nonzero baseline."""
+    cfg = pl.ExperimentConfig(
+        seed=4, n_records=40, epochs=2, batch_size=16, tasks=("rr", "sex", "arrhythmia"),
+        experts=(pl.ExpertSpec("spec", "spectral", 1, 128, 16),
+                 pl.ExpertSpec("conv", "convolutional", 2, 224, 16),
+                 pl.ExpertSpec("stat", "statistical", 3, 128, 16)),
+        head_hidden=16, head_rank=2, gate_leads=(1, 3), gate_pooled_len=50, gate_hidden=16,
+        data=GeneratorConfig(duration_s=4.0, fs_hz=125.0),
+    )
+    trained = pl.train(cfg)
+    record, _ = synthesize(replace(cfg.data, seed=9), 0)
+    rng = np.random.default_rng(12)
+    baseline = Tensor(0.2 * rng.normal(size=record.leads.shape))
+    return trained, record, baseline
+
+
+def target_model(trained, task_name, expert_index, class_index):
+    task = tk.task_by_name(task_name)
+    return ensemble_scalar_model(trained.experts, trained.tasks[task_name], task,
+                                 expert_index=expert_index, class_index=class_index)
+
+
+def relative(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+def single_tape_ig(model, x, baseline, steps):
+    """Reference: every raw interpolation point through the model on one tape."""
+    diff = x.data - baseline.data
+    alphas = (np.arange(steps) + 0.5) / steps
+    probe = Tensor(baseline.data[None] + alphas.reshape((-1,) + (1,) * x.data.ndim) * diff[None],
+                   requires_grad=True)
+    with Tape() as tape:
+        backward(ad.reduce_sum(model(probe)), tape)
+    return diff * probe.grad.mean(axis=0)
+
+
+@pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
+def test_ensemble_split_model_equals_its_identity_front(small_ensemble, task_name,
+                                                        expert_index, class_index):
+    trained, record, baseline = small_ensemble
+    model = target_model(trained, task_name, expert_index, class_index)
+    fast = integrated_gradients(model, record.leads, baseline=baseline, steps=2 * IG_CHUNK + 5)
+    plain = integrated_gradients(lambda b: model(b), record.leads, baseline=baseline,
+                                 steps=2 * IG_CHUNK + 5)
+    assert relative(fast.attributions, plain.attributions) <= 1e-10
+    assert fast.target_value == plain.target_value
+    assert fast.baseline_value == plain.baseline_value
+
+
+@pytest.mark.parametrize("steps", [1, IG_CHUNK - 1, IG_CHUNK, IG_CHUNK + 1, 100])
+@pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
+def test_chunked_map_agrees_with_a_single_tape(small_ensemble, steps, task_name,
+                                               expert_index, class_index):
+    trained, record, baseline = small_ensemble
+    model = target_model(trained, task_name, expert_index, class_index)
+    ref = single_tape_ig(model, record.leads, baseline, steps)
+    smap = integrated_gradients(model, record.leads, baseline=baseline, steps=steps)
+    assert relative(smap.attributions, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
+def test_endpoint_values_equal_forward_enecg(small_ensemble, task_name, expert_index,
+                                             class_index):
+    trained, record, baseline = small_ensemble
+    model = target_model(trained, task_name, expert_index, class_index)
+    smap = integrated_gradients(model, record.leads, baseline=baseline, steps=3)
+    pick = 0 if class_index is None else class_index
+    for value, leads in ((smap.target_value, record.leads), (smap.baseline_value, baseline)):
+        [out] = pl.forward_enecg([EcgRecord(leads, record.sampling_rate_hz, "r")],
+                                 trained.experts, trained.tasks[task_name])
+        logits = out.combined if expert_index is None else out.expert_logits[expert_index]
+        assert np.array_equal(value, logits[pick])
+
+
+def test_ensemble_map_peaks_below_one_raw_probe():
+    # bound: one probe of all 256 raw points of a (12, 5000) record, 123 MB,
+    # the size of every intermediate of a map computed in raw sample space
+    cfg = pl.ExperimentConfig(seed=1)
+    experts = pl.build_experts(cfg)
+    task = tk.TASKS["rr"]
+    model = ensemble_scalar_model(experts, pl.build_task_model(cfg, experts, task, seed=1), task)
+    record, _ = synthesize(cfg.data, 0)
+    assert record.leads.shape == (12, 5000)
+    tracemalloc.start()
+    try:
+        integrated_gradients(model, record.leads, steps=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 12 * 5000 * 8
