@@ -10,8 +10,8 @@ None. Calling ``backward`` twice without zeroing doubles leaf gradients.
 
 Primitives keep the backward table small and auditable: elementwise
 arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
-softmax/log_softmax, window pooling, DFT magnitude, row gather,
-concat/reshape/transpose and reductions. Everything downstream (experts,
+softmax/log_softmax, window pooling, patch statistics, DFT magnitude, row
+gather, concat/reshape/transpose and reductions. Everything downstream (experts,
 LoRA heads, gating, losses, saliency) composes from these.
 """
 
@@ -26,7 +26,7 @@ __all__ = [
     "add", "sub", "mul", "neg",
     "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
-    "conv1d", "mean_pool", "max_pool", "dft_magnitude",
+    "conv1d", "mean_pool", "max_pool", "patch_stats", "dft_magnitude",
     "reduce_sum", "reduce_mean",
 ]
 
@@ -505,7 +505,12 @@ def conv1d(x, kernels, stride: int = 1) -> Tensor:
         raise DimensionError(f"conv1d: kernel width {width} exceeds signal length {t_len}")
     t_out = (t_len - width) // stride + 1
     windows = np.lib.stride_tricks.sliding_window_view(xd, width, axis=-1)[..., ::stride, :]
-    out = np.einsum("oiw,...itw->...ot", kd, windows, optimize=True)
+    # one GEMM of the (O, C*w) kernels with an im2col copy of the windows
+    # that lays every batch row side by side, (C*w, rows*t_out); faster than
+    # einsum's contraction over the strided view
+    cols = windows.reshape(-1, c_in, t_out, width).transpose(1, 3, 0, 2).reshape(c_in * width, -1)
+    out = (kd.reshape(out_ch, -1) @ cols).reshape(out_ch, -1, t_out)
+    out = np.ascontiguousarray(out.swapaxes(0, 1)).reshape(*xd.shape[:-2], out_ch, t_out)
 
     def back(g, needs):
         dk = np.einsum("...ot,...itw->oiw", g, windows, optimize=True) if needs[1] else None
@@ -576,6 +581,42 @@ def max_pool(a, window: int, count: int | None = None) -> Tensor:
     return _apply("max_pool", (a,), view.max(axis=-1), back)
 
 
+def patch_stats(a, window: int, count: int | None = None) -> Tensor:
+    """Per-window mean, std, max and min along the last axis, as one node:
+    the four (..., count) blocks concatenated on that axis in that order,
+    with ``std = sqrt(max(E[x^2] - mean^2, 0) + 1e-12)``.
+
+    One ``_pool_view`` is read for all four; the two moments are the BLAS
+    matrix-vector products ``mean_pool`` uses, so the forward equals the
+    composition of ``mean_pool``, ``max_pool`` and elementwise primitives
+    bit for bit. The backward is analytic: ``g / window`` for the mean,
+    ``g (x - mean) / (window std)`` for the std (0 where the variance is
+    not positive), and max and min route to the first tie, as in
+    ``max_pool``. Dropped trailing samples get zero gradient.
+    """
+    a = as_tensor(a)
+    view, lead, t_len, count = _pool_view(a, window, count)
+    ones = np.ones(window)
+    mean = (view @ ones) / window
+    var = np.square(view) @ ones / window - mean * mean     # np.square: view * view is slower
+    std = np.sqrt(np.maximum(var, 0.0) + 1e-12)
+    out = np.concatenate([mean, std, view.max(axis=-1), view.min(axis=-1)], axis=-1)
+
+    def back(g, needs):
+        g_mean, g_std, g_max, g_min = np.split(g, 4, axis=-1)
+        scale = np.where(var > 0, g_std / std, 0.0)
+        da = np.zeros(lead + (t_len,))
+        block = da[..., :count * window].reshape(*lead, count, window)
+        block[...] = ((g_mean - scale * mean) / window)[..., None] + (scale / window)[..., None] * view
+        # one after the other, so a window whose max is its min gets both
+        for arg, gi in ((view.argmax(axis=-1), g_max), (view.argmin(axis=-1), g_min)):
+            arg = arg[..., None]
+            np.put_along_axis(block, arg, np.take_along_axis(block, arg, axis=-1) + gi[..., None], axis=-1)
+        return (da,)
+
+    return _apply("patch_stats", (a,), out, back)
+
+
 _TRIG_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -590,8 +631,10 @@ def _dft_tables(t_len: int, bins: int):
 def dft_magnitude(a, bins: int) -> Tensor:
     """|DFT| of the first ``bins`` frequency bins along the time (last) axis.
 
-    The gradient is defined everywhere except exact zeros of the magnitude,
-    where the subgradient 0 is used.
+    The forward pass is an FFT: ``np.fft.rfft`` when its T//2 + 1 bins
+    cover ``bins``, else the full ``np.fft.fft``. The backward pass uses
+    the cached cosine and sine tables. The gradient is defined everywhere
+    except exact zeros of the magnitude, where the subgradient 0 is used.
     """
     a = as_tensor(a)
     t_len = a.data.shape[-1]
@@ -599,12 +642,13 @@ def dft_magnitude(a, bins: int) -> Tensor:
         raise DimensionError("dft_magnitude over an empty time axis")
     if bins < 1 or bins > t_len:
         raise DimensionError(f"dft_magnitude: bins must be in [1, {t_len}], got {bins}")
-    cos_t, sin_t = _dft_tables(t_len, bins)
-    re = a.data @ cos_t.T
-    im = -(a.data @ sin_t.T)
-    out = np.hypot(re, im)
+    fft = np.fft.rfft if bins <= t_len // 2 + 1 else np.fft.fft
+    spectrum = fft(a.data, axis=-1)[..., :bins]
+    out = np.abs(spectrum)
 
     def back(g, needs):
+        cos_t, sin_t = _dft_tables(t_len, bins)
+        re, im = spectrum.real, spectrum.imag
         safe = np.where(out > 0, out, 1.0)
         cr = np.where(out > 0, g * re / safe, 0.0)
         ci = np.where(out > 0, g * im / safe, 0.0)

@@ -16,6 +16,8 @@ import time
 from dataclasses import replace
 from itertools import islice
 
+import numpy as np
+
 from . import tasks as tk
 from .config import echo_config, load_config
 from .errors import (
@@ -23,8 +25,8 @@ from .errors import (
     NotApplicableError, ParseError, UsageError,
 )
 from .pipeline import (
-    TaskResult, TrainedModel, bench, build_experts, compare_strategies, evaluate,
-    load_task_model, prepare_dataset, run_experiment, save_task_model, split_indices, train,
+    TaskResult, TrainedModel, _prepare_records, bench, build_experts, compare_strategies,
+    evaluate, load_task_model, run_experiment, save_task_model, split_indices, train,
 )
 from .saliency import ensemble_scalar_model, export_saliency, integrated_gradients
 from .signal import iter_records, save_records, synthesize
@@ -127,10 +129,15 @@ def _load_trained(cfg, out: _Out):
 
 
 def _load_with_test_split(cfg, out: _Out):
-    """The trained checkpoints, the config's dataset and its test rows."""
+    """The trained checkpoints and the config's test rows, prepared alone:
+    each record is a pure function of (seed, index), and the input
+    statistics come from the checkpoints. Returns (trained, prepared, all
+    row indices of prepared)."""
+    test_idx = split_indices(cfg.n_records, cfg.split, cfg.seed)[2]
     trained = _load_trained(cfg, out)
-    prepared = prepare_dataset(cfg, trained.experts, seed=cfg.seed)
-    return trained, prepared, split_indices(prepared.n, cfg.split, cfg.seed)[2]
+    gen = replace(cfg.data, seed=cfg.seed)
+    prepared = _prepare_records(cfg, trained.experts, (synthesize(gen, int(i)) for i in test_idx))
+    return trained, prepared, np.arange(prepared.n)
 
 
 def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:

@@ -12,6 +12,11 @@ All parameters are drawn once from the build seed and never trained; the
 forward pass is differentiable w.r.t. its input so saliency can attribute
 through it. Each architecture declares its own required input length so
 the per-expert downsampling path is real work.
+
+Each architecture's front is a few tape nodes with analytic backwards:
+the spectral magnitudes are one FFT (``dft_magnitude``), each conv stage
+is one GEMM over an im2col copy (``conv1d``), and the four patch
+statistics are one ``patch_stats`` node over a single view of the input.
 """
 
 from __future__ import annotations
@@ -130,13 +135,6 @@ def expert_forward(model: ExpertModel, x: Tensor) -> Tensor:
         pooled = ad.mean_pool(h2, t2 // CONV_POOL_COUNT, count=CONV_POOL_COUNT)
         flat = ad.reshape(pooled, (n, CONV_CHANNELS * CONV_POOL_COUNT))
     else:
-        window = length // STAT_PATCHES
-        mean = ad.mean_pool(x, window, count=STAT_PATCHES)
-        ex2 = ad.mean_pool(ad.mul(x, x), window, count=STAT_PATCHES)
-        var = ad.relu(ad.sub(ex2, ad.mul(mean, mean)))
-        std = ad.sqrt(ad.add(var, 1e-12))
-        mx = ad.max_pool(x, window, count=STAT_PATCHES)
-        mn = ad.neg(ad.max_pool(ad.neg(x), window, count=STAT_PATCHES))
-        stats = ad.concat([mean, std, mx, mn], axis=-1)
+        stats = ad.patch_stats(x, length // STAT_PATCHES, count=STAT_PATCHES)
         flat = ad.reshape(stats, (n, c * STAT_PATCHES * 4))
     return ad.add(ad.matmul(flat, p["w"]), p["b"])

@@ -11,13 +11,12 @@ the T amplitude, and the arrhythmia class selects one of 15 beat templates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, mean_pool
+from .autodiff import Tensor, _make, mean_pool
 from .errors import DimensionError, ParseError, UsageError, read_lines
 
 
@@ -168,16 +167,34 @@ class EcgRecord:
         return self.leads.shape[1]
 
 
-def _add_gaussian(row: np.ndarray, fs: float, center_s: float, amp: float, width_s: float) -> None:
-    if amp == 0.0:
-        return
-    t_len = row.shape[0]
-    lo = max(0, int(math.floor((center_s - 4.5 * width_s) * fs)))
-    hi = min(t_len, int(math.ceil((center_s + 4.5 * width_s) * fs)) + 1)
-    if hi <= lo:
-        return
-    t = np.arange(lo, hi) / fs
-    row[lo:hi] += amp * np.exp(-0.5 * ((t - center_s) / width_s) ** 2)
+def _render_waves(t_len: int, fs: float, centers, amps, widths) -> np.ndarray:
+    """One source row: the sum of the Gaussians ``amp * exp(-((t - center) / width)**2 / 2)``,
+    each cut to the samples within 4.5 widths of its center.
+
+    The three arguments broadcast against each other and are read in C
+    order. All waves are evaluated on one (waves x span) grid of sample
+    indices, and ``np.bincount`` adds them into each sample in that order.
+    Amplitude-0 waves and waves wholly outside the row are dropped.
+    """
+    centers, widths = np.broadcast_arrays(centers, widths)
+    amps = np.broadcast_to(amps, centers.shape)
+    lo = np.maximum(0, np.floor((centers - 4.5 * widths) * fs).astype(np.int64))
+    hi = np.minimum(t_len, np.ceil((centers + 4.5 * widths) * fs).astype(np.int64) + 1)
+    keep = (amps != 0.0) & (hi > lo)
+    if not keep.any():
+        return np.zeros(t_len)
+    centers, amps, widths, lo, hi = (v[keep] for v in (centers, amps, widths, lo, hi))
+    idx = lo[:, None] + np.arange((hi - lo).max())
+    inside = idx < hi[:, None]
+    # amp * exp(-0.5 * ((t - center) / width) ** 2), in place on one buffer
+    z = idx / fs
+    z -= centers[:, None]
+    z /= widths[:, None]
+    np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= amps[:, None]
+    return np.bincount(idx[inside], weights=z[inside], minlength=t_len)
 
 
 def _record_rng(seed: int, index: int) -> np.random.Generator:
@@ -233,30 +250,37 @@ def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
         c += interval
         k += 1
 
-    waves = cfg.waves
-    sources = np.zeros((3, t_len))
-    for k, center in enumerate(centers):
-        drop_p = tpl.drop_p_every > 0 and k % tpl.drop_p_every == 0
-        wscale = tpl.qrs_width_scale * (2.2 if wide[k] else 1.0)
-        if not drop_p:
-            p = waves["P"]
-            _add_gaussian(sources[0], cfg.fs_hz, center + p.offset_s,
-                          gain * p.amplitude_mv * tpl.p_scale * p_factor, p.width_s)
-        for name in ("Q", "R", "S"):
-            w = waves[name]
-            _add_gaussian(sources[1], cfg.fs_hz, center + w.offset_s * wscale,
-                          gain * w.amplitude_mv * tpl.qrs_amp_scale, w.width_s * wscale)
-        t_wave = waves["T"]
-        _add_gaussian(sources[2], cfg.fs_hz, center + rt_s + tpl.t_shift_s,
-                      gain * t_wave.amplitude_mv * t_factor, t_wave.width_s * t_width_factor)
+    # one render per source row; within a row the beats keep their order,
+    # and a beat's Q, R and S stay adjacent
+    beats = np.asarray(centers)
+    p, t_wave = cfg.waves["P"], cfg.waves["T"]
+    qrs = [cfg.waves[name] for name in ("Q", "R", "S")]
+    has_p = (np.arange(beats.size) % tpl.drop_p_every != 0 if tpl.drop_p_every > 0
+             else np.ones(beats.size, dtype=bool))
+    wscale = tpl.qrs_width_scale * np.where(wide, 2.2, 1.0)[:, None]
+    sources = np.stack([
+        _render_waves(t_len, cfg.fs_hz, beats[has_p] + p.offset_s,
+                      gain * p.amplitude_mv * tpl.p_scale * p_factor, p.width_s),
+        _render_waves(t_len, cfg.fs_hz, beats[:, None] + np.array([w.offset_s for w in qrs]) * wscale,
+                      np.array([gain * w.amplitude_mv * tpl.qrs_amp_scale for w in qrs]),
+                      np.array([w.width_s for w in qrs]) * wscale),
+        _render_waves(t_len, cfg.fs_hz, beats + rt_s + tpl.t_shift_s,
+                      gain * t_wave.amplitude_mv * t_factor, t_wave.width_s * t_width_factor),
+    ])
 
     mix = np.asarray(cfg.lead_mix, dtype=np.float64)
     leads = mix @ sources
     if cfg.noise_amplitude > 0:
-        leads = leads + cfg.noise_amplitude * rng.standard_normal(leads.shape)
+        noise = rng.standard_normal(leads.shape)
+        noise *= cfg.noise_amplitude
+        leads += noise
 
+    # the record owns `leads`, so its tensor takes the array without a copy;
+    # only an extreme data.noise_amplitude can overflow it
+    if not np.isfinite(leads).all():
+        raise UsageError(f"record {index}: non-finite samples (data.noise_amplitude {cfg.noise_amplitude})")
     record = EcgRecord(
-        leads=Tensor(leads),
+        leads=_make(leads),
         sampling_rate_hz=cfg.fs_hz,
         record_id=f"rec{index:06d}",
     )

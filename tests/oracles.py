@@ -1,6 +1,11 @@
-"""Reference forwards that tests compare the library against."""
+"""Reference implementations that tests compare the library against."""
+
+import math
+
+import numpy as np
 
 from enecg import autodiff as ad
+from enecg.signal import LabelSet, _record_rng
 
 
 def frozen_layer_forward(layer, x):
@@ -16,3 +21,96 @@ def head_forward_frozen(head, features):
         if i + 1 < len(head.layers):
             h = ad.relu(h)
     return h
+
+
+def conv1d_einsum(x, kernels, stride):
+    """Valid cross-correlation of an array by einsum over strided windows."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernels.shape[-1], axis=-1)[..., ::stride, :]
+    return np.einsum("oiw,...itw->...ot", kernels, windows, optimize=True)
+
+
+def dft_magnitude_tables(x, bins):
+    """|DFT| of the first ``bins`` bins as products with cosine and sine tables."""
+    theta = 2.0 * np.pi * np.outer(np.arange(bins), np.arange(x.shape[-1])) / x.shape[-1]
+    return np.hypot(x @ np.cos(theta).T, -(x @ np.sin(theta).T))
+
+
+def patch_stats_composition(x, window, count=None):
+    """``patch_stats`` built from pooling and elementwise primitives."""
+    mean = ad.mean_pool(x, window, count=count)
+    ex2 = ad.mean_pool(ad.mul(x, x), window, count=count)
+    var = ad.relu(ad.sub(ex2, ad.mul(mean, mean)))
+    std = ad.sqrt(ad.add(var, 1e-12))
+    mx = ad.max_pool(x, window, count=count)
+    mn = ad.neg(ad.max_pool(ad.neg(x), window, count=count))
+    return ad.concat([mean, std, mx, mn], axis=-1)
+
+
+def add_gaussian(row, fs, center_s, amp, width_s):
+    """Add one Gaussian wave into ``row`` in place, cut to 4.5 widths."""
+    if amp == 0.0:
+        return
+    t_len = row.shape[0]
+    lo = max(0, int(math.floor((center_s - 4.5 * width_s) * fs)))
+    hi = min(t_len, int(math.ceil((center_s + 4.5 * width_s) * fs)) + 1)
+    if hi <= lo:
+        return
+    t = np.arange(lo, hi) / fs
+    row[lo:hi] += amp * np.exp(-0.5 * ((t - center_s) / width_s) ** 2)
+
+
+def synthesize_per_beat(cfg, index):
+    """``signal.synthesize`` rendered one wave at a time: (leads array, labels)."""
+    rng = _record_rng(cfg.seed, index)
+    t_len = int(round(cfg.duration_s * cfg.fs_hz))
+    cls = int(rng.integers(len(cfg.templates)))
+    tpl = cfg.templates[cls]
+    heart_rate = float(rng.uniform(*cfg.heart_rate_bpm)) * tpl.hr_scale
+    sex = int(rng.random() < cfg.sex_ratio)
+    potassium = int(rng.random() < cfg.potassium_rate)
+    rt_s = float(rng.uniform(*cfg.rt_range_s))
+    lo, hi = cfg.rt_range_s
+    age = 100.0 * (rt_s - lo) / (hi - lo) + float(rng.uniform(-cfg.age_noise_years, cfg.age_noise_years))
+    labels = LabelSet(60000.0 / heart_rate, float(np.clip(age, 0.0, 110.0)), sex, potassium, cls)
+    gain = float(np.exp(rng.normal(0.0, cfg.amp_jitter)))
+    p_factor = cfg.sex_p_factors[sex] * float(np.exp(rng.normal(0.0, cfg.p_amp_jitter)))
+    t_factor = tpl.t_amp_scale * (2.0 if potassium else 1.0) * float(np.exp(rng.normal(0.0, cfg.t_amp_jitter)))
+    t_width_factor = (0.5 if potassium else 1.0) * float(np.exp(rng.normal(0.0, cfg.t_width_jitter)))
+
+    rr_s = 60.0 / heart_rate
+    centers, wide = [], []
+    c = float(rng.uniform(0.1, 0.9)) * rr_s
+    k = 0
+    while c < cfg.duration_s + 0.5:
+        centers.append(c)
+        premature_next = tpl.premature_every > 0 and (k + 1) % tpl.premature_every == 0
+        wide.append(tpl.premature_every > 0 and k % tpl.premature_every == 0 and k > 0)
+        interval = rr_s * (1.0 + float(rng.uniform(-tpl.rr_jitter, tpl.rr_jitter)))
+        if premature_next:
+            interval *= 0.55
+        elif tpl.premature_every > 0 and k % tpl.premature_every == 0 and k > 0:
+            interval *= 1.45
+        c += interval
+        k += 1
+
+    waves = cfg.waves
+    sources = np.zeros((3, t_len))
+    for k, center in enumerate(centers):
+        drop_p = tpl.drop_p_every > 0 and k % tpl.drop_p_every == 0
+        wscale = tpl.qrs_width_scale * (2.2 if wide[k] else 1.0)
+        if not drop_p:
+            p = waves["P"]
+            add_gaussian(sources[0], cfg.fs_hz, center + p.offset_s,
+                         gain * p.amplitude_mv * tpl.p_scale * p_factor, p.width_s)
+        for name in ("Q", "R", "S"):
+            w = waves[name]
+            add_gaussian(sources[1], cfg.fs_hz, center + w.offset_s * wscale,
+                         gain * w.amplitude_mv * tpl.qrs_amp_scale, w.width_s * wscale)
+        t_wave = waves["T"]
+        add_gaussian(sources[2], cfg.fs_hz, center + rt_s + tpl.t_shift_s,
+                     gain * t_wave.amplitude_mv * t_factor, t_wave.width_s * t_width_factor)
+
+    leads = np.asarray(cfg.lead_mix, dtype=np.float64) @ sources
+    if cfg.noise_amplitude > 0:
+        leads = leads + cfg.noise_amplitude * rng.standard_normal(leads.shape)
+    return leads, labels

@@ -96,10 +96,12 @@ def test_criterion_1_gradient_suite():
         ("mean_pool", lambda t: ad.reduce_sum(ad.mean_pool(t, 2))),
         ("dft_magnitude", lambda t: ad.reduce_sum(ad.dft_magnitude(t, 3))),
     ]
+    stat_weights = Tensor(np.linspace(0.5, 2.0, 24).reshape(3, 8))   # no sample sums to ~0
     kinky = [("relu", lambda t: ad.reduce_sum(ad.relu(t))),
-             ("max_pool", lambda t: ad.reduce_sum(ad.max_pool(t, 2)))]
+             ("max_pool", lambda t: ad.reduce_sum(ad.max_pool(t, 2))),
+             ("patch_stats", lambda t: ad.reduce_sum(ad.mul(ad.patch_stats(t, 2), stat_weights)))]
     for name, build in primitives + kinky:
-        probe = away if name in ("relu", "max_pool") else x
+        probe = away if name in ("relu", "max_pool", "patch_stats") else x
         probe.requires_grad = True
         probe.zero_grad()
         with Tape() as tape:

@@ -11,6 +11,7 @@ from enecg import autodiff as ad
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import DimensionError, UsageError
 from enecg.optim import finite_diff_grad
+from oracles import conv1d_einsum, dft_magnitude_tables, patch_stats_composition
 
 
 def grad_of(build, x, h=1e-5):
@@ -186,6 +187,19 @@ def test_conv1d_batched_matches_per_sample():
         assert_close(batched[i], single, rtol=1e-12)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_conv1d_gemm_forward_matches_einsum_oracle(lead, stride):
+    rng = np.random.default_rng(stride)
+    for t_len, width in ((40, 5), (23, 8), (8, 8)):
+        x = rng.normal(size=lead + (4, t_len))
+        k = rng.normal(size=(3, 4, width))
+        got = ad.conv1d(Tensor(x), Tensor(k), stride=stride).data
+        want = conv1d_einsum(x, k, stride)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_relu_values():
     assert_close(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
@@ -214,6 +228,17 @@ def test_dft_magnitude_matches_naive_dft():
             re = sum(x[c, i] * np.cos(2 * np.pi * b * i / 32) for i in t)
             im = -sum(x[c, i] * np.sin(2 * np.pi * b * i / 32) for i in t)
             assert abs(got[c, b] - np.hypot(re, im)) < 1e-9
+
+
+@pytest.mark.parametrize("t_len,bins", [(32, 10), (32, 17), (32, 18), (33, 17), (33, 18),
+                                        (64, 64), (7, 7), (512, 64)])
+def test_dft_magnitude_fft_forward_matches_table_oracle(t_len, bins):
+    # bins > T//2 + 1 takes the full FFT; an odd T has no Nyquist bin
+    x = np.random.default_rng(t_len + bins).normal(size=(2, 3, t_len))
+    got = ad.dft_magnitude(Tensor(x), bins).data
+    want = dft_magnitude_tables(x, bins)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_dft_magnitude_concentrates_sinusoid_energy():
@@ -303,6 +328,66 @@ def test_pool_gradients_with_remainder_match_finite_differences(shape):
         assert_close(analytic, numeric)
         # 5 windows of 4 use 20 of the 23 samples; the rest get no gradient
         assert np.all(analytic[..., 20:] == 0.0)
+
+
+def patch_stats_cases():
+    """(x, window, count): a remainder, an explicit count below T // window,
+    ties at the max and min, a constant window (zero variance) and a
+    near-constant one whose variance rounds below zero."""
+    rng = np.random.default_rng(8)
+    yield rng.normal(size=(2, 3, 23)), 4, None
+    yield rng.normal(size=(17,)), 3, 4
+    tied = rng.normal(size=(3, 20))
+    tied[:, 0:2] = tied[:, 2:4].max() + 1.0     # a max tie in window 0
+    tied[:, 5:7] = tied[:, 4:8].min() - 1.0     # a min tie in window 1
+    tied[:, 8:12] = 0.5                         # a constant window
+    yield tied, 4, None
+    near = 0.3 + 1e-9 * rng.normal(size=(8, 40))
+    view = near.reshape(8, 10, 4)
+    mean = view @ np.ones(4) / 4
+    assert (np.square(view) @ np.ones(4) / 4 - mean * mean < 0).any()
+    yield near, 4, None
+
+
+def patch_stats_grads(build, x, weights):
+    x = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = build(x)
+        backward(ad.reduce_sum(ad.mul(out, weights)), tape)
+    return out.data, x.grad
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_patch_stats_equals_its_composition(case):
+    x, window, count = list(patch_stats_cases())[case]
+    weights = Tensor(np.random.default_rng(case).normal(size=ad.patch_stats(Tensor(x), window, count).shape))
+    out, grad = patch_stats_grads(lambda t: ad.patch_stats(t, window, count), x, weights)
+    want_out, want_grad = patch_stats_grads(lambda t: patch_stats_composition(t, window, count), x, weights)
+    assert np.array_equal(out, want_out)
+    assert np.abs(grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
+
+
+def test_patch_stats_gradients_match_finite_differences():
+    rng = np.random.default_rng(9)
+    for shape, window, count in (((2, 23), 4, None), ((3, 17), 3, 4)):
+        # spread samples apart so no window max or min is near a tie
+        x = Tensor(rng.permutation(np.prod(shape)).reshape(shape) * 0.1 + rng.normal(size=shape) * 0.01)
+        weights = Tensor(rng.normal(size=ad.patch_stats(x, window, count).shape))
+        analytic, numeric = grad_of(lambda t: ad.reduce_sum(ad.mul(ad.patch_stats(t, window, count), weights)), x)
+        assert_close(analytic, numeric)
+        used = window * (count or shape[-1] // window)
+        assert np.all(analytic[..., used:] == 0.0)
+
+
+def test_patch_stats_routes_ties_like_max_pool():
+    # window 0 ties its max; window 1 is constant, so its max and min are
+    # both its first sample
+    x = Tensor([[2.0, 2.0, 1.0, 3.0, 3.0, 3.0]], requires_grad=True)
+    with Tape() as tape:
+        stats = ad.patch_stats(x, 3)
+        assert_close(stats.data[:, 4:], [[2.0, 3.0, 1.0, 3.0]])
+        backward(ad.reduce_sum(ad.mul(stats, Tensor([[0, 0, 0, 0, 1, 1, 1, 1]]))), tape)
+    assert_close(x.grad, [[1.0, 0.0, 1.0, 2.0, 0.0, 0.0]])
 
 
 def test_elementwise_and_reduction_gradients():

@@ -66,6 +66,44 @@ def test_train_then_eval_emits_full_metrics_report(cfg_path, tmp_path):
     assert os.path.exists(os.path.join(out, "metrics.csv"))
 
 
+def test_eval_synthesizes_only_the_test_rows(tmp_path, monkeypatch):
+    import enecg.cli
+    import enecg.signal
+    from enecg import pipeline as pl
+    from enecg import tasks as tk
+    from enecg.config import load_config
+
+    path = tmp_path / "eighty.cfg"
+    path.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 80"))
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", str(path), "--out", out]) == 0
+    cfg, _ = load_config(str(path))
+    test_idx = pl.split_indices(cfg.n_records, cfg.split, cfg.seed)[2]
+    experts = pl.build_experts(cfg)
+    trained = pl.TrainedModel(cfg=cfg, experts=experts, tasks={
+        name: pl.load_task_model(os.path.join(out, "checkpoints", f"{name}.ckpt")) for name in cfg.tasks})
+    want = pl.evaluate(trained, pl.prepare_dataset(cfg, experts, seed=cfg.seed), test_idx)
+
+    calls = []
+    synthesize = enecg.signal.synthesize
+
+    def counted(gen, index):
+        calls.append(index)
+        return synthesize(gen, index)
+
+    monkeypatch.setattr(enecg.signal, "synthesize", counted)
+    monkeypatch.setattr(enecg.cli, "synthesize", counted)
+    assert run(["eval", "--config", str(path), "--out", out]) == 0
+    assert sorted(calls) == sorted(test_idx.tolist())
+    doc = json.loads(open(os.path.join(out, "metrics.json")).read())
+    for entry in doc["tasks"]:
+        name, got = entry["task"], entry["mean"]
+        if tk.task_by_name(name).kind == "regression":
+            assert abs(got - want[name]) <= 1e-12 * abs(want[name])
+        else:
+            assert got == want[name]
+
+
 def test_eval_without_checkpoints_is_usage_error(cfg_path, tmp_path):
     out = str(tmp_path / "empty")
     assert run(["eval", "--config", cfg_path, "--out", out]) == EXIT_CODES["usage"]
@@ -234,9 +272,10 @@ def test_train_splits_before_it_prepares(tmp_path, capsys, monkeypatch):
     import enecg.pipeline
 
     def prepare_dataset(*args, **kwargs):
-        raise AssertionError("prepare_dataset called before the split was checked")
+        raise AssertionError("records prepared before the split was checked")
 
-    monkeypatch.setattr(enecg.cli, "prepare_dataset", prepare_dataset)
+    monkeypatch.setattr(enecg.cli, "_prepare_records", prepare_dataset)
+    monkeypatch.setattr(enecg.pipeline, "_prepare_records", prepare_dataset)
     monkeypatch.setattr(enecg.pipeline, "prepare_dataset", prepare_dataset)
     tiny = tmp_path / "tiny.cfg"
     tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))

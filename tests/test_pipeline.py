@@ -22,7 +22,7 @@ from enecg.pipeline import (
     prepare_dataset, split_indices, train,
 )
 from enecg.saliency import ensemble_scalar_model
-from enecg.signal import GeneratorConfig, generate
+from enecg.signal import GeneratorConfig, generate, synthesize
 from oracles import head_forward_frozen
 
 
@@ -45,6 +45,22 @@ def tiny_setup():
     experts = build_experts(cfg)
     prepared = prepare_dataset(cfg, experts, seed=cfg.seed)
     return cfg, experts, prepared
+
+
+def test_prepared_features_do_not_depend_on_block_neighbours():
+    # default experts and records; blocks of records 0.. against blocks of
+    # records 5.. and a record prepared alone
+    cfg = ExperimentConfig(seed=5, n_records=pipeline.PREP_BLOCK + 6)
+    experts = build_experts(cfg)
+    whole = prepare_dataset(cfg, experts, seed=cfg.seed)
+    gen = replace(cfg.data, seed=cfg.seed)
+    last = cfg.n_records - 1
+    for rows in (np.arange(5, cfg.n_records), np.array([last])):
+        part = pipeline._prepare_records(cfg, experts, (synthesize(gen, int(i)) for i in rows))
+        for got, want in zip(part.features + [part.gate_inputs], whole.features + [whole.gate_inputs]):
+            assert np.abs(got - want[rows]).max() <= 1e-12 * np.abs(want).max()
+        for name, labels in part.labels.items():
+            assert np.array_equal(labels, whole.labels[name][rows])
 
 
 def test_split_sizes_70_20_10():

@@ -8,6 +8,7 @@ from enecg.signal import (
     DEFAULT_TEMPLATES, EcgRecord, GeneratorConfig, LabelSet, Tensor,
     downsample, generate, iter_records, load_records, save_records, synthesize,
 )
+from oracles import synthesize_per_beat
 
 
 def small_cfg(**kw):
@@ -79,6 +80,21 @@ def test_synthesize_builds_one_record_of_the_dataset():
     assert record.record_id == want_record.record_id
     assert np.array_equal(record.leads.data, want_record.leads.data)
     assert labels == want_labels
+
+
+def test_synthesize_matches_the_per_beat_oracle():
+    # 80 records of seed 3 draw all 15 templates; potassium at rate 0.5
+    # also renders the peaked, narrow T wave
+    cfg = GeneratorConfig(seed=3, potassium_rate=0.5)
+    seen = set()
+    for index in range(80):
+        record, labels = synthesize(cfg, index)
+        leads, want = synthesize_per_beat(cfg, index)
+        assert labels == want
+        assert np.abs(record.leads.data - leads).max() <= 1e-12
+        seen.add((labels.arrhythmia_class, labels.potassium_abnormal))
+    assert {cls for cls, _ in seen} == set(range(len(DEFAULT_TEMPLATES)))
+    assert {k for _, k in seen} == {0, 1}
 
 
 def test_age_tracks_r_to_t_interval():
@@ -174,6 +190,12 @@ def test_config_validation():
         GeneratorConfig(heart_rate_bpm=(0.0, 60.0)).validate()
     with pytest.raises(UsageError):
         GeneratorConfig(potassium_rate=1.5).validate()
+
+
+@pytest.mark.parametrize("amplitude", [float("inf"), 1e308])
+def test_non_finite_record_is_usage_error(amplitude):
+    with np.errstate(over="ignore"), pytest.raises(UsageError, match="non-finite"):
+        synthesize(small_cfg(noise_amplitude=amplitude), 0)
 
 
 def test_label_set_validation():
