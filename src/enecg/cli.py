@@ -22,7 +22,7 @@ from . import tasks as tk
 from .config import echo_config, load_config
 from .errors import (
     ConfigError, DimensionError, InvariantError, NonFiniteLossError,
-    NotApplicableError, ParseError, UsageError,
+    NotApplicableError, ParseError, UsageError, read_lines,
 )
 from .pipeline import (
     TaskResult, TrainedModel, _prepare_records, bench, build_experts, compare_strategies,
@@ -76,8 +76,13 @@ class _Out:
         return p
 
     def finish(self) -> None:
-        with open(os.path.join(self.root, "manifest.txt"), "w") as fh:
-            for name in self.files:
+        """Write manifest.txt: the files earlier commands listed there, then
+        this command's, each once, so a directory that train, eval and
+        saliency share lists all their outputs."""
+        path = os.path.join(self.root, "manifest.txt")
+        listed = read_lines(path) if os.path.exists(path) else []
+        with open(path, "w") as fh:
+            for name in dict.fromkeys(listed + self.files):
                 fh.write(name + "\n")
 
 

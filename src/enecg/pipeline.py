@@ -3,9 +3,9 @@
 The forward path per task is: per-expert downsample -> frozen expert ->
 LoRA head -> logit stack -> gate weights from a pooled lead subset ->
 weighted sum -> task loss. Experts are frozen, so their features are
-precomputed once per dataset, standardized once per fit, and training
-only runs heads and gate on batched feature tensors; that keeps the whole
-suite at desk scale. A task model's expert heads are stacked, so each head
+precomputed once per dataset, standardized once per ``train`` call, and
+training only runs heads and gate on batched feature tensors; that keeps
+the whole suite at desk scale. A task model's expert heads are stacked, so each head
 layer is one ``lora_linear`` node over all experts of a feature width.
 
 Optimization touches exactly the LoRA factors and biases of heads and
@@ -218,8 +218,8 @@ class TaskModel:
     task: tk.TaskSpec
     stack: HeadStack                    # one head per expert, stacked by shape
     gate: GatingNetwork
-    # (mean, std) of each expert's features and of the gate input, fitted on the train
-    # split; z-scored features keep the frozen random projections usable
+    # (mean, std) of each expert's features and of the gate input, fitted once per train()
+    # and shared by its task models; z-scored features keep the frozen projections usable
     feature_stats: list[tuple[np.ndarray, np.ndarray]]
     gate_stats: tuple[np.ndarray, np.ndarray]
     target_mean: float = 0.0
@@ -256,11 +256,6 @@ class TaskModel:
         y = prepared.labels[self.task.name]
         return self.normalize(y) if self.task.kind == "regression" else y
 
-    def fit_input_stats(self, prepared: "PreparedDataset", train_idx: np.ndarray) -> None:
-        rows = [f[train_idx] for f in prepared.features] + [prepared.gate_inputs[train_idx]]
-        stats = [(x.mean(axis=0), x.std(axis=0) + 1e-12) for x in rows]
-        self.feature_stats, self.gate_stats = stats[:-1], stats[-1]
-
 
 @dataclass
 class EnsembleOutput:
@@ -283,7 +278,7 @@ def build_task_model(cfg: ExperimentConfig, experts: list[ExpertModel],
                       pooled_len=cfg.gate_pooled_len, hidden_dim=cfg.gate_hidden,
                       rank=cfg.head_rank, per_coordinate=cfg.per_coordinate_weights,
                       train_bias=cfg.train_bias)
-    identity = [(np.zeros(h.in_dim), np.ones(h.in_dim)) for h in heads + [gate]]  # until _fit
+    identity = [(np.zeros(h.in_dim), np.ones(h.in_dim)) for h in heads + [gate]]  # until train
     return TaskModel(task=task, stack=stack_heads(heads), gate=gate,
                      feature_stats=identity[:-1], gate_stats=identity[-1])
 
@@ -314,24 +309,26 @@ def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor):
     return stacked, weights, combined
 
 
-def _forward_features(model: TaskModel, features: list[Tensor], gate_in: Tensor):
-    """``_forward_grouped`` from per-expert (B,k) features."""
-    return _forward_grouped(model, model.stack.group_inputs(features), gate_in)
+def fit_input_stats(prepared: PreparedDataset, train_idx: np.ndarray
+                    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray]]:
+    """(mean, std) of each expert's features and of the gate input over the
+    train rows: (feature_stats, gate_stats) for every task model of a run."""
+    rows = [f[train_idx] for f in prepared.features] + [prepared.gate_inputs[train_idx]]
+    stats = [(x.mean(axis=0), x.std(axis=0) + 1e-12) for x in rows]
+    return stats[:-1], stats[-1]
 
 
-def _model_inputs(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray):
-    """Standardized feature and gate-input tensors for the given rows."""
+def _inputs(model: TaskModel, prepared: PreparedDataset,
+            idx: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """The given rows (default all) standardized with the model's statistics:
+    features stacked per head group (n,B,k), in ``stack.members`` order,
+    and the gate input (B,w)."""
     _check_roster(model, len(prepared.features))
-    feats = [(f[idx] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
+    rows = slice(None) if idx is None else idx
+    feats = [(f[rows] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
     gm, gs = model.gate_stats
-    return [Tensor(f) for f in feats], Tensor((prepared.gate_inputs[idx] - gm) / gs)
-
-
-def _grouped_inputs(model: TaskModel, prepared: PreparedDataset) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every row's standardized features, stacked per head group, and gate
-    input: standardized once, then indexed by each step's rows."""
-    feats, gate_in = _model_inputs(model, prepared, np.arange(prepared.n))
-    return [x.data for x in model.stack.group_inputs(feats)], gate_in.data
+    return ([np.stack([feats[i] for i in members]) for members in model.stack.members],
+            (prepared.gate_inputs[rows] - gm) / gs)
 
 
 def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple[list[Tensor], Tensor]:
@@ -350,20 +347,16 @@ def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable
                 for f, (mean, std) in zip(features, model.feature_stats)]
     gm, gs = model.gate_stats
     gate_in = ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
-    return _forward_features(model, features, gate_in)
-
-
-def _raw_forward(model: TaskModel, experts: list[ExpertModel], block: Tensor):
-    """``_views_forward`` of a raw (B,C,T) record block."""
-    return _views_forward(model, experts, _views(experts, block, model.gate.lead_indices,
-                                                 model.gate.pooled_len))
+    return _forward_grouped(model, model.stack.group_inputs(features), gate_in)
 
 
 def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: TaskModel) -> list[EnsembleOutput]:
     """Full forward from raw records; one EnsembleOutput per input, in order."""
     if not batch:
         return []
-    stacked, weights, combined = _raw_forward(model, experts, ad.stack([r.leads for r in batch]))
+    views = _views(experts, ad.stack([r.leads for r in batch]), model.gate.lead_indices,
+                   model.gate.pooled_len)
+    stacked, weights, combined = _views_forward(model, experts, views)
     return [EnsembleOutput(*row) for row in zip(stacked.data, weights.data, combined.data)]
 
 
@@ -388,8 +381,8 @@ def _frozen_checksums(experts: list[ExpertModel], models: dict[str, TaskModel]) 
 
 
 def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -> np.ndarray:
-    feats, gate_in = _model_inputs(model, prepared, idx)
-    _, _, combined = _forward_features(model, feats, gate_in)
+    feats, gate_in = _inputs(model, prepared, idx)
+    _, _, combined = _forward_grouped(model, [Tensor(x) for x in feats], Tensor(gate_in))
     return combined.data
 
 
@@ -403,7 +396,7 @@ def _metric(model: TaskModel, logits: np.ndarray, labels: np.ndarray) -> float:
 def _train_step(models: list[TaskModel], inputs: list, targets: list[np.ndarray],
                 batch: np.ndarray, opt: Adam, where: str = "") -> tuple[list[float], Tape]:
     """One Adam step on the summed task losses of ``models`` over ``batch``,
-    reading each model's ``_grouped_inputs``; returns each task's loss and
+    reading each model's ``_inputs``; returns each task's loss and
     the tape of the step."""
     rows = [_rows(x, batch) for x in inputs]
     opt.zero_grad()
@@ -423,22 +416,22 @@ def _train_step(models: list[TaskModel], inputs: list, targets: list[np.ndarray]
 
 
 def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDataset,
-         train_idx: np.ndarray, val_idx: np.ndarray, rng: np.random.Generator
+         inputs: tuple[list[np.ndarray], np.ndarray], train_idx: np.ndarray,
+         val_idx: np.ndarray, rng: np.random.Generator
          ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
     """Adam over the LoRA factors and biases of ``models`` on their summed
-    task losses; each model keeps the parameters of its best validation epoch.
+    task losses, reading the run's ``_inputs``; each model keeps the
+    parameters of its best validation epoch.
 
     Parameters are disjoint per task, so training all tasks in one call
     matches training each alone up to batch order. Returns (validation
     metric per epoch, mean training loss per epoch), keyed by task."""
     for model in models:
-        model.fit_input_stats(prepared, train_idx)
         y = prepared.labels[model.task.name][train_idx]
         if model.task.kind == "regression" and cfg.normalize_targets:
             model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
         if model.task.kind == "binary" and cfg.class_weighted_bce:
             model.pos_weight, model.neg_weight = tk.class_weights(y)
-    inputs = [_grouped_inputs(model, prepared) for model in models]
     targets = [model.targets(prepared) for model in models]
     params = [model.trainable() for model in models]
     opt = Adam([p for group in params for p in group], lr=cfg.learning_rate)
@@ -450,13 +443,15 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
         starts = range(0, order.size, cfg.batch_size)
         sums = [0.0] * len(models)
         for start in starts:
-            values, _ = _train_step(models, inputs, targets, order[start:start + cfg.batch_size],
-                                    opt, where=f"at epoch {epoch}, batch starting {start}")
+            values, _ = _train_step(models, [inputs] * len(models), targets,
+                                    order[start:start + cfg.batch_size], opt,
+                                    where=f"at epoch {epoch}, batch starting {start}")
             sums = [acc + value for acc, value in zip(sums, values)]
+        val_rows = _rows(inputs, val_idx)
         for i, model in enumerate(models):
             task = model.task
             losses[task.name].append(sums[i] / max(len(starts), 1))
-            _, _, combined = _forward_grouped(model, *_rows(inputs[i], val_idx))
+            _, _, combined = _forward_grouped(model, *val_rows)
             score = _metric(model, combined.data, prepared.labels[task.name][val_idx])
             scores = history[task.name]
             # strict improvement on the running best: the first best epoch wins ties
@@ -484,11 +479,16 @@ def train(cfg: ExperimentConfig, seed: int | None = None,
         prepared = prepare_dataset(cfg, experts, seed=seed)
     models = {name: build_task_model(cfg, experts, tk.task_by_name(name), seed)
               for name in cfg.tasks}
+    # one set of statistics, and one standardized copy of the rows, per run
+    stats = fit_input_stats(prepared, train_idx)
+    for model in models.values():
+        model.feature_stats, model.gate_stats = stats
+    inputs = _inputs(models[cfg.tasks[0]], prepared) if models else None
     before = _frozen_checksums(experts, models)
     trained = TrainedModel(cfg=cfg, experts=experts, tasks=models)
     for group in [list(models.values())] if cfg.joint else [[m] for m in models.values()]:
         entropy = (seed, 0x701) if cfg.joint else (seed, 0x7E, _task_id(group[0].task))
-        history, losses = _fit(cfg, group, prepared, train_idx, val_idx,
+        history, losses = _fit(cfg, group, prepared, inputs, train_idx, val_idx,
                                np.random.default_rng(np.random.SeedSequence(entropy)))
         trained.history.update(history)
         trained.train_loss.update(losses)
@@ -601,7 +601,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     throughput = idx.size / _fastest_pass(score, passes)
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
-    inputs = [_grouped_inputs(model, prepared) for model in models]
+    inputs = [_inputs(model, prepared) for model in models]
     targets = [model.targets(prepared) for model in models]
     # lr 0: timed steps leave the models unchanged
     probe = Adam([p for model in models for p in model.trainable()], lr=0.0)

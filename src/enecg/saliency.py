@@ -189,26 +189,34 @@ def export_saliency(smap: SaliencyMap, csv_path, json_path=None) -> None:
 
 
 def load_saliency_csv(csv_path) -> np.ndarray:
+    """The (C,T) attributions of an ``export_saliency`` CSV. Every
+    (lead, sample_index) cell of the grid its largest indices span must
+    appear exactly once: a repeated or missing row is a ParseError."""
     lines = read_lines(csv_path)
     if not lines or lines[0] != "lead,sample_index,attribution":
         raise ParseError(f"{csv_path}:1: not a saliency CSV")
-    rows = []
+    cells: dict[tuple[int, int], float] = {}
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"{csv_path}:{i}: expected 3 fields")
         try:
-            row = (int(parts[0]), int(parts[1]), float(parts[2]))
+            lead, idx, val = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as e:
             raise ParseError(f"{csv_path}:{i}: {e}") from e
-        if row[0] < 0 or row[1] < 0:
+        if lead < 0 or idx < 0:
             raise ParseError(f"{csv_path}:{i}: negative lead or sample index")
-        rows.append(row)
-    if not rows:
+        if (lead, idx) in cells:
+            raise ParseError(f"{csv_path}:{i}: repeated row for lead {lead}, sample_index {idx}")
+        cells[lead, idx] = val
+    if not cells:
         raise ParseError(f"{csv_path}: no attribution rows after the header")
-    n_leads = max(r[0] for r in rows) + 1
-    n_samples = max(r[1] for r in rows) + 1
+    n_leads = max(lead for lead, _ in cells) + 1
+    n_samples = max(idx for _, idx in cells) + 1
+    if len(cells) != n_leads * n_samples:
+        raise ParseError(f"{csv_path}: {n_leads} leads x {n_samples} samples need "
+                         f"{n_leads * n_samples} rows, found {len(cells)}")
     out = np.zeros((n_leads, n_samples))
-    for lead, idx, val in rows:
+    for (lead, idx), val in cells.items():
         out[lead, idx] = val
     return out

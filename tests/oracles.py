@@ -23,6 +23,15 @@ def head_forward_frozen(head, features):
     return h
 
 
+def expert_features(stack, groups):
+    """Per-expert (B,k) feature Tensors, in roster order, from the (n,B,k)
+    per-group arrays of a ``HeadStack``'s ``members``."""
+    rows = {}
+    for members, x in zip(stack.members, groups):
+        rows.update(zip(members, x))
+    return [ad.Tensor(rows[i]) for i in range(len(rows))]
+
+
 def conv1d_einsum(x, kernels, stride):
     """Valid cross-correlation of an array by einsum over strided windows."""
     windows = np.lib.stride_tricks.sliding_window_view(x, kernels.shape[-1], axis=-1)[..., ::stride, :]

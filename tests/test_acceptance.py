@@ -21,14 +21,14 @@ from enecg.cli import run as cli_run
 from enecg.gating import build_gate, ensemble_combine, gate_forward
 from enecg.optim import finite_diff_grad
 from enecg.pipeline import (
-    ExperimentConfig, ExpertSpec, _forward_features, _model_inputs, _single_view,
+    ExperimentConfig, ExpertSpec, _forward_grouped, _inputs, _single_view,
     _task_logits, bench, build_experts, build_task_model, compare_strategies,
-    evaluate, load_task_model, prepare_dataset, run_suite, save_task_model,
-    split_indices, train,
+    evaluate, fit_input_stats, load_task_model, prepare_dataset, run_suite,
+    save_task_model, split_indices, train,
 )
 from enecg.saliency import ensemble_scalar_model, integrated_gradients
 from enecg.signal import GeneratorConfig, generate, load_records, save_records
-from oracles import head_forward_frozen
+from oracles import expert_features, head_forward_frozen
 
 SUITE_CFG = ExperimentConfig(seed=1, n_records=10000, epochs=30, repeats=3)
 
@@ -121,12 +121,12 @@ def test_criterion_1_gradient_suite():
     worst_e2e = 0.0
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=7)
-        model.fit_input_stats(prepared, np.arange(prepared.n))
+        model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
         y = prepared.labels[name][idx]
 
         def loss_fn():
-            feats, gate_in = _model_inputs(model, prepared, idx)
-            _, _, combined = _forward_features(model, feats, gate_in)
+            feats, gate_in = _inputs(model, prepared, idx)
+            _, _, combined = _forward_grouped(model, [Tensor(x) for x in feats], Tensor(gate_in))
             return tk.task_loss(model.task, combined, y)
 
         with Tape() as tape:
@@ -156,7 +156,7 @@ def test_criterion_2_lora_identity_and_frozen_contract(suite):
     worst = 0.0
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=9)
-        feats, gate_in = _model_inputs(model, prepared, idx)
+        feats = expert_features(model.stack, _inputs(model, prepared, idx)[0])
         for head, f in zip(model.heads, feats):
             delta = np.abs(head_forward(head, f).data - head_forward_frozen(head, f).data)
             worst = max(worst, float(delta.max()))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from enecg import tasks as tk
 from enecg.adapters import LoraLinear, build_head, head_checksum, head_forward, trainable_params
-from enecg.autodiff import Tensor, Tape, backward, reduce_sum
+from enecg.autodiff import Tensor, Tape, backward, mul, reduce_sum, sub
 from enecg.errors import DimensionError, ParseError, UsageError
 from enecg.gating import build_gate
 from enecg.optim import Adam, finite_diff_grad
@@ -114,8 +114,8 @@ def test_head_gradients_match_finite_differences():
     target = Tensor(rng.normal(size=(3, 2)))
 
     def loss_fn():
-        d = head_forward(head, x) - target
-        return reduce_sum(d * d)
+        d = sub(head_forward(head, x), target)
+        return reduce_sum(mul(d, d))
 
     params = trainable_params(head)
     with Tape() as tape:
@@ -139,8 +139,8 @@ def test_w0_checksum_stable_across_training():
     for _ in range(20):
         opt.zero_grad()
         with Tape() as tape:
-            d = head_forward(head, x) - y
-            backward(reduce_sum(d * d), tape)
+            d = sub(head_forward(head, x), y)
+            backward(reduce_sum(mul(d, d)), tape)
         opt.step()
     assert head_checksum(head) == before
 

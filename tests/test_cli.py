@@ -64,6 +64,9 @@ def test_train_then_eval_emits_full_metrics_report(cfg_path, tmp_path):
     for key in ("params_trainable", "params_total", "throughput_sps", "wallclock_s"):
         assert key in doc
     assert os.path.exists(os.path.join(out, "metrics.csv"))
+    manifest = open(os.path.join(out, "manifest.txt")).read().splitlines()
+    assert {"checkpoints/rr.ckpt", "metrics.json", "metrics.csv"} <= set(manifest)
+    assert len(manifest) == len(set(manifest))
 
 
 def test_eval_synthesizes_only_the_test_rows(tmp_path, monkeypatch):
@@ -180,6 +183,18 @@ def test_roster_mismatch_exits_with_usage(cfg_path, tmp_path, capsys):
     assert run(["eval", "--config", str(wider), "--out", out]) == EXIT_CODES["usage"]
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["message"] == "3 experts but 2 heads"
+
+
+def test_diverging_training_exits_with_nonfinite(tmp_path, capsys):
+    path = tmp_path / "diverge.cfg"
+    path.write_text(SMALL_CFG.replace("batch_size = 16", "batch_size = 16\nlearning_rate = 1e200"))
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", str(path), "--out", out]) == EXIT_CODES["nonfinite"] == 7
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "NonFiniteLossError"
+    assert record["message"].startswith("task rr: non-finite loss at epoch 0")
 
 
 @pytest.mark.parametrize("old,new", [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from enecg.autodiff import Tensor, Tape, backward, mul, reduce_sum
+from enecg.autodiff import Tensor, Tape, backward, mul, reduce_sum, sub
 from enecg.errors import UsageError
 from enecg.optim import Adam, finite_diff_grad
 
@@ -34,7 +34,7 @@ def test_converges_on_convex_quadratic():
     for _ in range(500):
         w.zero_grad()
         with Tape() as tape:
-            d = w - Tensor(target)
+            d = sub(w, Tensor(target))
             loss = reduce_sum(mul(d, d))
             backward(loss, tape)
         opt.step()

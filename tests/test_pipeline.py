@@ -17,13 +17,14 @@ from enecg.experts import ExpertModel
 from enecg.optim import Adam, finite_diff_grad
 from enecg.pipeline import (
     ExperimentConfig, ExpertSpec,
-    PreparedDataset, _forward_features, _model_inputs, _task_logits, bench,
-    build_experts, build_task_model, evaluate, forward_enecg, parameter_counts,
-    prepare_dataset, split_indices, train,
+    PreparedDataset, _forward_grouped, _inputs, _task_logits, bench,
+    build_experts, build_task_model, evaluate, fit_input_stats, forward_enecg,
+    load_task_model, parameter_counts, prepare_dataset, save_task_model, split_indices,
+    train,
 )
 from enecg.saliency import ensemble_scalar_model
 from enecg.signal import GeneratorConfig, generate, synthesize
-from oracles import head_forward_frozen
+from oracles import expert_features, head_forward_frozen
 
 
 def tiny_cfg(**kw):
@@ -141,7 +142,7 @@ def test_forward_matches_hand_calculation():
 
     feats = [Tensor(rng.normal(size=(1, 4))) for _ in range(2)]
     gate_in = Tensor(rng.normal(size=(1, 10)))
-    stacked, weights, combined = _forward_features(model, feats, gate_in)
+    stacked, weights, combined = _forward_grouped(model, model.stack.group_inputs(feats), gate_in)
 
     def manual_layer(layer, x):
         return (layer.w0.data + layer.lora_b.data @ layer.lora_a.data) @ x + layer.bias.data
@@ -176,7 +177,7 @@ def test_zero_epochs_keeps_frozen_identity(tiny_setup):
     trained = train(cfg0, seed=cfg0.seed, prepared=prepared, experts=experts)
     model = trained.tasks["rr"]
     idx = np.arange(10)
-    feats, gate_in = _model_inputs(model, prepared, idx)
+    feats = expert_features(model.stack, _inputs(model, prepared, idx)[0])
     # with b=0 the adapted forward equals the frozen forward bit-for-bit
     adapted = _task_logits(model, prepared, idx)
     for head, f in zip(model.heads, feats):
@@ -230,6 +231,33 @@ def test_joint_mode_restores_best_epoch_and_records_losses(tiny_setup):
         assert scores[name] == best, name
 
 
+def test_train_fits_one_set_of_input_statistics(tiny_setup, tmp_path, monkeypatch):
+    cfg, experts, prepared = tiny_setup
+    calls = []
+    fit = pipeline.fit_input_stats
+    monkeypatch.setattr(pipeline, "fit_input_stats", lambda *a: calls.append(a) or fit(*a))
+    trained = train(tiny_cfg(epochs=1), seed=3, prepared=prepared, experts=experts)
+    assert len(calls) == 1
+    tr, _, _ = split_indices(prepared.n, cfg.split, 3)
+    rows = [f[tr] for f in prepared.features] + [prepared.gate_inputs[tr]]
+    want = [(x.mean(axis=0), x.std(axis=0) + 1e-12) for x in rows]
+    first = trained.tasks[cfg.tasks[0]]
+    for name, model in trained.tasks.items():
+        stats = model.feature_stats + [model.gate_stats]
+        assert len(stats) == len(want)
+        for (mean, std), (want_mean, want_std) in zip(stats, want):
+            np.testing.assert_array_equal(mean, want_mean)
+            np.testing.assert_array_equal(std, want_std)
+        for (mean, std), (first_mean, first_std) in zip(stats, first.feature_stats + [first.gate_stats]):
+            assert mean is first_mean and std is first_std, name
+        path = tmp_path / f"{name}.ckpt"
+        save_task_model(model, path)
+        back = load_task_model(path)
+        for (mean, std), (back_mean, back_std) in zip(stats, back.feature_stats + [back.gate_stats]):
+            np.testing.assert_array_equal(mean, back_mean)
+            np.testing.assert_array_equal(std, back_std)
+
+
 def test_roster_mismatch_is_rejected_on_every_path(tiny_setup):
     cfg, experts, prepared = tiny_setup
     two = tiny_cfg(experts=cfg.experts[:2], epochs=1, tasks=("rr",))
@@ -273,13 +301,13 @@ def test_end_to_end_gradients_match_finite_differences(tiny_setup):
     cfg, experts, prepared = tiny_setup
     for task_name in ("rr", "arrhythmia"):
         model = build_task_model(cfg, experts, tk.TASKS[task_name], seed=3)
-        model.fit_input_stats(prepared, np.arange(prepared.n))
+        model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
         idx = np.array([0, 1])
         y = prepared.labels[task_name][idx]
 
         def loss_fn():
-            feats, gate_in = _model_inputs(model, prepared, idx)
-            _, _, combined = _forward_features(model, feats, gate_in)
+            feats, gate_in = _inputs(model, prepared, idx)
+            _, _, combined = _forward_grouped(model, [Tensor(x) for x in feats], Tensor(gate_in))
             return tk.task_loss(model.task, combined, y)
 
         params = model.trainable()
@@ -479,8 +507,8 @@ def test_single_task_moe_step_records_at_most_20_nodes():
     prepared = prepare_dataset(cfg, experts, seed=0)
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
-        model.fit_input_stats(prepared, np.arange(prepared.n))
-        _, tape = pipeline._train_step([model], [pipeline._grouped_inputs(model, prepared)],
+        model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
+        _, tape = pipeline._train_step([model], [_inputs(model, prepared)],
                                        [model.targets(prepared)], np.arange(32),
                                        Adam(model.trainable()))
         assert len(tape) <= 20, name

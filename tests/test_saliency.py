@@ -153,6 +153,19 @@ def test_malformed_saliency_csv_is_a_parse_error(tmp_path, body):
         load_saliency_csv(csv_path)
 
 
+@pytest.mark.parametrize("body, message", [
+    # (0, 1) missing from the 2 x 2 grid
+    ("0,0,1.0\n1,0,2.0\n1,1,3.0\n", r"map\.csv: 2 leads x 2 samples need 4 rows, found 3"),
+    # a hand-edited map repeats (0, 1) on line 4
+    ("0,0,1.0\n0,1,2.0\n0,1,3.0\n", r"map\.csv:4: repeated row for lead 0, sample_index 1"),
+], ids=["missing row", "repeated row"])
+def test_truncated_or_repeated_saliency_csv_is_a_parse_error(tmp_path, body, message):
+    csv_path = tmp_path / "map.csv"
+    csv_path.write_text("lead,sample_index,attribution\n" + body)
+    with pytest.raises(ParseError, match=message):
+        load_saliency_csv(csv_path)
+
+
 # ---------------------------------------------------------------------------
 # the ensemble's split model against the raw-space computation
 
