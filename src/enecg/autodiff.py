@@ -591,24 +591,13 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     return _apply("patch_stats", (a,), out, back)
 
 
-_TRIG_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _dft_tables(t_len: int, bins: int):
-    key = (t_len, bins)
-    if key not in _TRIG_CACHE:
-        theta = 2.0 * np.pi * np.outer(np.arange(bins), np.arange(t_len)) / t_len
-        _TRIG_CACHE[key] = (np.cos(theta), np.sin(theta))
-    return _TRIG_CACHE[key]
-
-
 def dft_magnitude(a, bins: int) -> Tensor:
     """|DFT| of the first ``bins`` frequency bins along the time (last) axis.
 
     The forward pass is an FFT: ``np.fft.rfft`` when its T//2 + 1 bins
-    cover ``bins``, else the full ``np.fft.fft``. The backward pass uses
-    the cached cosine and sine tables. The gradient is defined everywhere
-    except exact zeros of the magnitude, where the subgradient 0 is used.
+    cover ``bins``, else the full ``np.fft.fft``; the backward pass, one
+    inverse FFT. The gradient is defined everywhere except exact zeros of
+    the magnitude, where the subgradient 0 is used.
     """
     a = as_tensor(a)
     t_len = a.data.shape[-1]
@@ -621,12 +610,10 @@ def dft_magnitude(a, bins: int) -> Tensor:
     out = np.abs(spectrum)
 
     def back(g, needs):
-        cos_t, sin_t = _dft_tables(t_len, bins)
-        re, im = spectrum.real, spectrum.imag
-        safe = np.where(out > 0, out, 1.0)
-        cr = np.where(out > 0, g * re / safe, 0.0)
-        ci = np.where(out > 0, g * im / safe, 0.0)
-        return (cr @ cos_t - ci @ sin_t,)
+        # d|X_k|/dx_t = Re(conj(X_k) e^{-2 pi i kt/T}) / |X_k| = Re(ifft(c)_t) T,
+        # with c_k = g_k X_k / |X_k| zero-padded to T bins
+        scaled = np.where(out > 0, g / np.where(out > 0, out, 1.0), 0.0) * spectrum
+        return (np.fft.ifft(scaled, n=t_len, axis=-1).real * t_len,)
 
     return _apply("dft_magnitude", (a,), out, back)
 

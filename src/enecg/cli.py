@@ -247,7 +247,9 @@ def run(argv) -> int:
         cfg, saliency_opts = load_config(args.config, seed_override=args.seed)
         out = _Out(args.out)
         out.write_text("config.echo.txt", echo_config(cfg, saliency_opts))
-        code = COMMANDS[args.command](cfg, saliency_opts, out, args.verbose)
+        # no numpy warning ahead of the JSON line; non-finite losses raise anyway
+        with np.errstate(all="ignore"):
+            code = COMMANDS[args.command](cfg, saliency_opts, out, args.verbose)
         out.finish()
         return code
     except Exception as e:  # one JSON line; anything unclassified is internal

@@ -66,7 +66,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("experiment", "tasks"): (_parse_names, "tasks"),
     ("experiment", "ensemble"): (str, "ensemble"),
     ("experiment", "repeats"): (int, "repeats"),
-    ("experiment", "joint"): (_parse_bool, "joint"),
     ("experiment", "normalize_targets"): (_parse_bool, "normalize_targets"),
     ("experiment", "class_weighted_bce"): (_parse_bool, "class_weighted_bce"),
     ("experts", "roster"): (_parse_roster, "experts"),

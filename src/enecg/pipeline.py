@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from . import tasks as tk
 from .adapters import (
-    HeadStack, LoraHead, LoraLinear, build_head, head_checksum, read_tensors, stack_forward,
-    stack_heads, trainable_params, write_tensors,
+    HeadStack, LoraHead, LoraLinear, build_head, head_checksum, head_forward, read_tensors,
+    stack_forward, stack_heads, trainable_params, write_tensors,
 )
 from .autodiff import Tensor, Tape, backward
 from .errors import InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
@@ -75,7 +75,6 @@ class ExperimentConfig:
     tasks: tuple[str, ...] = DEFAULT_TASKS
     ensemble: str = "moe"
     repeats: int = 3
-    joint: bool = False
     normalize_targets: bool = True
     class_weighted_bce: bool = True
     experts: tuple[ExpertSpec, ...] = DEFAULT_ROSTER
@@ -217,7 +216,7 @@ def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, np.ndarray, np
 class TaskModel:
     task: tk.TaskSpec
     stack: HeadStack                    # one head per expert, stacked by shape
-    gate: GatingNetwork
+    gate: GatingNetwork | None          # None: each expert is scored on its own logits
     # (mean, std) of each expert's features and of the gate input, fitted once per train()
     # and shared by its task models; z-scored features keep the frozen projections usable
     feature_stats: list[tuple[np.ndarray, np.ndarray]]
@@ -234,13 +233,14 @@ class TaskModel:
 
     def named_heads(self) -> dict[str, LoraHead]:
         """Every LoRA head by checkpoint prefix: head0, head1, ..., gate."""
-        return {**{f"head{i}": h for i, h in enumerate(self.heads)}, "gate": self.gate}
+        heads = {f"head{i}": h for i, h in enumerate(self.heads)}
+        return heads if self.gate is None else {**heads, "gate": self.gate}
 
     def adapted(self) -> list[LoraHead]:
-        """The heads training adapts: a single fine-tuned expert has nothing
-        to gate, its weight is 1."""
+        """The heads training adapts: a gate-less model has no gate, and a
+        single fine-tuned expert has nothing to gate, its weight is 1."""
         groups = list(self.stack.groups)
-        return groups + [self.gate] if len(self.stack) > 1 else groups
+        return groups + [self.gate] if self.gate is not None and len(self.stack) > 1 else groups
 
     def trainable(self) -> list[Tensor]:
         return [p for head in self.adapted() for p in trainable_params(head)]
@@ -283,6 +283,16 @@ def build_task_model(cfg: ExperimentConfig, experts: list[ExpertModel],
                      feature_stats=identity[:-1], gate_stats=identity[-1])
 
 
+def _build_singles(cfg: ExperimentConfig, experts: list[ExpertModel],
+                   task: tk.TaskSpec, seed: int) -> TaskModel:
+    """The experts fine-tuned one by one, as one model: each head drawn by a
+    one-expert ``build_task_model``, the heads stacked, and no gate. Their
+    parameters are disjoint and Adam is elementwise, so each trains as alone."""
+    alone = [build_task_model(cfg, [m], task, seed) for m in experts]
+    return replace(alone[0], stack=stack_heads([m.heads[0] for m in alone]), gate=None,
+                   feature_stats=[m.feature_stats[0] for m in alone])
+
+
 def _check_roster(model: TaskModel, n_experts: int) -> None:
     """A model whose heads do not match the expert roster or the task is a
     UsageError, on every path from training to saliency; checked before
@@ -307,6 +317,20 @@ def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor):
                else gate_forward(model.gate, gate_in))
     combined = ensemble_combine(stacked, weights)
     return stacked, weights, combined
+
+
+def _outputs(model: TaskModel, inputs: list[Tensor], gate_in: Tensor) -> list[Tensor]:
+    """The (B,L) outputs a model is scored on: a gated model's combination,
+    or, for a gate-less one, each expert's logits in roster order, taken on
+    axis 0 of its group's (n,B,L) output, so the layers get a contiguous gradient."""
+    if model.gate is not None:
+        return [_forward_grouped(model, inputs, gate_in)[2]]
+    outs = {}
+    for group, members, x in zip(model.stack.groups, model.stack.members, inputs):
+        logits = head_forward(group, x)
+        for j, i in enumerate(members):
+            outs[i] = ad.reshape(ad.take_rows(logits, [j]), logits.shape[1:])
+    return [outs[i] for i in range(len(outs))]
 
 
 def fit_input_stats(prepared: PreparedDataset, train_idx: np.ndarray
@@ -381,9 +405,20 @@ def _frozen_checksums(experts: list[ExpertModel], models: dict[str, TaskModel]) 
 
 
 def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -> np.ndarray:
+    """(rows, L) combined logits of a gated model; (N, rows, L) expert
+    logits of a gate-less one."""
     feats, gate_in = _inputs(model, prepared, idx)
-    _, _, combined = _forward_grouped(model, [Tensor(x) for x in feats], Tensor(gate_in))
-    return combined.data
+    outs = [o.data for o in _outputs(model, [Tensor(x) for x in feats], Tensor(gate_in))]
+    return np.stack(outs) if model.gate is None else outs[0]
+
+
+def _scored(cfg: ExperimentConfig, model: TaskModel) -> list[tuple[str, list[Tensor]]]:
+    """(name, parameters) of each ``_outputs`` entry: the task for a gated
+    model; ``task.expert`` and that expert's head for a gate-less one."""
+    if model.gate is not None:
+        return [(model.task.name, model.trainable())]
+    return [(f"{model.task.name}.{spec.name}", trainable_params(head))
+            for spec, head in zip(cfg.experts, model.heads)]
 
 
 def _metric(model: TaskModel, logits: np.ndarray, labels: np.ndarray) -> float:
@@ -393,73 +428,66 @@ def _metric(model: TaskModel, logits: np.ndarray, labels: np.ndarray) -> float:
     return tk.task_metric(model.task, pred, labels)
 
 
-def _train_step(models: list[TaskModel], inputs: list, targets: list[np.ndarray],
-                batch: np.ndarray, opt: Adam, where: str = "") -> tuple[list[float], Tape]:
-    """One Adam step on the summed task losses of ``models`` over ``batch``,
-    reading each model's ``_inputs``; returns each task's loss and
-    the tape of the step."""
-    rows = [_rows(x, batch) for x in inputs]
+def _train_step(models: list[TaskModel], inputs: tuple[list[np.ndarray], np.ndarray],
+                targets: list[np.ndarray], batch: np.ndarray, opt: Adam,
+                where: str = "") -> tuple[list[float], Tape]:
+    """One Adam step on the summed losses of every output (``_outputs``) of
+    ``models`` over ``batch``, reading the run's ``_inputs``; returns each
+    output's loss and the tape of the step."""
+    feats, gate_in = _rows(inputs, batch)
     opt.zero_grad()
     with Tape() as tape:
-        losses = []
-        for model, (feats, gate_in), y in zip(models, rows, targets):
-            _, _, combined = _forward_grouped(model, feats, gate_in)
-            losses.append(tk.task_loss(model.task, combined, y[batch],
-                                       model.pos_weight, model.neg_weight))
-        values = [loss.item() for loss in losses]
-        for model, value in zip(models, values):
+        losses = [(model.task.name, tk.task_loss(model.task, out, y[batch],
+                                                 model.pos_weight, model.neg_weight))
+                  for model, y in zip(models, targets) for out in _outputs(model, feats, gate_in)]
+        values = [loss.item() for _, loss in losses]
+        for (name, _), value in zip(losses, values):
             if not np.isfinite(value):
-                raise NonFiniteLossError(f"task {model.task.name}: non-finite loss {where}")
-        backward(reduce(ad.add, losses), tape)
+                raise NonFiniteLossError(f"task {name}: non-finite loss {where}")
+        backward(reduce(ad.add, [loss for _, loss in losses]), tape)
     opt.step()
     return values, tape
 
 
-def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDataset,
+def _fit(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDataset,
          inputs: tuple[list[np.ndarray], np.ndarray], train_idx: np.ndarray,
          val_idx: np.ndarray, rng: np.random.Generator
          ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """Adam over the LoRA factors and biases of ``models`` on their summed
-    task losses, reading the run's ``_inputs``; each model keeps the
-    parameters of its best validation epoch.
-
-    Parameters are disjoint per task, so training all tasks in one call
-    matches training each alone up to batch order. Returns (validation
-    metric per epoch, mean training loss per epoch), keyed by task."""
-    for model in models:
-        y = prepared.labels[model.task.name][train_idx]
-        if model.task.kind == "regression" and cfg.normalize_targets:
-            model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
-        if model.task.kind == "binary" and cfg.class_weighted_bce:
-            model.pos_weight, model.neg_weight = tk.class_weights(y)
-    targets = [model.targets(prepared) for model in models]
-    params = [model.trainable() for model in models]
-    opt = Adam([p for group in params for p in group], lr=cfg.learning_rate)
-    history: dict[str, list[float]] = {model.task.name: [] for model in models}
-    losses: dict[str, list[float]] = {model.task.name: [] for model in models}
-    best_state: list[list[np.ndarray] | None] = [None] * len(models)
+    """Adam over the LoRA factors and biases of ``model`` on the summed
+    losses of its outputs, reading the run's ``_inputs``; each output keeps
+    the parameters (``_scored``) of its best validation epoch. Returns
+    (validation metric per epoch, mean training loss per epoch) by output."""
+    y = prepared.labels[model.task.name][train_idx]
+    if model.task.kind == "regression" and cfg.normalize_targets:
+        model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
+    if model.task.kind == "binary" and cfg.class_weighted_bce:
+        model.pos_weight, model.neg_weight = tk.class_weights(y)
+    targets = [model.targets(prepared)]
+    scored = _scored(cfg, model)
+    opt = Adam(model.trainable(), lr=cfg.learning_rate)
+    history: dict[str, list[float]] = {name: [] for name, _ in scored}
+    losses: dict[str, list[float]] = {name: [] for name, _ in scored}
+    best_state: list[list[np.ndarray] | None] = [None] * len(scored)
     for epoch in range(cfg.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         starts = range(0, order.size, cfg.batch_size)
-        sums = [0.0] * len(models)
+        sums = [0.0] * len(scored)
         for start in starts:
-            values, _ = _train_step(models, [inputs] * len(models), targets,
-                                    order[start:start + cfg.batch_size], opt,
-                                    where=f"at epoch {epoch}, batch starting {start}")
+            values, _ = _train_step([model], inputs, targets, order[start:start + cfg.batch_size],
+                                    opt, where=f"at epoch {epoch}, batch starting {start}")
             sums = [acc + value for acc, value in zip(sums, values)]
-        val_rows = _rows(inputs, val_idx)
-        for i, model in enumerate(models):
-            task = model.task
-            losses[task.name].append(sums[i] / max(len(starts), 1))
-            _, _, combined = _forward_grouped(model, *val_rows)
-            score = _metric(model, combined.data, prepared.labels[task.name][val_idx])
-            scores = history[task.name]
+        outs = _outputs(model, *_rows(inputs, val_idx))
+        for i, ((name, params), out) in enumerate(zip(scored, outs)):
+            losses[name].append(sums[i] / max(len(starts), 1))
+            score = _metric(model, out.data, prepared.labels[model.task.name][val_idx])
+            scores = history[name]
             # strict improvement on the running best: the first best epoch wins ties
-            if not scores or (score > max(scores) if task.higher_is_better else score < min(scores)):
-                best_state[i] = [p.data.copy() for p in params[i]]
+            if not scores or (score > max(scores) if model.task.higher_is_better
+                              else score < min(scores)):
+                best_state[i] = [p.data.copy() for p in params]
             scores.append(score)
-    for group, snaps in zip(params, best_state):
-        for p, snap in zip(group, snaps or []):
+    for (_, params), snaps in zip(scored, best_state):
+        for p, snap in zip(params, snaps or []):
             p.data[...] = snap
     return history, losses
 
@@ -467,8 +495,13 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
 def train(cfg: ExperimentConfig, seed: int | None = None,
           prepared: PreparedDataset | None = None,
           experts: list[ExpertModel] | None = None) -> TrainedModel:
-    """Fit every task of ``cfg``: each task alone with its own RNG, or with
-    ``cfg.joint`` all tasks in one loop on the summed loss."""
+    """Fit every task of ``cfg``, each alone with its own RNG."""
+    return _train(cfg, seed, prepared, experts, build_task_model)
+
+
+def _train(cfg: ExperimentConfig, seed: int | None, prepared: PreparedDataset | None,
+           experts: list[ExpertModel] | None, build) -> TrainedModel:
+    """``train`` with the task models ``build(cfg, experts, task, seed)`` makes."""
     cfg.validate()
     seed = cfg.seed if seed is None else seed
     # split first, so a dataset too small to split fails before it is prepared
@@ -477,8 +510,7 @@ def train(cfg: ExperimentConfig, seed: int | None = None,
     experts = build_experts(cfg) if experts is None else experts
     if prepared is None:
         prepared = prepare_dataset(cfg, experts, seed=seed)
-    models = {name: build_task_model(cfg, experts, tk.task_by_name(name), seed)
-              for name in cfg.tasks}
+    models = {name: build(cfg, experts, tk.task_by_name(name), seed) for name in cfg.tasks}
     # one set of statistics, and one standardized copy of the rows, per run
     stats = fit_input_stats(prepared, train_idx)
     for model in models.values():
@@ -486,10 +518,9 @@ def train(cfg: ExperimentConfig, seed: int | None = None,
     inputs = _inputs(models[cfg.tasks[0]], prepared) if models else None
     before = _frozen_checksums(experts, models)
     trained = TrainedModel(cfg=cfg, experts=experts, tasks=models)
-    for group in [list(models.values())] if cfg.joint else [[m] for m in models.values()]:
-        entropy = (seed, 0x701) if cfg.joint else (seed, 0x7E, _task_id(group[0].task))
-        history, losses = _fit(cfg, group, prepared, inputs, train_idx, val_idx,
-                               np.random.default_rng(np.random.SeedSequence(entropy)))
+    for model in models.values():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7E, _task_id(model.task))))
+        history, losses = _fit(cfg, model, prepared, inputs, train_idx, val_idx, rng)
         trained.history.update(history)
         trained.train_loss.update(losses)
     after = _frozen_checksums(experts, models)
@@ -536,30 +567,27 @@ class MetricsReport:
 
 def evaluate(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
              tasks: tuple[str, ...] | None = None) -> dict[str, float]:
-    """Task metric per task on the given index set."""
+    """Task metric per task on the given index set; a gate-less model's
+    experts are scored one by one, keyed ``task.expert`` as in its history."""
     if idx.size == 0:
         raise UsageError("evaluate needs a nonempty split")
     out: dict[str, float] = {}
     for name in (tasks or tuple(trained.tasks)):
         model = trained.tasks[name]
-        out[name] = _metric(model, _task_logits(model, prepared, idx), prepared.labels[name][idx])
+        logits = _task_logits(model, prepared, idx)
+        for (key, _), rows in zip(_scored(trained.cfg, model),
+                                  [logits] if model.gate is not None else logits):
+            out[key] = _metric(model, rows, prepared.labels[name][idx])
     return out
 
 
 def parameter_counts(trained: TrainedModel) -> tuple[int, int]:
     """(trainable, frozen) parameter totals across experts, heads and gates."""
-    trainable = 0
-    frozen = 0
-    for m in trained.experts:
-        frozen += sum(p.data.size for p in m.params.values())
-    for model in trained.tasks.values():
-        for layer in [l for h in model.adapted() for l in h.layers]:
-            for t in (layer.w0, layer.lora_a, layer.lora_b, layer.bias):
-                if t.requires_grad:
-                    trainable += t.data.size
-                else:
-                    frozen += t.data.size
-    return trainable, frozen
+    tensors = [t for model in trained.tasks.values() for head in model.adapted()
+               for layer in head.layers for t in layer.tensors().values()]
+    experts = sum(p.data.size for m in trained.experts for p in m.params.values())
+    return (sum(t.data.size for t in tensors if t.requires_grad),
+            experts + sum(t.data.size for t in tensors if not t.requires_grad))
 
 
 # a pass is timed again until this long has gone by, so a stall of the
@@ -601,7 +629,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     throughput = idx.size / _fastest_pass(score, passes)
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
-    inputs = [_inputs(model, prepared) for model in models]
+    inputs = _inputs(models[0], prepared)
     targets = [model.targets(prepared) for model in models]
     # lr 0: timed steps leave the models unchanged
     probe = Adam([p for model in models for p in model.trainable()], lr=0.0)
@@ -736,20 +764,15 @@ def load_task_model(path) -> TaskModel:
 
 @dataclass
 class SuiteRun:
-    """Everything trained for one seed: the dataset, the per-expert
-    fine-tuned singles, and the jointly trained MoE system."""
+    """Everything trained for one seed: the dataset, the experts fine-tuned
+    one by one (one gate-less stacked model per task), and the MoE system."""
     seed: int
     prepared: PreparedDataset
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    singles: list[TrainedModel]
+    singles: TrainedModel | None
     moe: TrainedModel | None
-
-
-def _single_view(prepared: PreparedDataset, i: int) -> PreparedDataset:
-    return PreparedDataset([prepared.features[i]], prepared.gate_inputs,
-                           prepared.labels, prepared.n)
 
 
 def run_suite(cfg: ExperimentConfig, strategies=COMPARED_STRATEGIES) -> list[SuiteRun]:
@@ -762,26 +785,11 @@ def run_suite(cfg: ExperimentConfig, strategies=COMPARED_STRATEGIES) -> list[Sui
     for seed in range(cfg.seed, cfg.seed + cfg.repeats):
         prepared = prepare_dataset(cfg, experts, seed=seed)
         tr, va, te = split_indices(prepared.n, cfg.split, seed)
-        singles = []
-        if any(s != "moe" for s in strategies):
-            singles = [train(replace(cfg, experts=(spec,)), seed=seed,
-                             prepared=_single_view(prepared, i), experts=[experts[i]])
-                       for i, spec in enumerate(cfg.experts)]
+        singles = (_train(cfg, seed, prepared, experts, _build_singles)
+                   if any(s != "moe" for s in strategies) else None)
         moe = train(cfg, seed=seed, prepared=prepared, experts=experts) if "moe" in strategies else None
         runs.append(SuiteRun(seed, prepared, tr, va, te, singles, moe))
     return runs
-
-
-def single_expert_logits(run: SuiteRun, task_name: str, idx: np.ndarray) -> np.ndarray:
-    """(N, len(idx), L) logits of the independently fine-tuned experts.
-
-    Regression logits are in the shared standardized target space (all
-    singles compute identical train-split statistics)."""
-    views = [_single_view(run.prepared, i) for i in range(len(run.singles))]
-    return np.stack([
-        _task_logits(single.tasks[task_name], view, idx)
-        for single, view in zip(run.singles, views)
-    ])
 
 
 def strategy_score(cfg: ExperimentConfig, run: SuiteRun, strategy: str,
@@ -795,18 +803,19 @@ def strategy_score(cfg: ExperimentConfig, run: SuiteRun, strategy: str,
         if run.moe is None:
             raise UsageError("suite was built without the MoE system")
         return evaluate(run.moe, run.prepared, run.test_idx, (task_name,))[task_name]
-    ref = run.singles[0].tasks[task_name]
-    logits_val = single_expert_logits(run, task_name, run.val_idx)
-    logits_test = single_expert_logits(run, task_name, run.test_idx)
+    if run.singles is None:
+        raise UsageError("suite was built without the single-expert systems")
+    # (N, rows, L); regression logits are in the standardized target space
+    ref = run.singles.tasks[task_name]
+    logits_val = _task_logits(ref, run.prepared, run.val_idx)
+    logits_test = _task_logits(ref, run.prepared, run.test_idx)
     y_val = run.prepared.labels[task_name][run.val_idx]
     y_test = run.prepared.labels[task_name][run.test_idx]
-    if task.kind == "regression":
-        real_val, real_test = ref.denormalize(logits_val), ref.denormalize(logits_test)
-    else:
-        real_val, real_test = logits_val, logits_test
+    real = ref.denormalize if task.kind == "regression" else np.asarray
+    real_val, real_test = real(logits_val), real(logits_test)
 
     if strategy == "uniform":
-        weights = uniform_weights(len(run.singles))
+        weights = uniform_weights(len(ref.stack))
     elif strategy == "zero_shot":
         try:
             weights = zero_shot_confidence_weights(real_val, y_val, task)
@@ -894,7 +903,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list[SuiteRun]
     mean +- std of the test metrics.
 
     With ensemble="moe" the full system is trained; other strategies
-    fine-tune each expert alone and combine with strategy weights.
+    fine-tune each expert alone and combine with strategy weights. The
+    report's bench figures are those of the whole trained system.
     """
     t0 = time.perf_counter()
     runs = run_suite(cfg, strategies=(cfg.ensemble,))
@@ -905,10 +915,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list[SuiteRun]
             if value is not None:
                 per_task[name].append(value)
     last = runs[-1]
-    if last.moe is not None:
-        report = bench(last.moe, last.prepared, last.test_idx)
-    else:
-        report = bench(last.singles[0], _single_view(last.prepared, 0), last.test_idx)
+    report = bench(last.moe if last.moe is not None else last.singles, last.prepared, last.test_idx)
     report.tasks = [
         TaskResult(task=name, metric=tk.task_by_name(name).metric,
                    mean=float(np.mean(vals)) if vals else float("nan"),

@@ -44,6 +44,19 @@ def dft_magnitude_tables(x, bins):
     return np.hypot(x @ np.cos(theta).T, -(x @ np.sin(theta).T))
 
 
+def dft_magnitude_tables_backward(x, bins, g):
+    """Gradient of sum(g * |DFT|) with respect to ``x`` from the cosine and
+    sine tables, with the subgradient 0 at a zero magnitude."""
+    theta = 2.0 * np.pi * np.outer(np.arange(bins), np.arange(x.shape[-1])) / x.shape[-1]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    re, im = x @ cos_t.T, -(x @ sin_t.T)
+    mag = np.hypot(re, im)
+    safe = np.where(mag > 0, mag, 1.0)
+    cr = np.where(mag > 0, g * re / safe, 0.0)
+    ci = np.where(mag > 0, g * im / safe, 0.0)
+    return cr @ cos_t - ci @ sin_t
+
+
 def patch_stats_composition(x, window, count=None):
     """``patch_stats`` built from pooling and elementwise primitives."""
     mean = ad.mean_pool(x, window, count=count)

@@ -21,10 +21,9 @@ from enecg.cli import run as cli_run
 from enecg.gating import build_gate, ensemble_combine, gate_forward
 from enecg.optim import finite_diff_grad
 from enecg.pipeline import (
-    ExperimentConfig, ExpertSpec, _forward_grouped, _inputs, _single_view,
-    _task_logits, bench, build_experts, build_task_model, compare_strategies,
-    evaluate, fit_input_stats, load_task_model, prepare_dataset, run_suite,
-    save_task_model, split_indices, train,
+    ExperimentConfig, ExpertSpec, _forward_grouped, _inputs, _task_logits, bench,
+    build_experts, build_task_model, compare_strategies, evaluate, fit_input_stats,
+    load_task_model, prepare_dataset, run_suite, save_task_model, split_indices, train,
 )
 from enecg.saliency import ensemble_scalar_model, integrated_gradients
 from enecg.signal import GeneratorConfig, generate, load_records, save_records
@@ -241,8 +240,8 @@ def _task_means(runs, cfg):
     moe = {}
     for name in cfg.tasks:
         per_expert = []
-        for i in range(len(cfg.experts)):
-            vals = [evaluate(r.singles[i], _single_view(r.prepared, i), r.test_idx)[name]
+        for spec in cfg.experts:
+            vals = [evaluate(r.singles, r.prepared, r.test_idx, (name,))[f"{name}.{spec.name}"]
                     for r in runs]
             per_expert.append(float(np.mean(vals)))
         singles[name] = per_expert

@@ -11,7 +11,9 @@ from enecg import autodiff as ad
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import DimensionError, UsageError
 from enecg.optim import finite_diff_grad
-from oracles import conv1d_einsum, dft_magnitude_tables, patch_stats_composition
+from oracles import (
+    conv1d_einsum, dft_magnitude_tables, dft_magnitude_tables_backward, patch_stats_composition,
+)
 
 
 def grad_of(build, x, h=1e-5):
@@ -239,6 +241,24 @@ def test_dft_magnitude_fft_forward_matches_table_oracle(t_len, bins):
     want = dft_magnitude_tables(x, bins)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t_len,bins", [(32, 10), (32, 17), (32, 18), (33, 17), (33, 18),
+                                        (7, 7), (512, 64)])
+def test_dft_magnitude_fft_backward_matches_table_oracle(t_len, bins):
+    # integer samples summing to zero give an exactly zero DC bin in both
+    # forms, where the subgradient is 0
+    rng = np.random.default_rng(t_len * bins)
+    x = rng.integers(-9, 10, size=(2, 3, t_len)).astype(float)
+    x[..., -1] -= x.sum(axis=-1)
+    g = rng.normal(size=(2, 3, bins))
+    probe = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        mags = ad.dft_magnitude(probe, bins)
+        backward(ad.reduce_sum(ad.mul(mags, Tensor(g))), tape)
+    assert (mags.data[..., 0] == 0).all() and (mags.data[..., 1:] > 0).all()
+    want = dft_magnitude_tables_backward(x, bins, g)
+    assert np.abs(probe.grad - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_dft_magnitude_concentrates_sinusoid_energy():

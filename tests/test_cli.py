@@ -3,11 +3,16 @@ saliency export, exit codes and manifests."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from enecg import tasks as tk
 from enecg.cli import EXIT_CODES, run
+from enecg.config import load_config
+from enecg.pipeline import build_experts
 
 SMALL_CFG = """
 [experiment]
@@ -197,6 +202,40 @@ def test_diverging_training_exits_with_nonfinite(tmp_path, capsys):
     assert record["message"].startswith("task rr: non-finite loss at epoch 0")
 
 
+def test_diverging_console_run_prints_one_json_line(tmp_path):
+    # a fresh interpreter, where nothing captures numpy's warnings
+    path = tmp_path / "diverge.cfg"
+    path.write_text(SMALL_CFG.replace("batch_size = 16", "batch_size = 16\nlearning_rate = 1e200"))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "enecg.cli", "train", "--config", str(path),
+                           "--out", str(tmp_path / "run")], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_CODES["nonfinite"]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "NonFiniteLossError"
+
+
+def test_eval_of_a_static_ensemble_reports_every_single(tmp_path):
+    path = tmp_path / "uniform.cfg"
+    path.write_text(SMALL_CFG.replace("repeats = 1", "repeats = 1\nensemble = uniform"))
+    assert run(["eval", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    doc = json.loads(open(tmp_path / "run" / "metrics.json").read())
+    cfg, _ = load_config(path)
+    hidden, rank = cfg.head_hidden, cfg.head_rank
+    trainable = frozen = 0
+    for expert in build_experts(cfg):
+        frozen += sum(p.data.size for p in expert.params.values())
+        for name in cfg.tasks:
+            k, out = expert.feature_dim, tk.task_by_name(name).output_dim
+            r = min(rank, out)
+            # two LoRA layers k -> hidden -> out: factors and biases train, w0 is frozen
+            trainable += (rank * k + hidden * rank + hidden) + (r * hidden + out * r + out)
+            frozen += hidden * k + out * hidden
+    assert (doc["params_trainable"], doc["params_frozen"]) == (trainable, frozen) == (1098, 40064)
+    assert doc["params_total"] == trainable + frozen
+
+
 @pytest.mark.parametrize("old,new", [
     ("pooled_len = 25", "pooled_len = 25\nleads = 0"),
     ("pooled_len = 25", "pooled_len = 20"),
@@ -231,7 +270,6 @@ def test_checkpoint_lead_beyond_the_data_exits_with_usage(cfg_path, tmp_path, ca
 # follows in SMALL_CFG; the ensemble selector applies to eval only
 SWITCHES = [
     ("pooled_len = 25", "per_coordinate = false"),
-    ("repeats = 1", "joint = true"),
     ("repeats = 1", "normalize_targets = false"),
     ("repeats = 1", "class_weighted_bce = false"),
     ("rank = 2", "train_bias = false"),

@@ -96,11 +96,60 @@ def test_echo_roundtrip(tmp_path):
     assert sal2 == {"steps": 32}
 
 
-@pytest.mark.parametrize("key", ["depth = 1", "lora_only = false"])
-def test_retired_head_keys_are_unknown(tmp_path, key):
-    path = write(tmp_path, f"[experiment]\nseed = 1\n[heads]\n{key}\n")
-    with pytest.raises(ConfigError, match=r":4: unknown key heads\." + key.split()[0]):
+@pytest.mark.parametrize("section,key", [("heads", "depth = 1"), ("heads", "lora_only = false"),
+                                         ("experiment", "joint = true")],
+                         ids=["depth = 1", "lora_only = false", "joint = true"])
+def test_retired_head_keys_are_unknown(tmp_path, section, key):
+    path = write(tmp_path, f"[experiment]\nseed = 1\n[{section}]\n{key}\n")
+    with pytest.raises(ConfigError, match=rf":4: unknown key {section}\.{key.split()[0]}"):
         load_config(path)
+
+
+# config.echo.txt of the default config as written while experiment.joint existed
+ECHO_WITH_JOINT = """# effective configuration (auto-generated)
+[experiment]
+seed = 1
+n_records = 1000
+epochs = 30
+batch_size = 32
+learning_rate = 0.001
+split = 0.7,0.2,0.1
+tasks = rr,age,sex,potassium,arrhythmia
+ensemble = moe
+repeats = 3
+joint = false
+normalize_targets = true
+class_weighted_bce = true
+
+[experts]
+roster = spectral-a:spectral:11:-:64; conv-a:convolutional:12:-:64; stats-a:statistical:13:-:64
+
+[heads]
+hidden_dim = 64
+rank = 4
+train_bias = true
+
+[gating]
+leads = 1
+pooled_len = 250
+hidden_dim = 64
+per_coordinate = true
+
+[data]
+duration_s = 10.0
+fs_hz = 500.0
+heart_rate_bpm = 50.0,110.0
+noise_amplitude = 0.05
+potassium_rate = 0.03
+sex_ratio = 0.5
+"""
+
+
+def test_echo_naming_joint_is_rejected_and_loads_without_it(tmp_path):
+    with pytest.raises(ConfigError, match=r":12: unknown key experiment\.joint"):
+        load_config(write(tmp_path, ECHO_WITH_JOINT))
+    cfg, _ = load_config(write(tmp_path, ECHO_WITH_JOINT.replace("joint = false\n", "")))
+    assert echo_config(cfg) == ECHO_WITH_JOINT.replace("joint = false\n", "")
 
 
 def test_echo_lists_every_schema_key(tmp_path):

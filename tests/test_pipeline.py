@@ -209,18 +209,9 @@ def test_training_is_deterministic(tiny_setup):
     assert runs[0] == runs[1]
 
 
-def test_joint_mode_matches_task_structure(tiny_setup):
+def test_training_restores_best_epoch_and_records_losses(tiny_setup):
     cfg, experts, prepared = tiny_setup
-    joint_cfg = tiny_cfg(joint=True, epochs=2, tasks=("rr", "sex"))
-    trained = train(joint_cfg, seed=1, prepared=prepared, experts=experts)
-    assert set(trained.tasks) == {"rr", "sex"}
-    assert len(trained.history["rr"]) == 2
-
-
-def test_joint_mode_restores_best_epoch_and_records_losses(tiny_setup):
-    cfg, experts, prepared = tiny_setup
-    joint_cfg = tiny_cfg(joint=True, epochs=3)
-    trained = train(joint_cfg, seed=1, prepared=prepared, experts=experts)
+    trained = train(tiny_cfg(epochs=3), seed=1, prepared=prepared, experts=experts)
     _, va, _ = split_indices(prepared.n, cfg.split, 1)
     scores = evaluate(trained, prepared, va)
     for name in cfg.tasks:
@@ -229,6 +220,38 @@ def test_joint_mode_restores_best_epoch_and_records_losses(tiny_setup):
         task = tk.TASKS[name]
         best = max(trained.history[name]) if task.higher_is_better else min(trained.history[name])
         assert scores[name] == best, name
+
+
+def test_suite_singles_match_experts_trained_one_by_one():
+    # the 16-wide heads form one group around the 8-wide one, so each
+    # expert's logits are taken out of a stacked group
+    cfg = tiny_cfg(n_records=96, epochs=3, experts=(
+        ExpertSpec("spec", "spectral", 1, 128, 16),
+        ExpertSpec("conv", "convolutional", 2, 224, 8),
+        ExpertSpec("stat", "statistical", 3, 128, 16)))
+    (run,) = pipeline.run_suite(cfg, strategies=("uniform",))
+    assert run.moe is None and run.singles.tasks["rr"].stack.members == [[0, 2], [1]]
+    experts = build_experts(cfg)
+    prepared, te = run.prepared, run.test_idx
+    scores = evaluate(run.singles, prepared, te)
+    assert set(scores) == {f"{name}.{spec.name}" for name in cfg.tasks for spec in cfg.experts}
+    for i, spec in enumerate(cfg.experts):
+        # the oracle: a one-expert train() on the expert's view of the dataset
+        view = PreparedDataset([prepared.features[i]], prepared.gate_inputs, prepared.labels,
+                               prepared.n)
+        alone = train(replace(cfg, experts=(spec,)), seed=run.seed, prepared=view,
+                      experts=[experts[i]])
+        for name in cfg.tasks:
+            key = f"{name}.{spec.name}"
+            model, want = run.singles.tasks[name], alone.tasks[name]
+            assert run.singles.history[key] == alone.history[name], key
+            assert run.singles.train_loss[key] == alone.train_loss[name], key
+            for got_layer, want_layer in zip(model.heads[i].layers, want.heads[0].layers):
+                for k, t in got_layer.tensors().items():
+                    np.testing.assert_array_equal(t.data, want_layer.tensors()[k].data)
+            np.testing.assert_array_equal(_task_logits(model, prepared, te)[i],
+                                          _task_logits(want, view, te))
+            assert scores[key] == evaluate(alone, view, te, (name,))[name], key
 
 
 def test_train_fits_one_set_of_input_statistics(tiny_setup, tmp_path, monkeypatch):
@@ -508,7 +531,7 @@ def test_single_task_moe_step_records_at_most_20_nodes():
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
         model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
-        _, tape = pipeline._train_step([model], [_inputs(model, prepared)],
+        _, tape = pipeline._train_step([model], _inputs(model, prepared),
                                        [model.targets(prepared)], np.arange(32),
                                        Adam(model.trainable()))
         assert len(tape) <= 20, name
