@@ -6,11 +6,12 @@ to one score per (expert, output coordinate) and softmaxes over the expert
 axis, so weights are nonnegative and sum to one per coordinate. A config
 switch collapses the coordinate axis to a single per-expert weight.
 
-The confidence ("zero-shot"), greedy-search ("training-free") and
-sample-aware ("tuning") strategies are explicit reconstructions of the
-usual ensemble-weighting baselines: static weights from validation logits
-for the first two, a small fully-trainable gate fitted on the validation
-split for the third.
+The confidence ("zero-shot") and greedy-search ("training-free")
+strategies are explicit reconstructions of the usual static
+ensemble-weighting baselines: weights from validation logits. The
+sample-aware ("tuning") baseline is a gate built here with ``lora_only``
+off; it is fitted on the validation split in ``pipeline``, which does
+every Adam step.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tasks as tk
-from .adapters import LoraHead, LoraLinear, head_forward, trainable_params
-from .autodiff import Tensor, Tape, backward
+from .adapters import LoraHead, LoraLinear, head_forward
+from .autodiff import Tensor
 from .errors import DimensionError, NotApplicableError, UsageError
-from .optim import Adam
 from .signal import downsample
 
 
@@ -174,34 +174,3 @@ def greedy_search_weights(logits_per_expert: np.ndarray, labels: np.ndarray,
             break
         weights = improved
     return weights
-
-
-def train_sample_aware(gate_inputs: np.ndarray, logits_per_expert: np.ndarray,
-                       labels: np.ndarray, task: tk.TaskSpec, seed: int = 0,
-                       lead_indices=(1,), pooled_len: int = 250, hidden_dim: int = 64,
-                       epochs: int = 30, batch_size: int = 32, lr: float = 1e-3,
-                       per_coordinate: bool = True) -> GatingNetwork:
-    """Tuning baseline: fit a fully-trainable weight generator on the
-    validation split by the task loss of its weighted combination."""
-    if labels.size == 0:
-        raise UsageError("sample-aware training needs a nonempty validation set")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xAE)))
-    n_experts, n, out_dim = np.asarray(logits_per_expert).shape
-    gate = build_gate(n_experts, task.output_dim, rng, lead_indices=lead_indices,
-                      pooled_len=pooled_len, hidden_dim=hidden_dim,
-                      per_coordinate=per_coordinate, lora_only=False)
-    stacked = np.transpose(np.asarray(logits_per_expert, dtype=np.float64), (1, 0, 2))
-    opt = Adam(trainable_params(gate), lr=lr)
-    pos_w, neg_w = tk.class_weights(labels) if task.kind == "binary" else (1.0, 1.0)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            opt.zero_grad()
-            with Tape() as tape:
-                w = gate_forward(gate, Tensor(gate_inputs[batch]))
-                combined = ensemble_combine(Tensor(stacked[batch]), w)
-                loss = tk.task_loss(task, combined, labels[batch], pos_w, neg_w)
-                backward(loss, tape)
-            opt.step()
-    return gate

@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .errors import InvariantError, NonFiniteLossError, NotApplicableError, Pars
 from .experts import ExpertModel, build_expert, expert_forward
 from .gating import (
     GatingNetwork, build_gate, ensemble_combine, gate_forward, gate_input,
-    greedy_search_weights, train_sample_aware, uniform_weights,
-    zero_shot_confidence_weights,
+    greedy_search_weights, uniform_weights, zero_shot_confidence_weights,
 )
 from .optim import Adam
 from .signal import EcgRecord, GeneratorConfig, LabelSet, downsample, iter_records
@@ -293,16 +292,30 @@ def _build_singles(cfg: ExperimentConfig, experts: list[ExpertModel],
                    feature_stats=[m.feature_stats[0] for m in alone])
 
 
-def _check_roster(model: TaskModel, n_experts: int) -> None:
-    """A model whose heads do not match the expert roster or the task is a
-    UsageError, on every path from training to saliency; checked before
-    standardization, where zip() would hide a mismatched roster."""
-    if n_experts != len(model.stack):
-        raise UsageError(f"{n_experts} experts but {len(model.stack)} heads")
+def _check_roster(model: TaskModel, widths: list[tuple[str, int]]) -> None:
+    """A model whose heads do not match the expert roster, given as (label,
+    feature width) per expert, or the task is a UsageError, on every path
+    from training to saliency; checked before standardization, where zip()
+    would hide a mismatched roster and broadcasting a mismatched width."""
+    if len(widths) != len(model.stack):
+        raise UsageError(f"{len(widths)} experts but {len(model.stack)} heads")
+    for (label, width), (mean, _) in zip(widths, model.feature_stats):
+        if width != mean.shape[0]:
+            raise UsageError(f"{label} has feature width {width}, but the model's "
+                             f"statistics for it have width {mean.shape[0]}")
     for head in model.stack.groups:
         if head.output_dim != model.task.output_dim:
             raise UsageError(f"head output dim {head.output_dim} does not match "
                              f"task {model.task.name} (L={model.task.output_dim})")
+
+
+def _gated(model: TaskModel) -> GatingNetwork:
+    """The model's gate; a gate-less model (fine-tuned singles) is a
+    UsageError where a raw-record forward or a checkpoint needs one."""
+    if model.gate is None:
+        raise UsageError(f"task model {model.task.name!r} has no gate: its experts are "
+                         f"scored one by one")
+    return model.gate
 
 
 def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor):
@@ -347,7 +360,7 @@ def _inputs(model: TaskModel, prepared: PreparedDataset,
     """The given rows (default all) standardized with the model's statistics:
     features stacked per head group (n,B,k), in ``stack.members`` order,
     and the gate input (B,w)."""
-    _check_roster(model, len(prepared.features))
+    _check_roster(model, [(f"expert {i}", f.shape[1]) for i, f in enumerate(prepared.features)])
     rows = slice(None) if idx is None else idx
     feats = [(f[rows] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
     gm, gs = model.gate_stats
@@ -365,7 +378,7 @@ def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable
     record block: experts, then standardization with the model's statistics,
     heads and gate, all on the tape, so saliency can differentiate them with
     respect to the views."""
-    _check_roster(model, len(experts))
+    _check_roster(model, [(f"expert {m.name!r}", m.feature_dim) for m in experts])
     features, gate_in = _block_features(experts, views)
     features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
                 for f, (mean, std) in zip(features, model.feature_stats)]
@@ -376,10 +389,10 @@ def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable
 
 def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: TaskModel) -> list[EnsembleOutput]:
     """Full forward from raw records; one EnsembleOutput per input, in order."""
+    gate = _gated(model)
     if not batch:
         return []
-    views = _views(experts, ad.stack([r.leads for r in batch]), model.gate.lead_indices,
-                   model.gate.pooled_len)
+    views = _views(experts, ad.stack([r.leads for r in batch]), gate.lead_indices, gate.pooled_len)
     stacked, weights, combined = _views_forward(model, experts, views)
     return [EnsembleOutput(*row) for row in zip(stacked.data, weights.data, combined.data)]
 
@@ -428,18 +441,14 @@ def _metric(model: TaskModel, logits: np.ndarray, labels: np.ndarray) -> float:
     return tk.task_metric(model.task, pred, labels)
 
 
-def _train_step(models: list[TaskModel], inputs: tuple[list[np.ndarray], np.ndarray],
-                targets: list[np.ndarray], batch: np.ndarray, opt: Adam,
-                where: str = "") -> tuple[list[float], Tape]:
-    """One Adam step on the summed losses of every output (``_outputs``) of
-    ``models`` over ``batch``, reading the run's ``_inputs``; returns each
-    output's loss and the tape of the step."""
-    feats, gate_in = _rows(inputs, batch)
+def _adam_step(opt: Adam, named_losses: Callable[[], list[tuple[str, Tensor]]],
+               where: str = "") -> tuple[list[float], Tape]:
+    """Every fit's Adam step: zero the gradients, record the (task name,
+    loss) pairs ``named_losses`` makes on a fresh tape, refuse a non-finite
+    loss, back-propagate their sum and step. Returns each loss and the tape."""
     opt.zero_grad()
     with Tape() as tape:
-        losses = [(model.task.name, tk.task_loss(model.task, out, y[batch],
-                                                 model.pos_weight, model.neg_weight))
-                  for model, y in zip(models, targets) for out in _outputs(model, feats, gate_in)]
+        losses = named_losses()
         values = [loss.item() for _, loss in losses]
         for (name, _), value in zip(losses, values):
             if not np.isfinite(value):
@@ -447,6 +456,17 @@ def _train_step(models: list[TaskModel], inputs: tuple[list[np.ndarray], np.ndar
         backward(reduce(ad.add, [loss for _, loss in losses]), tape)
     opt.step()
     return values, tape
+
+
+def _train_step(models: list[TaskModel], inputs: tuple[list[np.ndarray], np.ndarray],
+                targets: list[np.ndarray], batch: np.ndarray, opt: Adam,
+                where: str = "") -> tuple[list[float], Tape]:
+    """``_adam_step`` on the losses of every output (``_outputs``) of
+    ``models`` over ``batch``, reading the run's ``_inputs``."""
+    feats, gate_in = _rows(inputs, batch)
+    return _adam_step(opt, lambda: [
+        (model.task.name, tk.task_loss(model.task, out, y[batch], model.pos_weight, model.neg_weight))
+        for model, y in zip(models, targets) for out in _outputs(model, feats, gate_in)], where)
 
 
 def _fit(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDataset,
@@ -657,6 +677,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
 def save_task_model(model: TaskModel, path) -> None:
     """Write the model's tensors and the scalars no tensor shape determines;
     ``load_task_model`` reads the structure back from the shapes."""
+    gate = _gated(model)
     tensors: dict[str, Tensor] = {}
     for prefix, head in model.named_heads().items():
         for j, layer in enumerate(head.layers):
@@ -668,7 +689,7 @@ def save_task_model(model: TaskModel, path) -> None:
     gm, gs = model.gate_stats
     tensors["gatestats.mean"] = Tensor(gm)
     tensors["gatestats.std"] = Tensor(gs)
-    tensors["gate.leads"] = Tensor(np.asarray(model.gate.lead_indices, dtype=np.float64))
+    tensors["gate.leads"] = Tensor(np.asarray(gate.lead_indices, dtype=np.float64))
     scalars = {
         "task_id": float(_task_id(model.task)),
         "train_bias": float(model.stack.groups[0].layers[0].bias.requires_grad),
@@ -792,6 +813,30 @@ def run_suite(cfg: ExperimentConfig, strategies=COMPARED_STRATEGIES) -> list[Sui
     return runs
 
 
+def fit_sample_aware(cfg: ExperimentConfig, gate_inputs: np.ndarray, logits: np.ndarray,
+                     targets: np.ndarray, task: tk.TaskSpec, seed: int) -> GatingNetwork:
+    """Tuning baseline: a fully trainable gate (``lora_only`` off) over raw gate
+    inputs, fitted by the task loss of its combination of the experts' (N,B,L)
+    logits; one generator, ``(seed, 0xAE)``, draws the gate, then each epoch's order."""
+    if targets.size == 0:
+        raise UsageError("sample-aware training needs a nonempty validation set")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xAE)))
+    gate = build_gate(logits.shape[0], task.output_dim, rng, cfg.gate_leads, cfg.gate_pooled_len,
+                      cfg.gate_hidden, per_coordinate=cfg.per_coordinate_weights, lora_only=False)
+    stacked = np.transpose(logits, (1, 0, 2))
+    opt = Adam(trainable_params(gate), lr=cfg.learning_rate)
+    pos_w, neg_w = tk.class_weights(targets) if task.kind == "binary" else (1.0, 1.0)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(targets.size)
+        for start in range(0, order.size, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            _adam_step(opt, lambda: [(task.name, tk.task_loss(task, ensemble_combine(
+                Tensor(stacked[rows]), gate_forward(gate, Tensor(gate_inputs[rows]))),
+                targets[rows], pos_w, neg_w))],
+                f"in the sample-aware gate at epoch {epoch}, batch starting {start}")
+    return gate
+
+
 def strategy_score(cfg: ExperimentConfig, run: SuiteRun, strategy: str,
                    task_name: str) -> float | None:
     """Test metric of one weighting strategy on one suite run.
@@ -825,14 +870,10 @@ def strategy_score(cfg: ExperimentConfig, run: SuiteRun, strategy: str,
         weights = greedy_search_weights(real_val, y_val, task)
     elif strategy == "sample_aware":
         y_fit = ref.normalize(y_val) if task.kind == "regression" else y_val
-        gate = train_sample_aware(run.prepared.gate_inputs[run.val_idx], logits_val,
-                                  y_fit, task, seed=run.seed,
-                                  lead_indices=cfg.gate_leads, pooled_len=cfg.gate_pooled_len,
-                                  hidden_dim=cfg.gate_hidden, epochs=cfg.epochs,
-                                  batch_size=cfg.batch_size, lr=cfg.learning_rate,
-                                  per_coordinate=cfg.per_coordinate_weights)
-        w = gate_forward(gate, Tensor(run.prepared.gate_inputs[run.test_idx])).data
-        combined = (w * np.transpose(real_test, (1, 0, 2))).sum(axis=1)
+        gate = fit_sample_aware(cfg, run.prepared.gate_inputs[run.val_idx], logits_val,
+                                y_fit, task, run.seed)
+        w = gate_forward(gate, Tensor(run.prepared.gate_inputs[run.test_idx]))
+        combined = ensemble_combine(Tensor(np.transpose(real_test, (1, 0, 2))), w).data
         return tk.metric_from_logits(task, combined, y_test)
     else:
         raise UsageError(f"unknown strategy {strategy!r}")

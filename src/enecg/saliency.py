@@ -32,7 +32,7 @@ from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, ParseError, UsageError, read_lines
 from .experts import ExpertModel
-from .pipeline import _views, _views_forward
+from .pipeline import _gated, _views, _views_forward
 
 # interpolation points per tape: bounds IG's working set by the chunk, not
 # by the step count
@@ -151,8 +151,10 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
     The front is each expert's downsample and the gate input; the head is
     the rest of the raw-record forward.
     """
+    gate = _gated(model)
+
     def front(block: Tensor):
-        return _views(experts, block, model.gate.lead_indices, model.gate.pooled_len)
+        return _views(experts, block, gate.lead_indices, gate.pooled_len)
 
     def head(views) -> Tensor:
         stacked, _, combined = _views_forward(model, experts, views)

@@ -5,6 +5,10 @@ import math
 import numpy as np
 
 from enecg import autodiff as ad
+from enecg import tasks as tk
+from enecg.adapters import trainable_params
+from enecg.gating import build_gate, ensemble_combine, gate_forward
+from enecg.optim import Adam
 from enecg.signal import LabelSet, _record_rng
 
 
@@ -136,3 +140,31 @@ def synthesize_per_beat(cfg, index):
     if cfg.noise_amplitude > 0:
         leads = leads + cfg.noise_amplitude * rng.standard_normal(leads.shape)
     return leads, labels
+
+
+def train_sample_aware(gate_inputs, logits_per_expert, labels, task, seed=0, lead_indices=(1,),
+                       pooled_len=250, hidden_dim=64, epochs=30, batch_size=32, lr=1e-3,
+                       per_coordinate=True):
+    """The sample-aware baseline's fit as its own Adam loop: a fully
+    trainable gate fitted on validation gate inputs by the task loss of its
+    weighted combination of the experts' (N,B,L) logits."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xAE)))
+    n_experts, n, _ = np.asarray(logits_per_expert).shape
+    gate = build_gate(n_experts, task.output_dim, rng, lead_indices=lead_indices,
+                      pooled_len=pooled_len, hidden_dim=hidden_dim,
+                      per_coordinate=per_coordinate, lora_only=False)
+    stacked = np.transpose(np.asarray(logits_per_expert, dtype=np.float64), (1, 0, 2))
+    opt = Adam(trainable_params(gate), lr=lr)
+    pos_w, neg_w = tk.class_weights(labels) if task.kind == "binary" else (1.0, 1.0)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            opt.zero_grad()
+            with ad.Tape() as tape:
+                w = gate_forward(gate, ad.Tensor(gate_inputs[batch]))
+                combined = ensemble_combine(ad.Tensor(stacked[batch]), w)
+                loss = tk.task_loss(task, combined, labels[batch], pos_w, neg_w)
+                ad.backward(loss, tape)
+            opt.step()
+    return gate

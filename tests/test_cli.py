@@ -190,6 +190,22 @@ def test_roster_mismatch_exits_with_usage(cfg_path, tmp_path, capsys):
     assert record["message"] == "3 experts but 2 heads"
 
 
+def test_roster_feature_width_differing_from_checkpoint_exits_with_usage(cfg_path, tmp_path,
+                                                                         capsys):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg_path, "--out", out]) == 0
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text(SMALL_CFG.replace("spec:spectral:1:128:16", "spec:spectral:1:128:8"))
+    for command, expert in (("eval", "expert 0"), ("bench", "expert 0"), ("saliency", "expert 'spec'")):
+        assert run([command, "--config", str(narrow), "--out", out]) == EXIT_CODES["usage"], command
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, command
+        record = json.loads(lines[0])
+        assert record["error"] == "UsageError", command
+        assert record["message"] == (f"{expert} has feature width 8, but the model's "
+                                     f"statistics for it have width 16"), command
+
+
 def test_diverging_training_exits_with_nonfinite(tmp_path, capsys):
     path = tmp_path / "diverge.cfg"
     path.write_text(SMALL_CFG.replace("batch_size = 16", "batch_size = 16\nlearning_rate = 1e200"))

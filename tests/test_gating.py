@@ -7,14 +7,16 @@ import pytest
 from enecg import tasks as tk
 from enecg.adapters import trainable_params
 from enecg.autodiff import Tensor, Tape, backward
-from enecg.errors import DimensionError, NotApplicableError, UsageError
+from enecg.errors import DimensionError, NonFiniteLossError, NotApplicableError, UsageError
 from enecg.gating import (
     build_gate, ensemble_combine, gate_forward,
-    gate_input, greedy_search_weights, train_sample_aware, uniform_weights,
+    gate_input, greedy_search_weights, uniform_weights,
     zero_shot_confidence_weights,
 )
 from enecg.optim import finite_diff_grad
+from enecg.pipeline import ExperimentConfig, fit_sample_aware
 from enecg.signal import GeneratorConfig, downsample, generate
+from oracles import train_sample_aware
 
 
 def test_equal_scores_give_uniform_weights():
@@ -245,8 +247,8 @@ def build_sample_aware_scenario(seed=14, n=240):
 def test_sample_aware_training_beats_uniform():
     gate_inputs, logits, y = build_sample_aware_scenario()
     task = tk.TASKS["rr"]
-    gate = train_sample_aware(gate_inputs, logits, y, task, seed=0,
-                              lead_indices=(0,), pooled_len=8, hidden_dim=16, epochs=40)
+    cfg = ExperimentConfig(gate_leads=(0,), gate_pooled_len=8, gate_hidden=16, epochs=40)
+    gate = fit_sample_aware(cfg, gate_inputs, logits, y, task, 0)
     w = gate_forward(gate, Tensor(gate_inputs)).data
     stacked = np.transpose(logits, (1, 0, 2))
     combined = (w * stacked).sum(axis=1)
@@ -260,7 +262,37 @@ def test_sample_aware_training_beats_uniform():
 def test_sample_aware_is_deterministic_under_seed():
     gate_inputs, logits, y = build_sample_aware_scenario()
     task = tk.TASKS["rr"]
-    gates = [train_sample_aware(gate_inputs, logits, y, task, seed=7, lead_indices=(0,),
-                                pooled_len=8, hidden_dim=8, epochs=3) for _ in range(2)]
+    cfg = ExperimentConfig(gate_leads=(0,), gate_pooled_len=8, gate_hidden=8, epochs=3)
+    gates = [fit_sample_aware(cfg, gate_inputs, logits, y, task, 7) for _ in range(2)]
     w = [gate_forward(g, Tensor(gate_inputs)).data for g in gates]
     assert np.array_equal(w[0], w[1])
+
+
+@pytest.mark.parametrize("per_coordinate", [True, False], ids=["per-coordinate", "per-expert"])
+@pytest.mark.parametrize("task_name", ["rr", "sex", "arrhythmia"])
+def test_sample_aware_fit_matches_its_own_adam_loop(task_name, per_coordinate):
+    task = tk.task_by_name(task_name)
+    rng = np.random.default_rng(21)
+    n = 50  # two batches per epoch, the second one short
+    gate_inputs = rng.normal(size=(n, 16))
+    logits = rng.normal(size=(3, n, task.output_dim))
+    # binary labels skewed so the class weights differ from one
+    y = {"regression": rng.normal(size=n), "binary": (rng.random(n) < 0.3).astype(float),
+         "multiclass": rng.integers(0, task.output_dim, size=n).astype(float)}[task.kind]
+    cfg = ExperimentConfig(gate_leads=(0, 1), gate_pooled_len=8, gate_hidden=8, epochs=3,
+                           per_coordinate_weights=per_coordinate)
+    got = fit_sample_aware(cfg, gate_inputs, logits, y, task, 5)
+    want = train_sample_aware(gate_inputs, logits, y, task, seed=5, lead_indices=(0, 1),
+                              pooled_len=8, hidden_dim=8, epochs=3, per_coordinate=per_coordinate)
+    assert got.weight_dim == (task.output_dim if per_coordinate else 1)
+    for layer_got, layer_want in zip(got.layers, want.layers, strict=True):
+        for key, t in layer_want.tensors().items():
+            assert np.array_equal(layer_got.tensors()[key].data, t.data), key
+
+
+def test_non_finite_sample_aware_loss_names_the_task():
+    gate_inputs, logits, y = build_sample_aware_scenario(n=40)
+    cfg = ExperimentConfig(gate_leads=(0,), gate_pooled_len=8, gate_hidden=8, epochs=1)
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteLossError, match="task age: non-finite loss in the sample-aware"):
+        fit_sample_aware(cfg, gate_inputs, np.full_like(logits, 1e308), y, tk.TASKS["age"], 0)

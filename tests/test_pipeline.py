@@ -303,6 +303,21 @@ def test_roster_mismatch_is_rejected_on_every_path(tiny_setup):
         ensemble_scalar_model(experts, sex, sex.task, class_index=0)(block)
 
 
+def test_gate_less_model_is_a_usage_error(tmp_path):
+    cfg = tiny_cfg(n_records=48, epochs=1, tasks=("rr",))
+    (run,) = pipeline.run_suite(cfg, strategies=("uniform",))
+    model = run.singles.tasks["rr"]
+    assert model.gate is None
+    experts = build_experts(cfg)
+    records = [r for r, _ in generate(GeneratorConfig(seed=9, n_records=2, duration_s=4.0, fs_hz=125.0))]
+    for call in (lambda: save_task_model(model, tmp_path / "rr.ckpt"),
+                 lambda: forward_enecg(records, experts, model),
+                 lambda: ensemble_scalar_model(experts, model, model.task)):
+        with pytest.raises(UsageError, match="'rr' has no gate"):
+            call()
+    assert not (tmp_path / "rr.ckpt").exists()
+
+
 def test_raw_and_prepared_forwards_agree(tiny_setup):
     cfg, experts, prepared = tiny_setup
     small = tiny_cfg(n_records=12, epochs=1, tasks=("rr", "arrhythmia"))
