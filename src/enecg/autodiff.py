@@ -11,8 +11,12 @@ None. Calling ``backward`` twice without zeroing doubles leaf gradients.
 Primitives keep the backward table small and auditable: elementwise
 arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
 softmax/log_softmax, window pooling, patch statistics, DFT magnitude, row
-gather, concat/reshape/transpose and reductions. Everything downstream (experts,
-LoRA heads, gating, losses, saliency) composes from these.
+gather, concat/reshape/transpose, reductions and the three task losses
+(mse, weighted BCE with logits, cross-entropy). Everything downstream
+(experts, LoRA heads, gating, saliency) composes from these; the one node
+defined elsewhere is ``gating.ensemble_combine``. A fused node (the LoRA
+layer, patch statistics, the losses, the combination) keeps the numpy
+expressions of the composition it replaces, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ __all__ = [
     "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
     "conv1d", "mean_pool", "max_pool", "patch_stats", "dft_magnitude",
-    "reduce_sum", "reduce_mean",
+    "reduce_sum", "reduce_mean", "mse", "weighted_bce_with_logits", "cross_entropy",
 ]
 
 
@@ -369,10 +373,14 @@ def take_rows(a, indices, axis: int = 0) -> Tensor:
     arr = np.asarray(idx, dtype=np.intp)
     shape = a.data.shape
     where = (slice(None),) * axis + (arr,)
+    distinct = len(set(idx)) == len(idx)
 
     def back(g, needs):
         da = np.zeros(shape)
-        np.add.at(da, where, g)
+        if distinct:
+            da[where] = g   # a plain scatter; np.add.at only where an index repeats
+        else:
+            np.add.at(da, where, g)
         return (da,)
 
     return _apply("take_rows", (a,), np.take(a.data, arr, axis=axis), back)
@@ -397,15 +405,19 @@ def softplus(a) -> Tensor:
     ad = a.data
 
     def back(g, needs):
-        # piecewise-stable sigmoid
-        pos = ad >= 0
-        sig = np.empty_like(ad)
-        sig[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-        e = np.exp(ad[~pos])
-        sig[~pos] = e / (1.0 + e)
-        return (g * sig,)
+        return (g * _sigmoid(ad),)
 
     return _apply("softplus", (a,), np.logaddexp(0.0, ad), back)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, piecewise so that no exp overflows."""
+    pos = x >= 0
+    sig = np.empty_like(x)
+    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    sig[~pos] = e / (1.0 + e)
+    return sig
 
 
 def sqrt(a) -> Tensor:
@@ -654,3 +666,74 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     out = a.data.mean(axis=axis, keepdims=keepdims) if axis is not None else np.asarray(a.data.mean())
     return _apply("mean", (a,), out, back)
+
+
+# ---------------------------------------------------------------------------
+# task losses: one node each, against numpy targets of the logits' size.
+# The targets are used as given (the caller checks them once per fit), and
+# forward and backward keep the numpy expressions of the composed loss each
+# replaces, so the two agree bit for bit.
+
+def _flat_targets(a: Tensor, name: str, *arrays) -> list[np.ndarray]:
+    flat = [np.asarray(x, dtype=np.float64).reshape(-1) for x in arrays]
+    if not a.data.size or any(x.size != a.data.size for x in flat):
+        raise DimensionError(f"{name}: logits {a.shape} and targets "
+                             f"{[np.shape(x) for x in arrays]} differ in size or are empty")
+    return flat
+
+
+def mse(a, target) -> Tensor:
+    """Mean squared error ``mean((a - target)**2)`` over every element, both
+    flattened: reduce_mean of the squared sub, in one node."""
+    a = as_tensor(a)
+    (t,) = _flat_targets(a, "mse", target)
+    diff = a.data.reshape(-1) - t
+    shape = a.data.shape
+
+    def back(g, needs):
+        d = (g / t.size) * diff
+        return ((d + d).reshape(shape),)
+
+    return _apply("mse", (a,), np.asarray((diff * diff).mean()), back)
+
+
+def weighted_bce_with_logits(a, target, weight) -> Tensor:
+    """Weighted binary cross-entropy of logits ``z`` against 0/1 targets
+    ``y`` with per-element weights ``w``, all flattened:
+    ``mean(w * (y * softplus(-z) + (1 - y) * softplus(z)))``, the nine
+    nodes of neg, two softplus, three mul, add and reduce_mean in one."""
+    a = as_tensor(a)
+    y, w = _flat_targets(a, "weighted_bce_with_logits", target, weight)
+    z = a.data.reshape(-1)
+    not_y = 1.0 - y
+    shape = a.data.shape
+
+    def back(g, needs):
+        gw = (g / y.size) * w
+        return (((gw * not_y) * _sigmoid(z) + -((gw * y) * _sigmoid(-z))).reshape(shape),)
+
+    out = np.asarray((w * (y * np.logaddexp(0.0, -z) + not_y * np.logaddexp(0.0, z))).mean())
+    return _apply("weighted_bce_with_logits", (a,), out, back)
+
+
+def cross_entropy(a, labels) -> Tensor:
+    """Mean negative log-softmax of each row's class over (n, C) logits,
+    with ``labels`` the n class indices: log_softmax, mul by the one-hot
+    labels, reduce_sum and mul by -1/n, in one node."""
+    a = as_tensor(a)
+    x, y = a.data, np.asarray(labels).reshape(-1)
+    n = x.shape[0] if x.ndim == 2 else 0
+    if not n or y.size != n:
+        raise DimensionError(f"cross_entropy: expected (n, C) logits and n labels, "
+                             f"got {a.shape} and {np.shape(labels)}")
+    onehot = np.zeros(x.shape)
+    onehot[np.arange(n), y.astype(int)] = 1.0
+    shifted = x - x.max(axis=1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    scale = -1.0 / n
+
+    def back(g, needs):
+        gl = g * scale * onehot
+        return (gl - np.exp(out) * gl.sum(axis=1, keepdims=True),)
+
+    return _apply("cross_entropy", (a,), np.asarray((out * onehot).sum()) * scale, back)

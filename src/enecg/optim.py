@@ -43,11 +43,20 @@ class Adam:
         c2 = 1.0 - self.beta2 ** t
         # with no parameters, an empty update
         g = np.concatenate([p.grad.reshape(-1) for p in self.params] or [self.m])
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
-        m_hat = self.m / c1
-        v_hat = self.v / c2
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # in place, the operations of m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g g and lr (m / c1) / (sqrt(v / c2) + eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        g *= g
+        g *= 1.0 - self.beta2
+        self.v *= self.beta2
+        self.v += g
+        update = self.m / c1
+        update *= self.lr
+        denom = np.divide(self.v, c2, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
         start = 0
         for p, end in zip(self.params, self._ends):
             p.data -= update[start:end].reshape(p.data.shape)

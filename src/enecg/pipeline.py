@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise UsageError("expert roster is empty")
         if self.epochs < 0 or self.batch_size < 1 or self.repeats < 1:
             raise UsageError("epochs must be >= 0, batch_size and repeats >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise UsageError(f"experiment.learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +254,12 @@ class TaskModel:
         return z * self.target_std + self.target_mean
 
     def targets(self, prepared: "PreparedDataset") -> np.ndarray:
-        """Training targets for every row: labels, standardized for regression."""
+        """Training targets for every row: labels, standardized for
+        regression; checked once here, as the task losses take them as given."""
         y = prepared.labels[self.task.name]
-        return self.normalize(y) if self.task.kind == "regression" else y
+        y = self.normalize(y) if self.task.kind == "regression" else y
+        _check_finite(f"task {self.task.name}: training targets", y)
+        return y
 
 
 @dataclass
@@ -359,18 +365,29 @@ def _inputs(model: TaskModel, prepared: PreparedDataset,
             idx: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
     """The given rows (default all) standardized with the model's statistics:
     features stacked per head group (n,B,k), in ``stack.members`` order,
-    and the gate input (B,w)."""
+    and the gate input (B,w); a non-finite value is a ``UsageError``."""
     _check_roster(model, [(f"expert {i}", f.shape[1]) for i, f in enumerate(prepared.features)])
     rows = slice(None) if idx is None else idx
     feats = [(f[rows] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
     gm, gs = model.gate_stats
-    return ([np.stack([feats[i] for i in members]) for members in model.stack.members],
-            (prepared.gate_inputs[rows] - gm) / gs)
+    groups = [np.stack([feats[i] for i in members]) for members in model.stack.members]
+    gate_in = (prepared.gate_inputs[rows] - gm) / gs
+    _check_finite("standardized inputs", *groups, gate_in)
+    return groups, gate_in
+
+
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    """Refuse non-finite values once, where a fit's arrays are made: its
+    steps wrap them in Tensors without ``Tensor()``'s check."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise UsageError(f"{what} must be finite")
 
 
 def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple[list[Tensor], Tensor]:
+    """The rows ``idx`` of a run's ``_inputs`` as Tensors: each fresh
+    gather is wrapped as it is, without a copy."""
     feats, gate_in = inputs
-    return [Tensor(x[:, idx]) for x in feats], Tensor(gate_in[idx])
+    return [ad._make(x[:, idx]) for x in feats], ad._make(gate_in[idx])
 
 
 def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable[Tensor]):
@@ -421,7 +438,7 @@ def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -
     """(rows, L) combined logits of a gated model; (N, rows, L) expert
     logits of a gate-less one."""
     feats, gate_in = _inputs(model, prepared, idx)
-    outs = [o.data for o in _outputs(model, [Tensor(x) for x in feats], Tensor(gate_in))]
+    outs = [o.data for o in _outputs(model, [ad._make(x) for x in feats], ad._make(gate_in))]
     return np.stack(outs) if model.gate is None else outs[0]
 
 
@@ -820,6 +837,8 @@ def fit_sample_aware(cfg: ExperimentConfig, gate_inputs: np.ndarray, logits: np.
     logits; one generator, ``(seed, 0xAE)``, draws the gate, then each epoch's order."""
     if targets.size == 0:
         raise UsageError("sample-aware training needs a nonempty validation set")
+    _check_finite(f"task {task.name}: sample-aware logits, gate inputs and targets",
+                  logits, gate_inputs, targets)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xAE)))
     gate = build_gate(logits.shape[0], task.output_dim, rng, cfg.gate_leads, cfg.gate_pooled_len,
                       cfg.gate_hidden, per_coordinate=cfg.per_coordinate_weights, lora_only=False)
@@ -831,7 +850,7 @@ def fit_sample_aware(cfg: ExperimentConfig, gate_inputs: np.ndarray, logits: np.
         for start in range(0, order.size, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             _adam_step(opt, lambda: [(task.name, tk.task_loss(task, ensemble_combine(
-                Tensor(stacked[rows]), gate_forward(gate, Tensor(gate_inputs[rows]))),
+                ad._make(stacked[rows]), gate_forward(gate, ad._make(gate_inputs[rows]))),
                 targets[rows], pos_w, neg_w))],
                 f"in the sample-aware gate at epoch {epoch}, batch starting {start}")
     return gate

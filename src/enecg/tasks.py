@@ -74,23 +74,16 @@ def task_loss(task: TaskSpec, logits: Tensor, targets: np.ndarray,
     """Mean loss of a (B, L) logits batch against raw target values.
 
     Regression targets are whatever scale the caller trains in (the pipeline
-    standardizes them); binary/multiclass targets are class indices.
+    standardizes them); binary/multiclass targets are class indices. Each
+    loss is one autodiff node that uses the targets as given: the fits
+    check them for finiteness once.
     """
-    n = logits.shape[0]
     if task.kind == "regression":
-        diff = ad.sub(ad.reshape(logits, (n,)), Tensor(targets))
-        return ad.reduce_mean(ad.mul(diff, diff))
+        return ad.mse(logits, targets)
     if task.kind == "binary":
-        z = ad.reshape(logits, (n,))
-        y = targets.astype(np.float64)
-        w = np.where(y > 0.5, pos_weight, neg_weight)
-        pos_term = ad.mul(Tensor(y), ad.softplus(ad.neg(z)))
-        neg_term = ad.mul(Tensor(1.0 - y), ad.softplus(z))
-        return ad.reduce_mean(ad.mul(Tensor(w), ad.add(pos_term, neg_term)))
-    onehot = np.zeros((n, task.output_dim))
-    onehot[np.arange(n), targets.astype(int)] = 1.0
-    picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits, axis=1), Tensor(onehot)))
-    return ad.mul(picked, -1.0 / n)
+        return ad.weighted_bce_with_logits(logits, targets,
+                                           np.where(targets > 0.5, pos_weight, neg_weight))
+    return ad.cross_entropy(logits, targets)
 
 
 def predictions(task: TaskSpec, logits: np.ndarray) -> np.ndarray:

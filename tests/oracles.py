@@ -72,6 +72,32 @@ def patch_stats_composition(x, window, count=None):
     return ad.concat([mean, std, mx, mn], axis=-1)
 
 
+def task_loss_composed(task, logits, targets, pos_weight=1.0, neg_weight=1.0):
+    """``tasks.task_loss`` composed from elementwise, softplus, log_softmax
+    and reduction primitives: 4 tape nodes for MSE, 9 for weighted BCE and
+    4 for cross-entropy, where the fused losses take one each."""
+    n = logits.shape[0]
+    if task.kind == "regression":
+        diff = ad.sub(ad.reshape(logits, (n,)), ad.Tensor(targets))
+        return ad.reduce_mean(ad.mul(diff, diff))
+    if task.kind == "binary":
+        z = ad.reshape(logits, (n,))
+        y = targets.astype(np.float64)
+        w = np.where(y > 0.5, pos_weight, neg_weight)
+        pos_term = ad.mul(ad.Tensor(y), ad.softplus(ad.neg(z)))
+        neg_term = ad.mul(ad.Tensor(1.0 - y), ad.softplus(z))
+        return ad.reduce_mean(ad.mul(ad.Tensor(w), ad.add(pos_term, neg_term)))
+    onehot = np.zeros((n, task.output_dim))
+    onehot[np.arange(n), targets.astype(int)] = 1.0
+    picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits, axis=1), ad.Tensor(onehot)))
+    return ad.mul(picked, -1.0 / n)
+
+
+def ensemble_combine_composed(logits, weights):
+    """``gating.ensemble_combine`` as mul and reduce_sum over the expert axis."""
+    return ad.reduce_sum(ad.mul(weights, logits), axis=len(logits.shape) - 2)
+
+
 def add_gaussian(row, fs, center_s, amp, width_s):
     """Add one Gaussian wave into ``row`` in place, cut to 4.5 widths."""
     if amp == 0.0:

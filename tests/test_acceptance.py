@@ -73,6 +73,8 @@ def test_criterion_1_gradient_suite():
     kern = Tensor(rng.normal(size=(2, 3, 3)))
     away = Tensor(np.linspace(0.2, 3.0, 12).reshape(3, 4) * np.sign(rng.normal(size=(3, 4))))
     lora = [Tensor(rng.normal(size=s)) for s in [(2, 4), (1, 4), (2, 1), (2,), (3, 2)]]
+    target, labels = rng.normal(size=(3, 4)), np.array([3.0, 0.0, 1.0])
+    y = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
     primitives = [
         ("add", lambda t: ad.reduce_sum(ad.add(t, w1))),
         ("sub", lambda t: ad.reduce_sum(ad.sub(w1, t))),
@@ -94,6 +96,11 @@ def test_criterion_1_gradient_suite():
         ("conv1d", lambda t: ad.reduce_sum(ad.conv1d(t, kern, stride=1))),
         ("mean_pool", lambda t: ad.reduce_sum(ad.mean_pool(t, 2))),
         ("dft_magnitude", lambda t: ad.reduce_sum(ad.dft_magnitude(t, 3))),
+        ("mse", lambda t: ad.mse(t, target)),
+        ("weighted_bce_with_logits", lambda t: ad.weighted_bce_with_logits(t, y, 0.5 + y)),
+        ("cross_entropy", lambda t: ad.cross_entropy(t, labels)),
+        ("ensemble_combine", lambda t: ad.reduce_sum(ad.mul(
+            ensemble_combine(t, ad.softmax(ad.mul(t, w1), axis=0)), Tensor([1.0, -2.0, 0.5, 3.0])))),
     ]
     stat_weights = Tensor(np.linspace(0.5, 2.0, 24).reshape(3, 8))   # no sample sums to ~0
     kinky = [("relu", lambda t: ad.reduce_sum(ad.relu(t))),

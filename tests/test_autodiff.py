@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enecg import autodiff as ad
+from enecg import tasks as tk
 from enecg.autodiff import Tensor, Tape, backward
 from enecg.errors import DimensionError, UsageError
+from enecg.gating import ensemble_combine
 from enecg.optim import finite_diff_grad
 from oracles import (
-    conv1d_einsum, dft_magnitude_tables, dft_magnitude_tables_backward, patch_stats_composition,
+    conv1d_einsum, dft_magnitude_tables, dft_magnitude_tables_backward,
+    ensemble_combine_composed, patch_stats_composition, task_loss_composed,
 )
 
 
@@ -431,6 +434,75 @@ def test_elementwise_and_reduction_gradients():
     for build in cases:
         analytic, numeric = grad_of(build, x)
         assert_close(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+
+def _value_and_grads(build, arrays, scale):
+    """``build``'s output and the gradients of ``scale * sum(output)`` with
+    respect to fresh tensors of ``arrays``; a scale other than one makes
+    the upstream gradient of the output something other than ones."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*leaves)
+        backward(ad.reduce_sum(ad.mul(out, scale)), tape)
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("task_name", ["rr", "sex", "arrhythmia"])
+def test_fused_task_losses_equal_their_composition_bit_for_bit(task_name):
+    task = tk.task_by_name(task_name)
+    rng = np.random.default_rng(3)
+    n = 30      # not a power of two, so a division by n rounds
+    # logits of both signs and far from zero, so both pieces of the stable sigmoid are taken
+    logits = rng.normal(size=(n, task.output_dim)) * np.where(rng.random((n, 1)) < 0.2, 40.0, 2.0)
+    if task.kind == "regression":
+        targets = rng.normal(size=n)
+    else:
+        targets = rng.integers(0, max(task.output_dim, 2), size=n).astype(float)
+    for scale in (1.0, 0.37):
+        fused, composed = (_value_and_grads(lambda t: loss(task, t, targets, 1.7, 0.6), [logits], scale)
+                           for loss in (tk.task_loss, task_loss_composed))
+        for a, b in zip(fused, composed):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("logit_shape,weight_dim", [((3, 4), 4), ((3, 4), 1),
+                                                    ((6, 3, 4), 4), ((6, 3, 4), 1)])
+def test_ensemble_combine_equals_its_composition_bit_for_bit(logit_shape, weight_dim):
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=logit_shape)
+    weights = rng.random(size=logit_shape[:-1] + (weight_dim,))
+    scale = Tensor(rng.normal(size=logit_shape[:-2] + logit_shape[-1:]))
+    fused, composed = (_value_and_grads(combine, [logits, weights], scale)
+                       for combine in (ensemble_combine, ensemble_combine_composed))
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_fused_losses_reject_targets_of_another_size():
+    x = Tensor(np.zeros((4, 1)))
+    with pytest.raises(DimensionError):
+        ad.mse(x, np.zeros(3))
+    with pytest.raises(DimensionError):
+        ad.weighted_bce_with_logits(x, np.zeros(4), np.ones(5))
+    with pytest.raises(DimensionError):
+        ad.cross_entropy(Tensor(np.zeros((4, 3))), np.zeros(5))
+
+
+@pytest.mark.parametrize("idx,axis", [([2, 0], 0), ([0, 2, 0, 0], 0), ([1, 1, 3], 1), ([3], 1)])
+def test_take_rows_backward_scatters_and_accumulates_repeated_indices(idx, axis):
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out_shape = (len(idx), 4) if axis == 0 else (3, len(idx))
+    g = rng.normal(size=out_shape)
+    with Tape() as tape:
+        backward(ad.reduce_sum(ad.mul(ad.take_rows(x, idx, axis=axis), Tensor(g))), tape)
+    want = np.zeros((3, 4))
+    for k, i in enumerate(idx):
+        if axis == 0:
+            want[i] += g[k]
+        else:
+            want[:, i] += g[:, k]
+    np.testing.assert_array_equal(x.grad, want)
 
 
 def test_backward_of_sum_is_ones():

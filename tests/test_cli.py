@@ -328,6 +328,21 @@ def test_bad_gate_leads_or_split_exits_with_config(tmp_path, capsys, old, new):
     assert record["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.001", "0"])
+def test_learning_rate_not_finite_and_positive_exits_with_config(tmp_path, capsys, value):
+    path = tmp_path / "lr.cfg"
+    path.write_text(SMALL_CFG.replace("batch_size = 16", f"batch_size = 16\nlearning_rate = {value}"))
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(path), "--out", str(out)]) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == (f"experiment.learning_rate must be finite and positive, "
+                                 f"got {float(value)}")
+    assert not (out / "checkpoints").exists()
+
+
 def test_empty_split_exits_with_usage(tmp_path, capsys):
     tiny = tmp_path / "tiny.cfg"
     tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))

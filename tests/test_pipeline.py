@@ -102,6 +102,28 @@ def test_empty_split_is_rejected_before_preparing(monkeypatch):
         train(tiny_cfg(n_records=4))
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -0.001, 0.0])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    with pytest.raises(UsageError, match="learning_rate must be finite and positive"):
+        tiny_cfg(learning_rate=lr).validate()
+
+
+@pytest.mark.parametrize("where", ["features", "labels"])
+def test_non_finite_inputs_or_targets_are_refused_before_any_step(tiny_setup, where):
+    # the steps wrap their rows and targets without Tensor()'s check
+    cfg, experts, prepared = tiny_setup
+    if where == "features":
+        features = [f.copy() for f in prepared.features]
+        features[1][7, 3] = np.nan
+        bad, message = replace(prepared, features=features), "standardized inputs must be finite"
+    else:
+        labels = {**prepared.labels, "rr": prepared.labels["rr"].copy()}
+        labels["rr"][7] = np.inf
+        bad, message = replace(prepared, labels=labels), "task rr: training targets must be finite"
+    with pytest.raises(UsageError, match=message):
+        train(replace(cfg, tasks=("rr",)), prepared=bad, experts=experts)
+
+
 def test_frozen_checksum_drift_is_an_invariant_error(tiny_setup, monkeypatch):
     cfg, experts, prepared = tiny_setup
     drift = iter(range(1000))
@@ -552,3 +574,21 @@ def test_single_task_moe_step_records_at_most_20_nodes():
         assert len(tape) <= 20, name
         # one node per layer: both head layers over all three experts, both gate layers
         assert [node.op for node in tape.nodes].count("lora_linear") == 4, name
+
+
+def test_single_task_moe_step_records_at_most_12_nodes():
+    # the combination and the task loss are one node each
+    cfg = ExperimentConfig(n_records=40)
+    experts = build_experts(cfg)
+    prepared = prepare_dataset(cfg, experts, seed=0)
+    stats = fit_input_stats(prepared, np.arange(prepared.n))
+    for name in cfg.tasks:
+        model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
+        model.feature_stats, model.gate_stats = stats
+        _, tape = pipeline._train_step([model], _inputs(model, prepared),
+                                       [model.targets(prepared)], np.arange(32),
+                                       Adam(model.trainable()))
+        assert len(tape) <= 12, name
+        loss_op = {"regression": "mse", "binary": "weighted_bce_with_logits",
+                   "multiclass": "cross_entropy"}[model.task.kind]
+        assert [node.op for node in tape.nodes][-2:] == ["ensemble_combine", loss_op], name
