@@ -11,12 +11,12 @@ None. Calling ``backward`` twice without zeroing doubles leaf gradients.
 Primitives keep the backward table small and auditable: elementwise
 arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
 softmax/log_softmax, window pooling, patch statistics, DFT magnitude, row
-gather, concat/reshape/transpose, reductions and the three task losses
-(mse, weighted BCE with logits, cross-entropy). Everything downstream
-(experts, LoRA heads, gating, saliency) composes from these; the one node
-defined elsewhere is ``gating.ensemble_combine``. A fused node (the LoRA
-layer, patch statistics, the losses, the combination) keeps the numpy
-expressions of the composition it replaces, so the two agree bit for bit.
+gather, concat/reshape/transpose, reductions, the weighted sum that
+combines expert logits, and the three task losses (mse, weighted BCE with
+logits, cross-entropy). Everything downstream (experts, LoRA heads,
+gating, saliency) composes from these. A fused node (the LoRA layer, patch
+statistics, the weighted sum, the losses) keeps the numpy expressions of
+the composition it replaces, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
     "conv1d", "mean_pool", "max_pool", "patch_stats", "dft_magnitude",
-    "reduce_sum", "reduce_mean", "mse", "weighted_bce_with_logits", "cross_entropy",
+    "reduce_sum", "reduce_mean", "weighted_sum", "mse", "weighted_bce_with_logits", "cross_entropy",
 ]
 
 
@@ -373,14 +373,10 @@ def take_rows(a, indices, axis: int = 0) -> Tensor:
     arr = np.asarray(idx, dtype=np.intp)
     shape = a.data.shape
     where = (slice(None),) * axis + (arr,)
-    distinct = len(set(idx)) == len(idx)
 
     def back(g, needs):
         da = np.zeros(shape)
-        if distinct:
-            da[where] = g   # a plain scatter; np.add.at only where an index repeats
-        else:
-            np.add.at(da, where, g)
+        np.add.at(da, where, g)
         return (da,)
 
     return _apply("take_rows", (a,), np.take(a.data, arr, axis=axis), back)
@@ -666,6 +662,25 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     out = a.data.mean(axis=axis, keepdims=keepdims) if axis is not None else np.asarray(a.data.mean())
     return _apply("mean", (a,), out, back)
+
+
+def weighted_sum(w, a, axis: int) -> Tensor:
+    """``sum(w * a, axis)`` with numpy broadcasting of ``w`` and ``a``, as
+    one node: reduce_sum of the mul, whose backward rules it keeps."""
+    w, a = as_tensor(w), as_tensor(a)
+    wd, xd = w.data, a.data
+    try:
+        prod = wd * xd
+    except ValueError as e:
+        raise DimensionError(f"weighted_sum: shapes {w.shape} and {a.shape} do not broadcast") from e
+    axis = _check_axis(_make(prod), axis)
+
+    def back(g, needs):
+        g = np.expand_dims(g, axis)
+        return (_unbroadcast(g * xd, wd.shape) if needs[0] else None,
+                _unbroadcast(g * wd, xd.shape) if needs[1] else None)
+
+    return _apply("weighted_sum", (w, a), prod.sum(axis=axis), back)
 
 
 # ---------------------------------------------------------------------------

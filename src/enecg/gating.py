@@ -82,27 +82,17 @@ def gate_forward(gate: GatingNetwork, pooled_input: Tensor) -> Tensor:
 
 def ensemble_combine(logits: Tensor, weights: Tensor) -> Tensor:
     """Weighted sum over the expert axis of (N, L) or (B, N, L) logits, as
-    one tape node.
+    one ``autodiff.weighted_sum`` node.
 
     Weights must match the logits shape, except that a trailing weight
-    dimension of 1 broadcasts across output coordinates. Forward and
-    backward keep the numpy expressions of ``reduce_sum(mul(weights,
-    logits))``, so the two agree bit for bit.
+    dimension of 1 broadcasts across output coordinates.
     """
     ls, ws = logits.shape, weights.shape
     if len(ls) != len(ws) or ls[:-1] != ws[:-1] or ws[-1] not in (1, ls[-1]):
         raise DimensionError(f"ensemble shapes differ: logits {ls}, weights {ws}")
-    wd, ld = weights.data, logits.data
-    if np.any(wd < 0):
+    if np.any(weights.data < 0):
         raise UsageError("ensemble weights must be nonnegative")
-    expert_axis = len(ls) - 2
-
-    def back(g, needs):
-        g = np.expand_dims(g, expert_axis)
-        return (ad._unbroadcast(g * ld, ws) if needs[0] else None,
-                g * wd if needs[1] else None)
-
-    return ad._apply("ensemble_combine", (weights, logits), (wd * ld).sum(axis=expert_axis), back)
+    return ad.weighted_sum(weights, logits, axis=len(ls) - 2)
 
 
 def uniform_weights(n_experts: int) -> np.ndarray:

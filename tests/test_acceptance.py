@@ -99,6 +99,8 @@ def test_criterion_1_gradient_suite():
         ("mse", lambda t: ad.mse(t, target)),
         ("weighted_bce_with_logits", lambda t: ad.weighted_bce_with_logits(t, y, 0.5 + y)),
         ("cross_entropy", lambda t: ad.cross_entropy(t, labels)),
+        ("weighted_sum", lambda t: ad.reduce_sum(ad.mul(ad.weighted_sum(
+            ad.reduce_sum(t, axis=1, keepdims=True), t, axis=0), Tensor([1.0, -2.0, 0.5, 3.0])))),
         ("ensemble_combine", lambda t: ad.reduce_sum(ad.mul(
             ensemble_combine(t, ad.softmax(ad.mul(t, w1), axis=0)), Tensor([1.0, -2.0, 0.5, 3.0])))),
     ]

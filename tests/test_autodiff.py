@@ -478,6 +478,13 @@ def test_ensemble_combine_equals_its_composition_bit_for_bit(logit_shape, weight
         np.testing.assert_array_equal(a, b)
 
 
+def test_weighted_sum_rejects_shapes_that_do_not_broadcast_or_a_bad_axis():
+    with pytest.raises(DimensionError):
+        ad.weighted_sum(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), axis=0)
+    with pytest.raises(DimensionError):
+        ad.weighted_sum(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 3))), axis=2)
+
+
 def test_fused_losses_reject_targets_of_another_size():
     x = Tensor(np.zeros((4, 1)))
     with pytest.raises(DimensionError):
@@ -489,7 +496,7 @@ def test_fused_losses_reject_targets_of_another_size():
 
 
 @pytest.mark.parametrize("idx,axis", [([2, 0], 0), ([0, 2, 0, 0], 0), ([1, 1, 3], 1), ([3], 1)])
-def test_take_rows_backward_scatters_and_accumulates_repeated_indices(idx, axis):
+def test_take_rows_backward_accumulates_repeated_indices(idx, axis):
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     out_shape = (len(idx), 4) if axis == 0 else (3, len(idx))

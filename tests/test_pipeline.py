@@ -591,4 +591,4 @@ def test_single_task_moe_step_records_at_most_12_nodes():
         assert len(tape) <= 12, name
         loss_op = {"regression": "mse", "binary": "weighted_bce_with_logits",
                    "multiclass": "cross_entropy"}[model.task.kind]
-        assert [node.op for node in tape.nodes][-2:] == ["ensemble_combine", loss_op], name
+        assert [node.op for node in tape.nodes][-2:] == ["weighted_sum", loss_op], name
