@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -42,15 +44,17 @@ CONV_POOL_COUNT = 12
 STAT_PATCHES = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpertModel:
-    """A frozen feature extractor with a declared input length."""
+    """A frozen feature extractor with a declared input length. Its fields,
+    its parameter mapping and its parameter arrays are all read-only, so an
+    expert object's identity fixes the features it computes."""
     name: str
     arch: str
     required_input_len: int
     feature_dim: int
     n_leads: int
-    params: dict[str, Tensor] = field(repr=False)
+    params: Mapping[str, Tensor] = field(repr=False)
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -62,7 +66,7 @@ class ExpertModel:
 
 def _frozen(rng: np.random.Generator, shape, scale: float) -> Tensor:
     t = Tensor(rng.normal(0.0, scale, size=shape))
-    t.requires_grad = False
+    t.data.flags.writeable = False
     return t
 
 
@@ -109,7 +113,7 @@ def build_expert(arch: str, seed: int, required_input_len: int | None = None,
         required_input_len=length,
         feature_dim=feature_dim,
         n_leads=n_leads,
-        params=params,
+        params=MappingProxyType(params),
     )
 
 

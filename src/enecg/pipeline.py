@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from itertools import islice
@@ -390,13 +391,22 @@ def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple
     return [ad._make(x[:, idx]) for x in feats], ad._make(gate_in[idx])
 
 
+def _check_experts(model: TaskModel, experts: list[ExpertModel]) -> None:
+    _check_roster(model, [(f"expert {m.name!r}", m.feature_dim) for m in experts])
+
+
 def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable[Tensor]):
     """(stacked, weights, combined) Tensors from the ``_views`` of a raw
     record block: experts, then standardization with the model's statistics,
     heads and gate, all on the tape, so saliency can differentiate them with
     respect to the views."""
-    _check_roster(model, [(f"expert {m.name!r}", m.feature_dim) for m in experts])
-    features, gate_in = _block_features(experts, views)
+    _check_experts(model, experts)
+    return _features_forward(model, *_block_features(experts, views))
+
+
+def _features_forward(model: TaskModel, features: list[Tensor], gate_in: Tensor):
+    """``_views_forward`` from ``_block_features``: standardization with
+    the model's statistics, then heads, gate and combine."""
     features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
                 for f, (mean, std) in zip(features, model.feature_stats)]
     gm, gs = model.gate_stats
@@ -404,13 +414,42 @@ def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable
     return _forward_grouped(model, model.stack.group_inputs(features), gate_in)
 
 
+# The last raw batch's front-end pass: (weak references to each record's
+# lead array and to each expert, (batch size, gate leads, pooled length),
+# (features, gate input)). Weak references keep no batch alive, and a dead
+# referent matches no new object. Lead arrays and expert parameters are
+# read-only and experts are frozen, so an object's identity stands for its
+# content. The entry is replaced whole: a thread reading a stale one misses.
+_last_front: tuple | None = None
+
+
+def _front(batch: list[EcgRecord], experts: list[ExpertModel], lead_indices,
+           pooled_len: int) -> tuple[list[Tensor], Tensor]:
+    """``_block_features`` of a raw record batch, computed once for
+    consecutive calls on the same records, experts and gate input: several
+    tasks scored on one batch, back to back, share one pass."""
+    global _last_front
+    objects = [r.leads.data for r in batch] + list(experts)
+    shape = (len(batch), tuple(lead_indices), pooled_len)
+    memo = _last_front
+    if (memo is not None and memo[1] == shape and len(memo[0]) == len(objects)
+            and all(ref() is obj for ref, obj in zip(memo[0], objects))):
+        return memo[2]
+    front = _block_features(experts, _views(experts, ad.stack([r.leads for r in batch]),
+                                            lead_indices, pooled_len))
+    _last_front = [weakref.ref(x) for x in objects], shape, front
+    return front
+
+
 def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: TaskModel) -> list[EnsembleOutput]:
-    """Full forward from raw records; one EnsembleOutput per input, in order."""
+    """Full forward from raw records; one EnsembleOutput per input, in order.
+    Consecutive calls on the same batch share one front-end pass (``_front``)."""
     gate = _gated(model)
     if not batch:
         return []
-    views = _views(experts, ad.stack([r.leads for r in batch]), gate.lead_indices, gate.pooled_len)
-    stacked, weights, combined = _views_forward(model, experts, views)
+    _check_experts(model, experts)
+    features, gate_in = _front(batch, experts, gate.lead_indices, gate.pooled_len)
+    stacked, weights, combined = _features_forward(model, features, gate_in)
     return [EnsembleOutput(*row) for row in zip(stacked.data, weights.data, combined.data)]
 
 

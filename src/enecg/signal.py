@@ -116,8 +116,9 @@ class GeneratorConfig:
         for name, rate in (("potassium_rate", self.potassium_rate), ("sex_ratio", self.sex_ratio)):
             if not 0.0 <= rate <= 1.0:
                 raise UsageError(f"{name} must lie in [0,1], got {rate}")
-        if self.duration_s <= 0 or self.fs_hz <= 0:
-            raise UsageError("duration and sampling rate must be positive")
+        if not (0 < self.duration_s < np.inf and 0 < self.fs_hz < np.inf):
+            raise UsageError(f"data.duration_s and data.fs_hz must be finite and positive, "
+                             f"got {self.duration_s} and {self.fs_hz}")
         if len(self.lead_mix) < 1:
             raise UsageError("lead_mix needs at least one lead row")
         if not self.templates:
@@ -145,6 +146,8 @@ class LabelSet:
 
 @dataclass
 class EcgRecord:
+    """A raw record. Its samples are read-only, and a record never shares
+    them with a writable array, so a lead array's identity fixes its values."""
     leads: Tensor              # C x T, millivolts
     sampling_rate_hz: float
     record_id: str
@@ -155,8 +158,11 @@ class EcgRecord:
         c, t = self.leads.shape
         if c < 1 or t < 2:
             raise DimensionError(f"record needs C >= 1 and T >= 2, got {c}x{t}")
-        if self.sampling_rate_hz <= 0:
-            raise UsageError("sampling rate must be positive")
+        if not 0 < self.sampling_rate_hz < np.inf:
+            raise UsageError(f"sampling rate must be finite and positive, got {self.sampling_rate_hz}")
+        if self.leads.data.base is not None:  # a view: its base may still be written
+            self.leads = _make(self.leads.data.copy())
+        self.leads.data.flags.writeable = False
 
     @property
     def n_leads(self) -> int:

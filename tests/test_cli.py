@@ -343,6 +343,19 @@ def test_learning_rate_not_finite_and_positive_exits_with_config(tmp_path, capsy
     assert not (out / "checkpoints").exists()
 
 
+@pytest.mark.parametrize("line", ["duration_s = 2.0", "fs_hz = 100.0"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_duration_or_rate_exits_with_config(tmp_path, capsys, line, value):
+    path = tmp_path / "data.cfg"
+    path.write_text(SMALL_CFG.replace(line, f"{line.split()[0]} = {value}"))
+    assert run(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert "must be finite and positive" in record["message"]
+
+
 def test_empty_split_exits_with_usage(tmp_path, capsys):
     tiny = tmp_path / "tiny.cfg"
     tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))

@@ -1,5 +1,7 @@
 """Frozen-expert determinism, shapes, heterog/spectral behavior, gradients."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,15 @@ def test_expert_contributes_no_trainable_parameters():
     for arch in ARCHITECTURES:
         m = small_expert(arch)
         assert all(not p.requires_grad for p in m.params.values())
+
+
+def test_expert_fields_and_parameters_are_read_only():
+    for arch in ARCHITECTURES:
+        m = small_expert(arch)
+        for p in m.params.values():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[...] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            m.required_input_len = 32
+        with pytest.raises(TypeError):
+            m.params["w"] = Tensor(np.zeros(m.params["w"].shape))

@@ -2,6 +2,8 @@
 contracts (frozen params, identity at init, loss decrease), metric oracles
 and efficiency accounting."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +357,83 @@ def test_raw_and_prepared_forwards_agree(tiny_setup):
         scalar = ensemble_scalar_model(experts, model, model.task, class_index=class_index)
         column = 0 if class_index is None else class_index
         np.testing.assert_array_equal(scalar(block).data, raw[:, column])
+
+
+@pytest.fixture
+def expert_calls(monkeypatch):
+    """Names of the experts each ``forward_enecg`` front-end pass runs,
+    starting from an empty front-end memo."""
+    monkeypatch.setattr(pipeline, "_last_front", None)
+    calls = []
+    real = pipeline.expert_forward
+
+    def counted(model, x):
+        calls.append(model.name)
+        return real(model, x)
+
+    monkeypatch.setattr(pipeline, "expert_forward", counted)
+    return calls
+
+
+def _task_model(cfg, experts, task="rr"):
+    return build_task_model(cfg, experts, tk.TASKS[task], seed=3)
+
+
+def _records(n, seed=9):
+    return [r for r, _ in generate(GeneratorConfig(seed=seed, n_records=n, duration_s=4.0,
+                                                   fs_hz=125.0))]
+
+
+def test_five_tasks_on_one_batch_run_the_experts_once(tiny_setup, expert_calls, monkeypatch):
+    cfg, experts, _ = tiny_setup
+    models, batch = [_task_model(cfg, experts, task) for task in tk.TASKS], _records(3)
+    outs = [forward_enecg(batch, experts, model) for model in models]
+    assert expert_calls == [m.name for m in experts]
+    for model, got in zip(models, outs):
+        monkeypatch.setattr(pipeline, "_last_front", None)
+        for a, b in zip(got, forward_enecg(batch, experts, model)):
+            for field in ("expert_logits", "weights", "combined"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_front_end_memo_holds_one_batch(tiny_setup, expert_calls):
+    cfg, experts, _ = tiny_setup
+    model = _task_model(cfg, experts)
+    records = _records(4)
+    a, b = records[:2], records[2:]
+    for batch in (a, b, a):
+        forward_enecg(batch, experts, model)
+    assert len(expert_calls) == 3 * len(experts)
+    forward_enecg(list(a), experts, model)   # a new list of the same records
+    assert len(expert_calls) == 3 * len(experts)
+
+
+def test_front_end_memo_misses_on_any_other_input(tiny_setup, expert_calls):
+    cfg, experts, _ = tiny_setup
+    model = _task_model(cfg, experts)
+    batch = _records(2)
+    same_values = replace(batch[1], leads=Tensor(batch[1].leads.data))
+    others = [
+        ([batch[0], same_values], experts, model),
+        (batch, build_experts(cfg), model),
+        (batch, experts, _task_model(replace(cfg, gate_leads=(0,)), experts)),
+        (batch, experts, _task_model(replace(cfg, gate_pooled_len=25), experts)),
+    ]
+    for records, roster, other in others:
+        forward_enecg(batch, experts, model)
+        before = len(expert_calls)
+        forward_enecg(records, roster, other)
+        assert len(expert_calls) == before + len(roster)
+
+
+def test_front_end_memo_keeps_no_batch_alive(tiny_setup):
+    cfg, experts, _ = tiny_setup
+    batch = _records(2)
+    forward_enecg(batch, experts, _task_model(cfg, experts))
+    leads = weakref.ref(batch[0].leads.data)
+    del batch
+    gc.collect()
+    assert leads() is None
 
 
 def test_end_to_end_gradients_match_finite_differences(tiny_setup):

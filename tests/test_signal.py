@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from enecg.autodiff import _make
 from enecg.errors import DimensionError, ParseError, UsageError
 from enecg.signal import (
     DEFAULT_TEMPLATES, EcgRecord, GeneratorConfig, LabelSet, Tensor,
@@ -177,7 +178,9 @@ def test_unreadable_float_names_line(tmp_path):
 @pytest.mark.parametrize("text,line", [
     ("ENECG1 r 1 3 100.0\n0.1,nan,0.2\n800.0,40.0,0,0,0\n", 2),
     ("ENECG1 r 1 1 100.0\n0.1\n800.0,40.0,0,0,0\n", 1),
-], ids=["nan-sample", "one-sample"])
+    ("ENECG1 r 1 3 nan\n0.1,0.3,0.2\n800.0,40.0,0,0,0\n", 1),
+    ("ENECG1 r 1 3 inf\n0.1,0.3,0.2\n800.0,40.0,0,0,0\n", 1),
+], ids=["nan-sample", "one-sample", "nan-rate", "infinite-rate"])
 def test_unusable_record_is_parse_error_naming_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -190,6 +193,33 @@ def test_config_validation():
         GeneratorConfig(heart_rate_bpm=(0.0, 60.0)).validate()
     with pytest.raises(UsageError):
         GeneratorConfig(potassium_rate=1.5).validate()
+
+
+@pytest.mark.parametrize("key", ["duration_s", "fs_hz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_duration_and_rate_must_be_finite_and_positive(key, value):
+    with pytest.raises(UsageError, match="must be finite and positive"):
+        GeneratorConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
+def test_record_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(UsageError, match="sampling rate must be finite and positive"):
+        EcgRecord(Tensor(np.zeros((2, 10))), rate, "r")
+
+
+def test_record_samples_are_read_only(tmp_path):
+    synthesized, labels = synthesize(small_cfg(), 0)
+    save_records([(synthesized, labels)], tmp_path / "r.txt")
+    (loaded, _), = load_records(tmp_path / "r.txt")
+    for record in (synthesized, loaded):
+        with pytest.raises(ValueError, match="read-only"):
+            record.leads.data[0, 0] = 1.0
+    # a view's base stays writable, so the record keeps its own copy
+    base = np.zeros((2, 20))
+    record = EcgRecord(_make(base[:, :10]), 10.0, "view")
+    base[...] = 1.0
+    np.testing.assert_array_equal(record.leads.data, 0.0)
 
 
 @pytest.mark.parametrize("amplitude", [float("inf"), 1e308])
