@@ -128,9 +128,9 @@ def build_experts(cfg: ExperimentConfig) -> list[ExpertModel]:
 
 def _views(experts: list[ExpertModel], block: Tensor, lead_indices,
            pooled_len: int) -> Iterator[Tensor]:
-    """The linear front of the raw forward: each expert's downsampled view of
-    a raw (B,C,T) block, in roster order, then the gate input. A generator,
-    so each view is made just before its consumer takes it."""
+    """The downsampling front of the raw forward, linear in a raw (B,C,T)
+    block: each expert's downsampled view, in roster order, then the gate
+    input. A generator, so each view is made just before its consumer takes it."""
     for m in experts:
         yield downsample(block, m.required_input_len)
     yield gate_input(block, lead_indices, pooled_len)
@@ -395,18 +395,9 @@ def _check_experts(model: TaskModel, experts: list[ExpertModel]) -> None:
     _check_roster(model, [(f"expert {m.name!r}", m.feature_dim) for m in experts])
 
 
-def _views_forward(model: TaskModel, experts: list[ExpertModel], views: Iterable[Tensor]):
-    """(stacked, weights, combined) Tensors from the ``_views`` of a raw
-    record block: experts, then standardization with the model's statistics,
-    heads and gate, all on the tape, so saliency can differentiate them with
-    respect to the views."""
-    _check_experts(model, experts)
-    return _features_forward(model, *_block_features(experts, views))
-
-
 def _features_forward(model: TaskModel, features: list[Tensor], gate_in: Tensor):
-    """``_views_forward`` from ``_block_features``: standardization with
-    the model's statistics, then heads, gate and combine."""
+    """(stacked, weights, combined) Tensors, on the tape, from expert features
+    and the raw gate input: standardization, then heads, gate and combine."""
     features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
                 for f, (mean, std) in zip(features, model.feature_stats)]
     gm, gs = model.gate_stats

@@ -10,12 +10,13 @@ A scalar model is read as a linear front (raw block -> views) followed by a
 head (views -> one scalar per row). The straight-line path commutes with a
 linear map (Sundararajan et al. 2017, arXiv 1703.01365), so the points are
 interpolated between the baseline's and the input's views, never in raw
-sample space: the ensemble's experts and gate see a record only through
-window means, so no point is pooled from raw samples, forward or backward.
-The points run in chunks of ``IG_CHUNK``, one tape each, and the
+sample space. The ensemble's front ends at each expert's first
+nonlinearity (downsampling, the convolutional expert's first conv1d, the
+gate input's window means), so no point is pooled or convolved from raw
+samples. The points run in chunks of ``IG_CHUNK``, one tape each, and the
 point-averaged view gradients are pulled back to raw samples once, by
-differentiating the front on one record-sized tape. A plain callable has an
-identity front.
+differentiating the front on one record-sized tape. A plain callable has
+an identity front.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from . import autodiff as ad
 from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, ParseError, UsageError, read_lines
-from .experts import ExpertModel
-from .pipeline import _gated, _views, _views_forward
+from .experts import ExpertModel, expert_front, expert_head
+from .pipeline import _check_experts, _features_forward, _gated, _views
 
 # interpolation points per tape: bounds IG's working set by the chunk, not
 # by the step count
@@ -79,8 +80,8 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     differentiated once; the view gradients, averaged over the points, are
     pulled back through the front on one record-sized tape.
     """
-    if steps < 1:
-        raise UsageError(f"integrated gradients needs steps >= 1, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise UsageError(f"integrated gradients needs an integer steps >= 1, got {steps!r}")
     base = Tensor(np.zeros_like(x.data)) if baseline is None else baseline
     if base.shape != x.shape:
         raise DimensionError(f"baseline shape {base.shape} != input shape {x.shape}")
@@ -88,14 +89,16 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     split = _split(model)
     x_views = list(split.front(Tensor(x.data[None, ...])))
     b_views = list(split.front(Tensor(base.data[None, ...])))
+    deltas = [v.data - b.data for v, b in zip(x_views, b_views)]
+    if not all(np.isfinite(d).all() for d in deltas):
+        raise UsageError("integrated gradients needs finite views of the input and baseline")
 
     alphas = (np.arange(steps) + 0.5) / steps
     grad_sums = [np.zeros(v.shape) for v in x_views]
     for lo in range(0, steps, IG_CHUNK):
         chunk = alphas[lo:lo + IG_CHUNK]
-        points = [Tensor(b.data + chunk.reshape((-1,) + (1,) * (b.data.ndim - 1)) * (v.data - b.data),
-                         requires_grad=True)
-                  for v, b in zip(x_views, b_views)]
+        points = [ad._make(b.data + chunk.reshape((-1,) + (1,) * (b.data.ndim - 1)) * d, True)
+                  for b, d in zip(b_views, deltas)]
         with Tape() as tape:
             out = split.head(points)
             if out.data.size != chunk.size:
@@ -117,7 +120,7 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     f_base = float(split.head(b_views).data.reshape(-1)[0])
     gap = abs(attributions.sum() - (f_x - f_base))
     label = "zeros" if baseline is None else f"tensor{base.shape}"
-    return SaliencyMap(attributions, label, steps, gap, f_x, f_base)
+    return SaliencyMap(attributions, label, int(steps), gap, f_x, f_base)
 
 
 def scalar_target(task: tk.TaskSpec, logits: Tensor, class_index: int | None = None) -> Tensor:
@@ -148,16 +151,22 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
     Attributes the combined logit by default, or a single expert's logit
     when ``expert_index`` is given. Regression outputs stay in the
     standardized training scale; attribution shape follows the raw record.
-    The front is each expert's downsample and the gate input; the head is
-    the rest of the raw-record forward.
+    The front is each expert's downsample and ``expert_front``, then the
+    gate input; the head is the rest of the raw-record forward.
     """
     gate = _gated(model)
 
     def front(block: Tensor):
-        return _views(experts, block, gate.lead_indices, gate.pooled_len)
+        views = _views(experts, block, gate.lead_indices, gate.pooled_len)
+        for m, down in zip(experts, views):
+            yield expert_front(m, down)
+        yield next(views)
 
     def head(views) -> Tensor:
-        stacked, _, combined = _views_forward(model, experts, views)
+        _check_experts(model, experts)
+        views = iter(views)
+        features = [expert_head(m, next(views)) for m in experts]
+        stacked, _, combined = _features_forward(model, features, next(views))
         if expert_index is None:
             return scalar_target(task, combined, class_index)
         one = ad.take_rows(stacked, [expert_index], axis=1)

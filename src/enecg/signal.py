@@ -119,6 +119,9 @@ class GeneratorConfig:
         if not (0 < self.duration_s < np.inf and 0 < self.fs_hz < np.inf):
             raise UsageError(f"data.duration_s and data.fs_hz must be finite and positive, "
                              f"got {self.duration_s} and {self.fs_hz}")
+        samples = self.duration_s * self.fs_hz       # synthesize rounds it
+        if not (samples < np.inf and round(samples) >= 2):
+            raise UsageError(f"data.duration_s * data.fs_hz must round to a finite count >= 2, got {samples}")
         if len(self.lead_mix) < 1:
             raise UsageError("lead_mix needs at least one lead row")
         if not self.templates:

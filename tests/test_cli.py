@@ -356,6 +356,19 @@ def test_non_finite_duration_or_rate_exits_with_config(tmp_path, capsys, line, v
     assert "must be finite and positive" in record["message"]
 
 
+@pytest.mark.parametrize("duration, rate", [("1e200", "1e200"), ("0.001", "100.0")])
+def test_sample_count_not_finite_or_below_two_exits_with_config(tmp_path, capsys, duration, rate):
+    path = tmp_path / "data.cfg"
+    path.write_text(SMALL_CFG.replace("duration_s = 2.0", f"duration_s = {duration}")
+                    .replace("fs_hz = 100.0", f"fs_hz = {rate}"))
+    assert run(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert "must round to a finite count >= 2" in record["message"]
+
+
 def test_empty_split_exits_with_usage(tmp_path, capsys):
     tiny = tmp_path / "tiny.cfg"
     tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))

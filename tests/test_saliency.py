@@ -1,5 +1,6 @@
 """Integrated-gradients exactness, completeness trend and export format."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -130,6 +131,29 @@ def test_step_and_shape_validation():
         integrated_gradients(quadratic_model(), x, baseline=Tensor(np.zeros((2, 5))))
 
 
+@pytest.mark.parametrize("steps", [2.5, np.float64(4.0), "8", True, False, np.int64(0)])
+def test_steps_must_be_an_integer_of_at_least_one(steps):
+    x = Tensor(np.ones((2, 4)))
+    with pytest.raises(UsageError, match=re.escape(f"got {steps!r}")):
+        integrated_gradients(quadratic_model(), x, steps=steps)
+
+
+def test_input_minus_baseline_must_be_finite():
+    # each value is finite, their difference is not
+    x, base = Tensor(np.array([[1e308, 0.0]])), Tensor(np.array([[-1e308, 0.0]]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(UsageError, match="needs finite views of the input and baseline"):
+            integrated_gradients(linear_model(np.ones((1, 2))), x, baseline=base, steps=4)
+
+
+def test_numpy_integer_steps_equal_int_steps():
+    x = Tensor(np.array([[2.0, -3.0]]))
+    a = integrated_gradients(cubic_model(), x, steps=np.int64(5))
+    b = integrated_gradients(cubic_model(), x, steps=5)
+    np.testing.assert_array_equal(a.attributions, b.attributions)
+    assert type(a.steps) is int and a.steps == 5
+
+
 def test_export_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     att = rng.normal(size=(4, 6))
@@ -251,6 +275,32 @@ def test_endpoint_values_equal_forward_enecg(small_ensemble, task_name, expert_i
                                  trained.experts, trained.tasks[task_name])
         logits = out.combined if expert_index is None else out.expert_logits[expert_index]
         assert np.array_equal(value, logits[pick])
+
+
+def test_ensemble_front_is_linear(small_ensemble):
+    # IG interpolates the front's views, which is exact only for a linear front
+    trained, record, baseline = small_ensemble
+    front = target_model(trained, "rr", None, None).front
+    x, y = record.leads.data[None], baseline.data[None]
+    a, c = 0.7, -1.3
+    mixed = list(front(Tensor(a * x + c * y)))
+    parts = [a * u.data + c * v.data for u, v in zip(front(Tensor(x)), front(Tensor(y)))]
+    assert len(mixed) == len(parts) == len(trained.experts) + 1
+    for view, ref in zip(mixed, parts):
+        assert relative(view.data, ref) <= 1e-12
+
+
+def test_chunk_head_runs_one_conv1d(small_ensemble):
+    # the convolutional expert's first conv1d is in the front, so a chunk's
+    # tape holds only its second
+    trained, record, _ = small_ensemble
+    assert [m.arch for m in trained.experts].count("convolutional") == 1
+    model = target_model(trained, "rr", None, None)
+    views = model.front(Tensor(np.repeat(record.leads.data[None], IG_CHUNK, axis=0)))
+    points = [Tensor(v.data, requires_grad=True) for v in views]
+    with Tape() as tape:
+        model.head(points)
+    assert sum(node.op == "conv1d" for node in tape.nodes) == 1
 
 
 def test_ensemble_map_peaks_below_one_raw_probe():

@@ -202,6 +202,22 @@ def test_duration_and_rate_must_be_finite_and_positive(key, value):
         GeneratorConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize("duration_s, fs_hz", [(1e200, 1e200), (0.001, 100.0), (1e-300, 1e-300)])
+def test_sample_count_must_be_finite_and_at_least_two(duration_s, fs_hz):
+    # synthesize takes round(duration_s * fs_hz) samples; EcgRecord needs at least 2
+    with pytest.raises(UsageError, match="must round to a finite count >= 2"):
+        GeneratorConfig(duration_s=duration_s, fs_hz=fs_hz).validate()
+
+
+def test_shortest_valid_record_has_two_samples():
+    cfg = small_cfg(duration_s=0.02)
+    cfg.validate()
+    record, _ = synthesize(cfg, 0)
+    assert record.leads.shape[1] == 2
+    with pytest.raises(UsageError, match="got 1.0"):
+        small_cfg(duration_s=0.01).validate()
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
 def test_record_rate_must_be_finite_and_positive(rate):
     with pytest.raises(UsageError, match="sampling rate must be finite and positive"):
