@@ -3,7 +3,7 @@ multi-task analysis of 12-lead ECG-like signals, with synthetic data,
 ensemble-strategy baselines, efficiency accounting and integrated-gradients
 saliency."""
 
-from .autodiff import Tensor, Tape, backward, no_grad
+from .autodiff import Tensor, Tape, backward
 from .optim import Adam, finite_diff_grad
 from .signal import EcgRecord, GeneratorConfig, LabelSet, downsample, generate
 from .experts import ExpertModel, build_expert, expert_forward
@@ -19,7 +19,7 @@ from .tasks import TASKS, TaskSpec
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "Tape", "backward", "no_grad", "Adam", "finite_diff_grad",
+    "Tensor", "Tape", "backward", "Adam", "finite_diff_grad",
     "EcgRecord", "GeneratorConfig", "LabelSet", "downsample", "generate",
     "ExpertModel", "build_expert", "expert_forward",
     "LoraHead", "LoraLinear", "build_head", "head_forward", "trainable_params",

@@ -58,10 +58,6 @@ class LoraLinear:
     def k(self) -> int:
         return self.w0.shape[-1]
 
-    @property
-    def rank(self) -> int:
-        return self.lora_a.shape[-2]
-
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1:] != (self.k,):
             raise DimensionError(f"lora layer expects input width {self.k}, got shape {x.shape}")

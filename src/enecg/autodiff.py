@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, UsageError
 
 __all__ = [
-    "Tensor", "Tape", "no_grad", "backward", "as_tensor",
+    "Tensor", "Tape", "backward", "as_tensor",
     "add", "sub", "mul", "neg",
     "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
@@ -115,18 +115,7 @@ class Tape:
         return len(self.nodes)
 
 
-class no_grad:
-    """Context that suspends recording while a Tape is active."""
-
-    def __enter__(self):
-        _TAPE_STACK.append(None)
-        return self
-
-    def __exit__(self, *exc):
-        _TAPE_STACK.pop()
-
-
-_TAPE_STACK: list[Tape | None] = []
+_TAPE_STACK: list[Tape] = []
 
 
 def _active_tape() -> Tape | None:

@@ -35,7 +35,7 @@ from .autodiff import Tensor, Tape, backward
 from .errors import InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
 from .experts import ExpertModel, build_expert, expert_forward
 from .gating import (
-    GatingNetwork, build_gate, ensemble_combine, gate_forward, gate_input,
+    GatingNetwork, _static_metric, build_gate, ensemble_combine, gate_forward, gate_input,
     greedy_search_weights, uniform_weights, zero_shot_confidence_weights,
 )
 from .optim import Adam
@@ -103,6 +103,12 @@ class ExperimentConfig:
             tk.task_by_name(name)
         if not self.experts:
             raise UsageError("expert roster is empty")
+        # tasks and experts are keyed by name: in reports, histories and checksums
+        for what, names in (("experiment.tasks", self.tasks),
+                            ("experts.roster", [s.name for s in self.experts])):
+            repeated = [n for i, n in enumerate(names) if n in names[:i]]
+            if repeated:
+                raise UsageError(f"{what} names {repeated[0]!r} more than once")
         if self.epochs < 0 or self.batch_size < 1 or self.repeats < 1:
             raise UsageError("epochs must be >= 0, batch_size and repeats >= 1")
         if not 0.0 < self.learning_rate < np.inf:
@@ -600,13 +606,21 @@ def _train(cfg: ExperimentConfig, seed: int | None, prepared: PreparedDataset | 
 # ---------------------------------------------------------------------------
 # evaluation, efficiency, reports
 
+NOT_APPLICABLE = "n/a"
+
+
 @dataclass
 class TaskResult:
+    """A task's test metric over seeds; mean and std are None, and values
+    empty, where the strategy does not apply (zero-shot on regression)."""
     task: str
     metric: str
-    mean: float
-    std: float
+    mean: float | None
+    std: float | None
     values: list[float]
+
+    def csv_fields(self) -> list[str]:
+        return [NOT_APPLICABLE] * 2 if self.mean is None else [repr(self.mean), repr(self.std)]
 
 
 @dataclass
@@ -626,8 +640,8 @@ class MetricsReport:
     def to_csv(self) -> str:
         lines = ["task,metric,mean,std,params_trainable,params_total,throughput_sps,wallclock_s"]
         for t in self.tasks:
-            lines.append(f"{t.task},{t.metric},{t.mean!r},{t.std!r},"
-                         f"{self.params_trainable},{self.params_total},"
+            lines.append(",".join([t.task, t.metric, *t.csv_fields()]) +
+                         f",{self.params_trainable},{self.params_total},"
                          f"{self.throughput_sps!r},{self.wallclock_s!r}")
         return "\n".join(lines) + "\n"
 
@@ -682,9 +696,10 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     and wallclock are left to the caller.
 
     Both throughputs come from the fastest timed pass (``_fastest_pass``);
-    a pass scores every task, or takes one training step on every task."""
+    a pass scores every task, or takes one training step on every task.
+    An empty ``idx`` is a UsageError, as in ``evaluate``."""
     if idx.size == 0:
-        idx = np.arange(prepared.n)
+        raise UsageError("bench needs a nonempty split")
     trainable, frozen = parameter_counts(trained)
     models = list(trained.tasks.values())
     passes = max(3, passes)
@@ -926,15 +941,7 @@ def strategy_score(cfg: ExperimentConfig, run: SuiteRun, strategy: str,
         return tk.metric_from_logits(task, combined, y_test)
     else:
         raise UsageError(f"unknown strategy {strategy!r}")
-    combined = np.tensordot(weights, real_test, axes=1)
-    return tk.metric_from_logits(task, combined, y_test)
-
-
-@dataclass
-class StrategyCell:
-    mean: float | None
-    std: float | None
-    values: list[float]
+    return _static_metric(task, real_test, weights, y_test)
 
 
 @dataclass
@@ -943,9 +950,7 @@ class StrategyComparison:
     zero-shot as not applicable."""
     tasks: list[str]
     strategies: list[str]
-    cells: dict[str, dict[str, StrategyCell]]
-
-    NOT_APPLICABLE = "n/a"
+    cells: dict[str, dict[str, TaskResult]]
 
     def to_json(self) -> str:
         doc = {"tasks": self.tasks, "strategies": self.strategies, "results": {}}
@@ -954,7 +959,7 @@ class StrategyComparison:
             for strat in self.strategies:
                 cell = self.cells[task][strat]
                 doc["results"][task][strat] = (
-                    self.NOT_APPLICABLE if cell.mean is None
+                    NOT_APPLICABLE if cell.mean is None
                     else {"mean": cell.mean, "std": cell.std, "values": cell.values})
         return json.dumps(doc, indent=2)
 
@@ -963,55 +968,42 @@ class StrategyComparison:
         for task in self.tasks:
             row = [task, tk.task_by_name(task).metric]
             for strat in self.strategies:
-                cell = self.cells[task][strat]
-                if cell.mean is None:
-                    row += [self.NOT_APPLICABLE, self.NOT_APPLICABLE]
-                else:
-                    row += [repr(cell.mean), repr(cell.std)]
+                row += self.cells[task][strat].csv_fields()
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
 
-def compare_strategies(cfg: ExperimentConfig, runs: list[SuiteRun] | None = None) -> StrategyComparison:
-    """Table of test metrics (mean +- std over seeds) per task and strategy."""
-    runs = run_suite(cfg) if runs is None else runs
-    cells: dict[str, dict[str, StrategyCell]] = {}
+def compare_strategies(cfg: ExperimentConfig, runs: list[SuiteRun] | None = None,
+                       strategies=COMPARED_STRATEGIES) -> StrategyComparison:
+    """Table of test metrics (mean +- std over seeds) per task and strategy:
+    the one place strategy scores are aggregated over a suite's seeds."""
+    runs = run_suite(cfg, strategies) if runs is None else runs
+    cells: dict[str, dict[str, TaskResult]] = {}
     for task_name in cfg.tasks:
+        metric = tk.task_by_name(task_name).metric
         cells[task_name] = {}
-        for strat in COMPARED_STRATEGIES:
+        for strat in strategies:
             values = [strategy_score(cfg, run, strat, task_name) for run in runs]
-            if any(v is None for v in values):
-                cells[task_name][strat] = StrategyCell(None, None, [])
-            else:
-                cells[task_name][strat] = StrategyCell(
-                    float(np.mean(values)), float(np.std(values)), [float(v) for v in values])
-    return StrategyComparison(list(cfg.tasks), list(COMPARED_STRATEGIES), cells)
+            cells[task_name][strat] = (
+                TaskResult(task_name, metric, None, None, []) if any(v is None for v in values)
+                else TaskResult(task_name, metric, float(np.mean(values)), float(np.std(values)),
+                                [float(v) for v in values]))
+    return StrategyComparison(list(cfg.tasks), list(strategies), cells)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list[SuiteRun]]:
-    """Train and evaluate ``cfg.ensemble`` over cfg.repeats seeds; aggregate
-    mean +- std of the test metrics.
+    """Train and evaluate ``cfg.ensemble`` over cfg.repeats seeds: the
+    report's tasks are its column of ``compare_strategies``.
 
     With ensemble="moe" the full system is trained; other strategies
     fine-tune each expert alone and combine with strategy weights. The
-    report's bench figures are those of the whole trained system.
+    report's bench figures are those of the last seed's trained system.
     """
     t0 = time.perf_counter()
-    runs = run_suite(cfg, strategies=(cfg.ensemble,))
-    per_task: dict[str, list[float]] = {name: [] for name in cfg.tasks}
-    for run in runs:
-        for name in cfg.tasks:
-            value = strategy_score(cfg, run, cfg.ensemble, name)
-            if value is not None:
-                per_task[name].append(value)
+    runs = run_suite(cfg, (cfg.ensemble,))
+    table = compare_strategies(cfg, runs, (cfg.ensemble,))
     last = runs[-1]
     report = bench(last.moe if last.moe is not None else last.singles, last.prepared, last.test_idx)
-    report.tasks = [
-        TaskResult(task=name, metric=tk.task_by_name(name).metric,
-                   mean=float(np.mean(vals)) if vals else float("nan"),
-                   std=float(np.std(vals)) if vals else float("nan"),
-                   values=vals)
-        for name, vals in per_task.items()
-    ]
+    report.tasks = [table.cells[name][cfg.ensemble] for name in cfg.tasks]
     report.wallclock_s = time.perf_counter() - t0
     return report, runs

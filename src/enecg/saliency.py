@@ -149,12 +149,18 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
     """Scalar model over a raw (B,C,T) record batch for IG attribution.
 
     Attributes the combined logit by default, or a single expert's logit
-    when ``expert_index`` is given. Regression outputs stay in the
-    standardized training scale; attribution shape follows the raw record.
+    when ``expert_index``, an integer in 0..N-1, is given. Regression
+    outputs stay in the standardized training scale; attribution shape
+    follows the raw record.
     The front is each expert's downsample and ``expert_front``, then the
     gate input; the head is the rest of the raw-record forward.
     """
     gate = _gated(model)
+    if expert_index is not None and (
+            isinstance(expert_index, bool) or not isinstance(expert_index, (int, np.integer))
+            or not 0 <= expert_index < len(experts)):
+        raise UsageError(f"expert_index must be an integer in 0..{len(experts) - 1}, "
+                         f"got {expert_index!r}")
 
     def front(block: Tensor):
         views = _views(experts, block, gate.lead_indices, gate.pooled_len)

@@ -167,14 +167,6 @@ class EcgRecord:
             self.leads = _make(self.leads.data.copy())
         self.leads.data.flags.writeable = False
 
-    @property
-    def n_leads(self) -> int:
-        return self.leads.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.leads.shape[1]
-
 
 def _render_waves(t_len: int, fs: float, centers, amps, widths) -> np.ndarray:
     """One source row: the sum of the Gaussians ``amp * exp(-((t - center) / width)**2 / 2)``,

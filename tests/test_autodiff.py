@@ -588,14 +588,6 @@ def test_backward_is_deterministic():
     assert (runs[0] == runs[1]).all()
 
 
-def test_no_grad_suspends_recording():
-    x = Tensor([1.0], requires_grad=True)
-    with Tape() as tape:
-        with ad.no_grad():
-            ad.mul(x, x)
-        assert len(tape) == 0
-
-
 def test_nonfinite_construction_rejected():
     with pytest.raises(UsageError):
         Tensor([np.nan])

@@ -252,6 +252,24 @@ def test_eval_of_a_static_ensemble_reports_every_single(tmp_path):
     assert doc["params_total"] == trainable + frozen
 
 
+def test_eval_marks_a_strategy_that_does_not_apply_null_and_na(tmp_path):
+    path = tmp_path / "zero_shot.cfg"
+    path.write_text(SMALL_CFG.replace("repeats = 1", "repeats = 1\nensemble = zero_shot"))
+    out = tmp_path / "run"
+    assert run(["eval", "--config", str(path), "--out", str(out)]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"metrics.json holds {name}")
+
+    doc = json.loads((out / "metrics.json").read_text(), parse_constant=no_constant)
+    rows = {t["task"]: t for t in doc["tasks"]}
+    for name in ("rr", "age"):  # zero-shot weighting does not apply to regression
+        assert (rows[name]["mean"], rows[name]["std"], rows[name]["values"]) == (None, None, [])
+    assert all(isinstance(rows[name]["mean"], float) for name in ("sex", "potassium", "arrhythmia"))
+    csv = {line.split(",")[0]: line.split(",") for line in (out / "metrics.csv").read_text().splitlines()}
+    assert csv["rr"][2:4] == csv["age"][2:4] == ["n/a", "n/a"]
+
+
 @pytest.mark.parametrize("old,new", [
     ("pooled_len = 25", "pooled_len = 25\nleads = 0"),
     ("pooled_len = 25", "pooled_len = 20"),
@@ -305,6 +323,34 @@ def test_every_switch_runs_train_eval_saliency(tmp_path, anchor, setting):
         assert run([command, "--config", str(path), "--out", out]) == 0, command
     doc = json.loads(open(os.path.join(out, "metrics.json")).read())
     assert all(np.isfinite(t["mean"]) for t in doc["tasks"] if t["values"])
+
+
+def test_bench_writes_the_report_keys_and_lists_them(cfg_path, tmp_path):
+    from dataclasses import fields
+    from enecg.pipeline import MetricsReport
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg_path, "--out", out]) == 0
+    assert run(["bench", "--config", cfg_path, "--out", out]) == 0
+    doc = json.loads(open(os.path.join(out, "bench.json")).read())
+    assert list(doc) == [f.name for f in fields(MetricsReport)]
+    assert doc["tasks"] == []
+    assert "bench.json" in open(os.path.join(out, "manifest.txt")).read().splitlines()
+
+
+@pytest.mark.parametrize("old,new,name", [
+    ("repeats = 1", "repeats = 1\ntasks = rr,rr", "rr"),
+    ("stat:statistical:2:128:16", "spec:statistical:2:128:16", "spec"),
+], ids=["task", "expert"])
+def test_repeated_task_or_expert_name_exits_with_config(tmp_path, capsys, old, new, name):
+    path = tmp_path / "repeat.cfg"
+    path.write_text(SMALL_CFG.replace(old, new))
+    for command in ("train", "eval", "compare-ensembles"):
+        code = run([command, "--config", str(path), "--out", str(tmp_path / command)])
+        assert code == EXIT_CODES["config"], command
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, command
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError" and f"names {name!r} more than once" in record["message"]
 
 
 def test_invalid_config_exit_code(tmp_path):

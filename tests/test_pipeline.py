@@ -576,6 +576,13 @@ def test_evaluate_requires_nonempty_split(tiny_setup):
         evaluate(trained, prepared, np.array([], dtype=int))
 
 
+def test_bench_requires_nonempty_split(tiny_setup):
+    cfg, experts, prepared = tiny_setup
+    trained = train(tiny_cfg(epochs=0), seed=5, prepared=prepared, experts=experts)
+    with pytest.raises(UsageError, match="bench needs a nonempty split"):
+        bench(trained, prepared, np.array([], dtype=int))
+
+
 @pytest.mark.parametrize("bad", [
     dict(gate_leads=()), dict(gate_leads=(1, 1)), dict(gate_leads=(12,)), dict(gate_leads=(-1,)),
     dict(gate_leads=(3,), data=GeneratorConfig(lead_mix=((1.0, 1.0, 1.0),) * 3)),
@@ -597,6 +604,17 @@ def test_config_validation_errors():
         ExperimentConfig(tasks=("rr", "bogus")).validate()
     with pytest.raises(UsageError):
         ExperimentConfig(experts=()).validate()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(tasks=("rr", "sex", "rr")), "experiment.tasks names 'rr' more than once"),
+    (dict(experts=(ExpertSpec("x", "spectral", 1), ExpertSpec("x", "statistical", 2))),
+     "experts.roster names 'x' more than once"),
+], ids=["task", "expert"])
+def test_config_rejects_repeated_names(bad, message):
+    # a repeated name would share report rows, history keys and checksum keys
+    with pytest.raises(UsageError, match=message):
+        tiny_cfg(**bad).validate()
 
 
 @pytest.mark.parametrize("task", ["rr", "arrhythmia"])

@@ -277,6 +277,17 @@ def test_endpoint_values_equal_forward_enecg(small_ensemble, task_name, expert_i
         assert np.array_equal(value, logits[pick])
 
 
+def test_expert_index_must_be_an_integer_naming_an_expert(small_ensemble):
+    trained, record, _ = small_ensemble
+    for bad in (True, False, 1.7, np.float64(1.0), "1", -1, 3, np.int64(3)):
+        with pytest.raises(UsageError, match=re.escape(
+                f"expert_index must be an integer in 0..2, got {bad!r}")):
+            target_model(trained, "rr", bad, None)
+    points = Tensor(np.repeat(record.leads.data[None], 2, axis=0))
+    assert np.array_equal(target_model(trained, "rr", np.int64(1), None)(points).data,
+                          target_model(trained, "rr", 1, None)(points).data)
+
+
 def test_ensemble_front_is_linear(small_ensemble):
     # IG interpolates the front's views, which is exact only for a linear front
     trained, record, baseline = small_ensemble
