@@ -12,11 +12,12 @@ Primitives keep the backward table small and auditable: elementwise
 arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
 softmax/log_softmax, window pooling, patch statistics, DFT magnitude, row
 gather, concat/reshape/transpose, reductions, the weighted sum that
-combines expert logits, and the three task losses (mse, weighted BCE with
-logits, cross-entropy). Everything downstream (experts, LoRA heads,
-gating, saliency) composes from these. A fused node (the LoRA layer, patch
-statistics, the weighted sum, the losses) keeps the numpy expressions of
-the composition it replaces, so the two agree bit for bit.
+combines expert logits, the three task losses (mse, weighted BCE with
+logits, cross-entropy) and the points of a straight line (``line``).
+Everything downstream (experts, LoRA heads, gating, saliency) composes
+from these. A fused node (the LoRA layer, patch statistics, the weighted
+sum, the losses) keeps the numpy expressions of the composition it
+replaces, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import DimensionError, UsageError
 __all__ = [
     "Tensor", "Tape", "backward", "as_tensor",
     "add", "sub", "mul", "neg",
-    "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows",
+    "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows", "line",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
     "conv1d", "mean_pool", "max_pool", "patch_stats", "dft_magnitude",
     "reduce_sum", "reduce_mean", "weighted_sum", "mse", "weighted_bce_with_logits", "cross_entropy",
@@ -71,8 +72,8 @@ def _scalar_err(t: Tensor):
     raise UsageError(f"item() needs a single-element tensor, got shape {t.shape}")
 
 
-def _make(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
-    t = Tensor.__new__(Tensor)
+def _make(arr: np.ndarray, requires_grad: bool = False, cls=Tensor) -> Tensor:
+    t = cls.__new__(cls)
     t.data = arr
     t.grad = None
     t.requires_grad = requires_grad
@@ -122,8 +123,8 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _apply(op, inputs, out_arr, backward) -> Tensor:
-    out = _make(out_arr, any(t.requires_grad for t in inputs))
+def _apply(op, inputs, out_arr, backward, cls=Tensor) -> Tensor:
+    out = _make(out_arr, any(t.requires_grad for t in inputs), cls)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
         tape.nodes.append(_Node(op, inputs, out, backward))
@@ -371,6 +372,35 @@ def take_rows(a, indices, axis: int = 0) -> Tensor:
     return _apply("take_rows", (a,), np.take(a.data, arr, axis=axis), back)
 
 
+class _Line(Tensor):
+    """The output of ``line``: points that remember the line they lie on."""
+
+    __slots__ = ("base", "direction", "alphas")
+
+
+def line(base, direction, alphas) -> Tensor:
+    """The points ``base + alphas[p] * direction`` on a new leading axis: a
+    (1, ...) base gives (m, ...) points for m ``alphas``. ``direction``
+    (an array of base's shape) and ``alphas`` are constants; the backward
+    sums the points' gradient over that axis into ``base``. The points
+    carry all three, so ``patch_stats`` differentiates them into ``base``
+    without forming a per-point gradient."""
+    base = as_tensor(base)
+    d = np.asarray(direction, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64).reshape(-1)
+    if base.data.shape[:1] != (1,) or d.shape != base.data.shape:
+        raise DimensionError(f"line: base {base.shape} needs a leading axis of 1 and a "
+                             f"direction of its shape, got {d.shape}")
+
+    def back(g, needs):
+        return (g.sum(axis=0, keepdims=True),)
+
+    points = base.data + alphas.reshape((-1,) + (1,) * (d.ndim - 1)) * d
+    out = _apply("line", (base,), points, back, _Line)
+    out.base, out.direction, out.alphas = base, d, alphas
+    return out
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -564,6 +594,12 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     ``g (x - mean) / (window std)`` for the std (0 where the variance is
     not positive), and max and min route to the first tie, as in
     ``max_pool``. Dropped trailing samples get zero gradient.
+
+    On ``line`` points the node's input is the line's base, and the
+    backward returns the sum over the points of that gradient: per window,
+    ``coef + cb * base + cd * direction``, with the max and min terms
+    scattered into the base by ``np.bincount``. The forward then reads max
+    and min through argmax and argmin, which the backward reuses.
     """
     a = as_tensor(a)
     view, lead, t_len, count = _pool_view(a, window, count)
@@ -571,6 +607,28 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     mean = (view @ ones) / window
     var = np.square(view) @ ones / window - mean * mean     # np.square: view * view is slower
     std = np.sqrt(np.maximum(var, 0.0) + 1e-12)
+    if isinstance(a, _Line) and a.data.ndim > 1:
+        args = (view.argmax(axis=-1), view.argmin(axis=-1))
+        extremes = [np.take_along_axis(view, arg[..., None], axis=-1)[..., 0] for arg in args]
+        mid = lead[1:]
+
+        def line_back(g, needs):
+            g_mean, g_std, g_max, g_min = np.split(g, 4, axis=-1)
+            s = np.where(var > 0, g_std / std, 0.0) / window
+            coef, cb = (g_mean / window - s * mean).sum(axis=0), s.sum(axis=0)
+            cd = np.tensordot(a.alphas, s, 1)
+            da = np.zeros(mid + (t_len,))
+            vb, vd = (x[0, ..., :count * window].reshape(*mid, count, window)
+                      for x in (a.base.data, a.direction))
+            da[..., :count * window].reshape(*mid, count, window)[...] = (
+                coef[..., None] + cb[..., None] * vb + cd[..., None] * vd)
+            # flat index of each window's first sample; a constant window gets both terms
+            starts = np.arange(0, da.size, t_len).reshape(mid + (1,)) + np.arange(count) * window
+            for arg, gi in zip(args, (g_max, g_min)):
+                da += np.bincount((starts + arg).ravel(), gi.ravel(), da.size).reshape(da.shape)
+            return (da[None],)
+
+        return _apply("patch_stats", (a.base,), np.concatenate([mean, std, *extremes], axis=-1), line_back)
     out = np.concatenate([mean, std, view.max(axis=-1), view.min(axis=-1)], axis=-1)
 
     def back(g, needs):

@@ -148,9 +148,9 @@ def _load_with_test_split(cfg, out: _Out):
 def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     t0 = time.perf_counter()
     if cfg.ensemble != "moe":
-        # static/tuned strategies have no checkpointable artifact: fine-tune
-        # each expert alone, weight on the validation split, score on test
-        report, _ = run_experiment(replace(cfg, repeats=1))
+        # static/tuned strategies have no checkpointable artifact: per seed,
+        # fine-tune each expert alone, weight on validation, score on test
+        report, _ = run_experiment(cfg)
     else:
         trained, prepared, test_idx = _load_with_test_split(cfg, out)
         scores = evaluate(trained, prepared, test_idx)

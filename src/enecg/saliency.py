@@ -13,10 +13,12 @@ interpolated between the baseline's and the input's views, never in raw
 sample space. The ensemble's front ends at each expert's first
 nonlinearity (downsampling, the convolutional expert's first conv1d, the
 gate input's window means), so no point is pooled or convolved from raw
-samples. The points run in chunks of ``IG_CHUNK``, one tape each, and the
-point-averaged view gradients are pulled back to raw samples once, by
-differentiating the front on one record-sized tape. A plain callable has
-an identity front.
+samples. The points run in chunks of ``IG_CHUNK``, one tape each. They
+are ``line`` nodes, so a chunk's backward sums their gradients into one
+leaf per baseline view; the statistical expert's ``patch_stats`` sums its
+point gradients in closed form, per window. The point-averaged view
+gradients are pulled back to raw samples once, by differentiating the
+front on one record-sized tape. A plain callable has an identity front.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
 
     ``model(t)`` must return one scalar per row of ``t``, a batch of inputs
     along a new leading axis, built from the primitives. A ``SplitModel``'s
-    front must be linear; its head receives the interpolated views. Each
-    chunk of ``IG_CHUNK`` points is one tape whose summed output is
-    differentiated once; the view gradients, averaged over the points, are
-    pulled back through the front on one record-sized tape.
+    front must be linear; its head receives the interpolated views as
+    ``line`` points. Each chunk of ``IG_CHUNK`` points is one tape whose
+    summed output is differentiated once; the view gradients, averaged over
+    the points, are pulled back through the front on one record-sized tape.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise UsageError(f"integrated gradients needs an integer steps >= 1, got {steps!r}")
@@ -94,20 +96,18 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
         raise UsageError("integrated gradients needs finite views of the input and baseline")
 
     alphas = (np.arange(steps) + 0.5) / steps
-    grad_sums = [np.zeros(v.shape) for v in x_views]
+    # each chunk's backward sums its points' gradients into these leaves
+    bases = [ad._make(b.data, True) for b in b_views]
     for lo in range(0, steps, IG_CHUNK):
         chunk = alphas[lo:lo + IG_CHUNK]
-        points = [ad._make(b.data + chunk.reshape((-1,) + (1,) * (b.data.ndim - 1)) * d, True)
-                  for b, d in zip(b_views, deltas)]
         with Tape() as tape:
-            out = split.head(points)
+            out = split.head([ad.line(b, d, chunk) for b, d in zip(bases, deltas)])
             if out.data.size != chunk.size:
                 raise UsageError(f"model returned {out.data.size} values for {chunk.size} points; "
                                  "expected one scalar per interpolation point")
             backward(ad.reduce_sum(out), tape)
-        for acc, p in zip(grad_sums, points):
-            if p.grad is not None:     # a view the target does not read gets none
-                acc += p.grad.sum(axis=0, keepdims=True)
+    # a view the target does not read gets no gradient
+    grad_sums = [np.zeros(b.shape) if b.grad is None else b.grad for b in bases]
 
     probe = Tensor(np.zeros((1,) + x.shape), requires_grad=True)
     with Tape() as tape:

@@ -103,13 +103,18 @@ def test_criterion_1_gradient_suite():
             ad.reduce_sum(t, axis=1, keepdims=True), t, axis=0), Tensor([1.0, -2.0, 0.5, 3.0])))),
         ("ensemble_combine", lambda t: ad.reduce_sum(ad.mul(
             ensemble_combine(t, ad.softmax(ad.mul(t, w1), axis=0)), Tensor([1.0, -2.0, 0.5, 3.0])))),
+        ("line", lambda t: ad.reduce_sum(ad.mul(ad.line(ad.reshape(t, (1, 3, 4)), w1.data[None],
+                                                        [0.25, 0.75]), w1))),
     ]
     stat_weights = Tensor(np.linspace(0.5, 2.0, 24).reshape(3, 8))   # no sample sums to ~0
     kinky = [("relu", lambda t: ad.reduce_sum(ad.relu(t))),
              ("max_pool", lambda t: ad.reduce_sum(ad.max_pool(t, 2))),
-             ("patch_stats", lambda t: ad.reduce_sum(ad.mul(ad.patch_stats(t, 2), stat_weights)))]
+             ("patch_stats", lambda t: ad.reduce_sum(ad.mul(ad.patch_stats(t, 2), stat_weights))),
+             # a short line, so no window's max or min changes sample along it
+             ("patch_stats on a line", lambda t: ad.reduce_sum(ad.mul(ad.patch_stats(ad.line(
+                 ad.reshape(t, (1, 3, 4)), 0.01 * w1.data[None], [0.25, 0.75]), 2), stat_weights)))]
     for name, build in primitives + kinky:
-        probe = away if name in ("relu", "max_pool", "patch_stats") else x
+        probe = away if name in ("relu", "max_pool", "patch_stats", "patch_stats on a line") else x
         probe.requires_grad = True
         probe.zero_grad()
         with Tape() as tape:

@@ -116,6 +116,31 @@ def test_lora_linear_matches_its_composition_bit_for_bit():
         np.testing.assert_array_equal(fused, composed)
 
 
+# The shapes at which the layer's transposed weights must be contiguous
+# copies to agree with the composition: the gate's first layer on a
+# 32-row batch, and the arrhythmia heads' stacked output layer.
+@pytest.mark.parametrize("lead,batch,d,k", [((), (32,), 64, 250), ((3,), (32,), 15, 64)],
+                         ids=["gate-250-to-64", "stacked-64-to-15"])
+def test_lora_linear_matches_its_composition_bit_for_bit_at_model_shapes(lead, batch, d, k):
+    rng = np.random.default_rng(26)
+    operands = lora_operands(rng, lead, batch, d=d, k=k, r=4)
+    weight = Tensor(rng.normal(size=lead + batch + (d,)))
+    for t in operands:
+        t.requires_grad = True
+    with Tape() as tape:
+        out = ad.lora_linear(*operands)
+        backward(ad.reduce_sum(ad.mul(out, weight)), tape)
+    fused = [out.data] + [t.grad for t in operands]
+    for n in np.ndindex(*lead):   # each expert of a stack alone, as a composition
+        x, w0, a, b, bias = (Tensor(t.data[n], requires_grad=True) for t in operands)
+        with Tape() as tape:
+            low = ad.matmul(ad.matmul(x, ad.transpose(a)), ad.transpose(b))
+            composed = ad.add(ad.add(ad.matmul(x, ad.transpose(w0)), low), bias)
+            backward(ad.reduce_sum(ad.mul(composed, Tensor(weight.data[n]))), tape)
+        for got, want in zip(fused, [composed.data] + [t.grad for t in (x, w0, a, b, bias)]):
+            np.testing.assert_array_equal(got[n], want)
+
+
 def test_stacked_lora_linear_equals_each_expert_alone():
     rng = np.random.default_rng(23)
     stacked = lora_operands(rng, lead=(3,), batch=(5,))
@@ -411,6 +436,66 @@ def test_patch_stats_routes_ties_like_max_pool():
         assert_close(stats.data[:, 4:], [[2.0, 3.0, 1.0, 3.0]])
         backward(ad.reduce_sum(ad.mul(stats, Tensor([[0, 0, 0, 0, 1, 1, 1, 1]]))), tape)
     assert_close(x.grad, [[1.0, 0.0, 1.0, 2.0, 0.0, 0.0]])
+
+
+def test_line_gradient_matches_finite_differences():
+    rng = np.random.default_rng(30)
+    base = Tensor(rng.normal(size=(1, 3, 5)))
+    direction = rng.normal(size=(1, 3, 5))
+    alphas = np.array([0.125, 0.5, 0.875, 1.25])
+    weights = Tensor(rng.normal(size=(4, 3, 5)))
+    points = ad.line(base, direction, alphas)
+    np.testing.assert_array_equal(points.data, base.data + alphas.reshape(-1, 1, 1) * direction)
+    analytic, numeric = grad_of(lambda t: ad.reduce_sum(ad.mul(ad.line(t, direction, alphas), weights)),
+                                base)
+    assert_close(analytic, numeric)
+    with pytest.raises(DimensionError, match="leading axis of 1"):
+        ad.line(Tensor(rng.normal(size=(2, 5))), rng.normal(size=(2, 5)), alphas)
+    with pytest.raises(DimensionError, match="direction of its shape"):
+        ad.line(base, direction[..., :4], alphas)
+
+
+def line_cases():
+    """(base, direction, window, count, second): ties at a window's max and
+    min that hold at every point, a constant window, a length that is not a
+    multiple of the window, and points that a second op also reads."""
+    rng = np.random.default_rng(31)
+    base, direction = rng.normal(size=(1, 3, 20)), rng.normal(size=(1, 3, 20))
+    for arr, step in ((base, 1.0), (direction, 0.25)):
+        arr[..., 0:2] = arr[..., 2:4].max() + 3.0 * step    # a max tie in window 0
+        arr[..., 5:7] = arr[..., 4:8].min() - 3.0 * step    # a min tie in window 1
+        arr[..., 8:12] = 0.5 * step                         # a constant window
+    yield base, direction, 4, None, False
+    yield rng.normal(size=(1, 2, 3, 23)), rng.normal(size=(1, 2, 3, 23)), 4, None, False
+    yield rng.normal(size=(1, 17)), rng.normal(size=(1, 17)), 3, 4, True
+    yield base, direction, 4, None, True
+
+
+@pytest.mark.parametrize("case", range(4), ids=["ties-and-constant", "remainder", "count-and-second-op",
+                                                "ties-and-second-op"])
+def test_patch_stats_on_a_line_equals_it_on_plain_points(case):
+    base, direction, window, count, second = list(line_cases())[case]
+    alphas = (np.arange(5) + 0.5) / 5
+    other = Tensor(np.random.default_rng(32).normal(size=(5,) + base.shape[1:]))
+    runs = []
+    for on_line in (True, False):
+        leaf = Tensor(base, requires_grad=True)
+        with Tape() as tape:
+            points = ad.line(leaf, direction, alphas)
+            if not on_line:
+                points = Tensor(points.data, requires_grad=True)
+            stats = ad.patch_stats(points, window, count)
+            # on a line, the node differentiates straight into the base
+            assert (tape.nodes[-1].inputs[0] is leaf) == on_line
+            weights = np.random.default_rng(case).normal(size=stats.shape)
+            loss = ad.reduce_sum(ad.mul(stats, Tensor(weights)))
+            if second:
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(points, other)))
+            backward(loss, tape)
+        runs.append((stats.data, leaf.grad if on_line else points.grad.sum(axis=0, keepdims=True)))
+    (out, grad), (want_out, want_grad) = runs
+    assert np.array_equal(out, want_out)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 def test_elementwise_and_reduction_gradients():

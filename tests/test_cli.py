@@ -270,6 +270,19 @@ def test_eval_marks_a_strategy_that_does_not_apply_null_and_na(tmp_path):
     assert csv["rr"][2:4] == csv["age"][2:4] == ["n/a", "n/a"]
 
 
+def test_static_eval_scores_every_repeat_as_compare_ensembles_does(tmp_path):
+    path = tmp_path / "greedy.cfg"
+    path.write_text(SMALL_CFG.replace("repeats = 1", "repeats = 2\nensemble = greedy"))
+    assert run(["eval", "--config", str(path), "--out", str(tmp_path / "eval")]) == 0
+    assert run(["compare-ensembles", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+    rows = json.loads((tmp_path / "eval" / "metrics.json").read_text())["tasks"]
+    table = json.loads((tmp_path / "cmp" / "ensemble_comparison.json").read_text())["results"]
+    for row in rows:
+        assert len(row["values"]) == 2
+        cell = table[row["task"]]["greedy"]
+        assert (row["mean"], row["std"], row["values"]) == (cell["mean"], cell["std"], cell["values"])
+
+
 @pytest.mark.parametrize("old,new", [
     ("pooled_len = 25", "pooled_len = 25\nleads = 0"),
     ("pooled_len = 25", "pooled_len = 20"),

@@ -264,6 +264,23 @@ def test_chunked_map_agrees_with_a_single_tape(small_ensemble, steps, task_name,
 
 
 @pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
+def test_line_points_give_the_map_of_plain_points(small_ensemble, monkeypatch, task_name,
+                                                  expert_index, class_index):
+    # plain points: the same values through add, whose backward also sums
+    # into the base, but which patch_stats differentiates point by point
+    trained, record, baseline = small_ensemble
+    model = target_model(trained, task_name, expert_index, class_index)
+    steps = 2 * IG_CHUNK + 5
+    fast = integrated_gradients(model, record.leads, baseline=baseline, steps=steps)
+    monkeypatch.setattr(ad, "line", lambda base, d, alphas: ad.add(
+        base, Tensor(np.reshape(alphas, (-1,) + (1,) * (d.ndim - 1)) * d)))
+    plain = integrated_gradients(model, record.leads, baseline=baseline, steps=steps)
+    assert relative(fast.attributions, plain.attributions) <= 1e-12
+    assert fast.target_value == plain.target_value
+    assert fast.baseline_value == plain.baseline_value
+
+
+@pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
 def test_endpoint_values_equal_forward_enecg(small_ensemble, task_name, expert_index,
                                              class_index):
     trained, record, baseline = small_ensemble
