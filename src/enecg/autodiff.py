@@ -383,8 +383,8 @@ def line(base, direction, alphas) -> Tensor:
     (1, ...) base gives (m, ...) points for m ``alphas``. ``direction``
     (an array of base's shape) and ``alphas`` are constants; the backward
     sums the points' gradient over that axis into ``base``. The points
-    carry all three, so ``patch_stats`` differentiates them into ``base``
-    without forming a per-point gradient."""
+    carry all three, so ``patch_stats`` and ``dft_magnitude`` differentiate
+    them into ``base`` without forming a per-point gradient."""
     base = as_tensor(base)
     d = np.asarray(direction, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64).reshape(-1)
@@ -582,6 +582,26 @@ def max_pool(a, window: int, count: int | None = None) -> Tensor:
     return _apply("max_pool", (a,), view.max(axis=-1), back)
 
 
+def _line_arg(view, a: _Line, sign: float) -> np.ndarray:
+    """First-index argmax (sign 1) or argmin (sign -1) of each window of
+    line points. A sample is linear in alpha, so a window whose extreme is
+    one sample at the smallest and the largest alpha, ahead of the runner-up
+    by more than the points' rounding, has it at every alpha between; only
+    the other windows are scanned at every point."""
+    ends = sign * view[[a.alphas.argmin(), a.alphas.argmax()]]
+    arg = ends.argmax(axis=-1)
+    top = np.take_along_axis(ends, arg[..., None], axis=-1)[..., 0]
+    np.put_along_axis(ends, arg[..., None], -np.inf, axis=-1)
+    # a point is within 2^-53 (|base| + 2 |alpha direction|) of base + alpha
+    # direction; end gaps above 4x that keep the order at every alpha between
+    slack = 2.0 ** -49 * (np.abs(a.base.data).max() + np.abs(a.alphas).max() * np.abs(a.direction).max())
+    sure = (arg[0] == arg[1]) & (top - ends.max(axis=-1) > slack).all(axis=0)
+    out = np.broadcast_to(arg[0], view.shape[:-1]).copy()
+    rest = view[:, ~sure]
+    out[:, ~sure] = rest.argmax(axis=-1) if sign > 0 else rest.argmin(axis=-1)
+    return out
+
+
 def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     """Per-window mean, std, max and min along the last axis, as one node:
     the four (..., count) blocks concatenated on that axis in that order,
@@ -599,7 +619,8 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     backward returns the sum over the points of that gradient: per window,
     ``coef + cb * base + cd * direction``, with the max and min terms
     scattered into the base by ``np.bincount``. The forward then reads max
-    and min through argmax and argmin, which the backward reuses.
+    and min through argmax and argmin (``_line_arg``), which the backward
+    reuses; it equals the forward on plain points bit for bit.
     """
     a = as_tensor(a)
     view, lead, t_len, count = _pool_view(a, window, count)
@@ -607,8 +628,8 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     mean = (view @ ones) / window
     var = np.square(view) @ ones / window - mean * mean     # np.square: view * view is slower
     std = np.sqrt(np.maximum(var, 0.0) + 1e-12)
-    if isinstance(a, _Line) and a.data.ndim > 1:
-        args = (view.argmax(axis=-1), view.argmin(axis=-1))
+    if isinstance(a, _Line) and a.data.ndim > 1 and a.data.size:
+        args = (_line_arg(view, a, 1.0), _line_arg(view, a, -1.0))
         extremes = [np.take_along_axis(view, arg[..., None], axis=-1)[..., 0] for arg in args]
         mid = lead[1:]
 
@@ -653,6 +674,11 @@ def dft_magnitude(a, bins: int) -> Tensor:
     cover ``bins``, else the full ``np.fft.fft``; the backward pass, one
     inverse FFT. The gradient is defined everywhere except exact zeros of
     the magnitude, where the subgradient 0 is used.
+
+    On ``line`` points the node's input is the line's base: the DFT is
+    linear, so the points' spectra are ``F(base) + alpha * F(direction)``
+    (equal to theirs to rounding), and the backward sums the scaled spectra
+    over the points before its one inverse FFT.
     """
     a = as_tensor(a)
     t_len = a.data.shape[-1]
@@ -661,16 +687,23 @@ def dft_magnitude(a, bins: int) -> Tensor:
     if bins < 1 or bins > t_len:
         raise DimensionError(f"dft_magnitude: bins must be in [1, {t_len}], got {bins}")
     fft = np.fft.rfft if bins <= t_len // 2 + 1 else np.fft.fft
-    spectrum = fft(a.data, axis=-1)[..., :bins]
+    on_line = isinstance(a, _Line) and a.data.ndim > 1
+    if on_line:
+        fb, fd = (fft(x, axis=-1)[..., :bins] for x in (a.base.data, a.direction))
+        spectrum = fb + a.alphas.reshape((-1,) + (1,) * (fb.ndim - 1)) * fd
+    else:
+        spectrum = fft(a.data, axis=-1)[..., :bins]
     out = np.abs(spectrum)
 
     def back(g, needs):
         # d|X_k|/dx_t = Re(conj(X_k) e^{-2 pi i kt/T}) / |X_k| = Re(ifft(c)_t) T,
         # with c_k = g_k X_k / |X_k| zero-padded to T bins
         scaled = np.where(out > 0, g / np.where(out > 0, out, 1.0), 0.0) * spectrum
+        if on_line:      # every point's gradient reaches the base unchanged
+            scaled = scaled.sum(axis=0, keepdims=True)
         return (np.fft.ifft(scaled, n=t_len, axis=-1).real * t_len,)
 
-    return _apply("dft_magnitude", (a,), out, back)
+    return _apply("dft_magnitude", (a.base if on_line else a,), out, back)
 
 
 # ---------------------------------------------------------------------------

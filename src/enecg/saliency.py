@@ -15,8 +15,9 @@ nonlinearity (downsampling, the convolutional expert's first conv1d, the
 gate input's window means), so no point is pooled or convolved from raw
 samples. The points run in chunks of ``IG_CHUNK``, one tape each. They
 are ``line`` nodes, so a chunk's backward sums their gradients into one
-leaf per baseline view; the statistical expert's ``patch_stats`` sums its
-point gradients in closed form, per window. The point-averaged view
+leaf per baseline view. The statistical expert's ``patch_stats`` and the
+spectral expert's ``dft_magnitude`` read the line, not every point, where
+they can (see their docstrings). The point-averaged view
 gradients are pulled back to raw samples once, by differentiating the
 front on one record-sized tape. A plain callable has an identity front.
 """
@@ -76,7 +77,8 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     """Midpoint-rule integrated gradients of a scalar-valued model.
 
     ``model(t)`` must return one scalar per row of ``t``, a batch of inputs
-    along a new leading axis, built from the primitives. A ``SplitModel``'s
+    along a new leading axis, built from the primitives. ``x`` and
+    ``baseline`` may be Tensors or arrays. A ``SplitModel``'s
     front must be linear; its head receives the interpolated views as
     ``line`` points. Each chunk of ``IG_CHUNK`` points is one tape whose
     summed output is differentiated once; the view gradients, averaged over
@@ -84,7 +86,8 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise UsageError(f"integrated gradients needs an integer steps >= 1, got {steps!r}")
-    base = Tensor(np.zeros_like(x.data)) if baseline is None else baseline
+    x = ad.as_tensor(x)
+    base = Tensor(np.zeros_like(x.data)) if baseline is None else ad.as_tensor(baseline)
     if base.shape != x.shape:
         raise DimensionError(f"baseline shape {base.shape} != input shape {x.shape}")
     diff = x.data - base.data

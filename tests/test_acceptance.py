@@ -105,6 +105,8 @@ def test_criterion_1_gradient_suite():
             ensemble_combine(t, ad.softmax(ad.mul(t, w1), axis=0)), Tensor([1.0, -2.0, 0.5, 3.0])))),
         ("line", lambda t: ad.reduce_sum(ad.mul(ad.line(ad.reshape(t, (1, 3, 4)), w1.data[None],
                                                         [0.25, 0.75]), w1))),
+        ("dft_magnitude on a line", lambda t: ad.reduce_sum(ad.dft_magnitude(ad.line(
+            ad.reshape(t, (1, 3, 4)), w1.data[None], [0.25, 0.75]), 3))),
     ]
     stat_weights = Tensor(np.linspace(0.5, 2.0, 24).reshape(3, 8))   # no sample sums to ~0
     kinky = [("relu", lambda t: ad.reduce_sum(ad.relu(t))),

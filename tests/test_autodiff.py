@@ -458,7 +458,9 @@ def test_line_gradient_matches_finite_differences():
 def line_cases():
     """(base, direction, window, count, second): ties at a window's max and
     min that hold at every point, a constant window, a length that is not a
-    multiple of the window, and points that a second op also reads."""
+    multiple of the window, points that a second op also reads, and a
+    nonzero base with a steep direction, whose window maxima and minima move
+    from sample to sample between the first point and the last."""
     rng = np.random.default_rng(31)
     base, direction = rng.normal(size=(1, 3, 20)), rng.normal(size=(1, 3, 20))
     for arr, step in ((base, 1.0), (direction, 0.25)):
@@ -469,10 +471,15 @@ def line_cases():
     yield rng.normal(size=(1, 2, 3, 23)), rng.normal(size=(1, 2, 3, 23)), 4, None, False
     yield rng.normal(size=(1, 17)), rng.normal(size=(1, 17)), 3, 4, True
     yield base, direction, 4, None, True
+    base, direction = rng.normal(size=(1, 2, 12)), 8.0 * rng.normal(size=(1, 2, 12))
+    # window 0 at alphas 0.1..0.9: max at sample 0, 2, 1 (a tie with 2 and 3), 3, 3
+    # and min at 3, 3, 0, 0, 0
+    base[0, 0, :4], direction[0, 0, :4] = [1.0, 0.0, 0.5, -1.0], [-2.0, 1.0, 0.0, 3.0]
+    yield base, direction, 4, None, False
 
 
-@pytest.mark.parametrize("case", range(4), ids=["ties-and-constant", "remainder", "count-and-second-op",
-                                                "ties-and-second-op"])
+@pytest.mark.parametrize("case", range(5), ids=["ties-and-constant", "remainder", "count-and-second-op",
+                                                "ties-and-second-op", "moving-extremes"])
 def test_patch_stats_on_a_line_equals_it_on_plain_points(case):
     base, direction, window, count, second = list(line_cases())[case]
     alphas = (np.arange(5) + 0.5) / 5
@@ -495,6 +502,82 @@ def test_patch_stats_on_a_line_equals_it_on_plain_points(case):
         runs.append((stats.data, leaf.grad if on_line else points.grad.sum(axis=0, keepdims=True)))
     (out, grad), (want_out, want_grad) = runs
     assert np.array_equal(out, want_out)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def line_and_plain_points(base, direction, alphas, op, second=False):
+    """``op``'s output and the base gradient of a random weighting of it, on
+    ``line`` points and on the same points as a plain leaf, whose gradient
+    is summed over the points; ``second`` makes a second op read the points."""
+    other = Tensor(np.random.default_rng(32).normal(size=(len(alphas),) + base.shape[1:]))
+    runs = []
+    for on_line in (True, False):
+        leaf = Tensor(base, requires_grad=True)
+        with Tape() as tape:
+            points = ad.line(leaf, direction, alphas)
+            if not on_line:
+                points = Tensor(points.data, requires_grad=True)
+            out = op(points)
+            assert (tape.nodes[-1].inputs[0] is leaf) == on_line
+            weights = np.random.default_rng(33).normal(size=out.shape)
+            loss = ad.reduce_sum(ad.mul(out, Tensor(weights)))
+            if second:
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(points, other)))
+            backward(loss, tape)
+        runs.append((out.data, leaf.grad if on_line else points.grad.sum(axis=0, keepdims=True)))
+    return runs
+
+
+def test_patch_stats_on_a_line_scans_the_extremes_it_cannot_infer():
+    # windows 0 and 1 lead with two samples one ulp apart, whose points tie
+    # at alphas 0.7 and 0.3 only, where the first-index max (min) is sample
+    # 0 (3); window 2's max is sample 7 at every alpha but the largest,
+    # which is listed neither first nor last
+    d = np.nextafter(1.935, 2.0)
+    base = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8, 0.0]])
+    direction = np.array([[1.935, d, 0.0, -1.935, -d, 0.0, 1.0, 0.0, 0.0]])
+    alphas = np.array([0.7, 0.1, 0.5, 0.9, 0.3])
+    points = base + alphas[:, None] * direction
+    assert (points[[0, 4], 0] == points[[0, 4], 1]).all() and (points[[1, 2, 3], 0] < points[[1, 2, 3], 1]).all()
+    (out, grad), (want_out, want_grad) = line_and_plain_points(
+        base, direction, alphas, lambda p: ad.patch_stats(p, 3))
+    assert np.array_equal(out, want_out)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def test_line_primitives_accept_a_line_with_no_points_or_no_samples():
+    for shape, steps in (((1, 3, 8), 0), ((1, 0, 8), 3)):
+        leaf = Tensor(np.ones(shape), requires_grad=True)
+        with Tape() as tape:
+            points = ad.line(leaf, np.ones(shape), np.linspace(0.0, 1.0, steps))
+            stats, mags = ad.patch_stats(points, 4), ad.dft_magnitude(points, 3)
+            backward(ad.add(ad.reduce_sum(stats), ad.reduce_sum(mags)), tape)
+        assert stats.shape == (steps,) + shape[1:] and mags.shape == (steps,) + shape[1:-1] + (3,)
+        assert np.array_equal(leaf.grad, np.zeros(shape))
+
+
+def dft_line_cases():
+    """(base, direction, bins, second): the rfft branch, the full-FFT branch
+    (bins > T//2 + 1), a DC bin that is exactly 0 at every point (integer
+    samples summing to 0, dyadic alphas), and points that a second op also
+    reads."""
+    rng = np.random.default_rng(34)
+    yield rng.normal(size=(1, 3, 32)), rng.normal(size=(1, 3, 32)), 10, False
+    yield rng.normal(size=(1, 2, 3, 33)), rng.normal(size=(1, 2, 3, 33)), 20, False
+    ints = rng.integers(-9, 10, size=(2, 1, 3, 32)).astype(float)
+    ints[..., -1] -= ints.sum(axis=-1)
+    yield ints[0], ints[1], 12, True
+    yield rng.normal(size=(1, 17)), rng.normal(size=(1, 17)), 12, True
+
+
+@pytest.mark.parametrize("case", range(4), ids=["rfft", "fft", "zero-bin-and-second-op", "fft-and-second-op"])
+def test_dft_magnitude_on_a_line_equals_it_on_plain_points(case):
+    base, direction, bins, second = list(dft_line_cases())[case]
+    (out, grad), (want_out, want_grad) = line_and_plain_points(
+        base, direction, (np.arange(8) + 0.5) / 8, lambda p: ad.dft_magnitude(p, bins), second)
+    if case == 2:
+        assert (out[..., 0] == 0).all() and (want_out[..., 0] == 0).all() and (want_out[..., 1:] > 0).all()
+    assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 

@@ -154,6 +154,18 @@ def test_numpy_integer_steps_equal_int_steps():
     assert type(a.steps) is int and a.steps == 5
 
 
+def test_numpy_input_and_baseline_give_the_map_of_tensors():
+    rng = np.random.default_rng(5)
+    x, base = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+    for baseline in (None, base):
+        want = integrated_gradients(cubic_model(), Tensor(x), steps=8,
+                                    baseline=None if baseline is None else Tensor(baseline))
+        got = integrated_gradients(cubic_model(), x, baseline=baseline, steps=8)
+        np.testing.assert_array_equal(got.attributions, want.attributions)
+        assert (got.target_value, got.baseline_value, got.baseline) == (
+            want.target_value, want.baseline_value, want.baseline)
+
+
 def test_export_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     att = rng.normal(size=(4, 6))
