@@ -65,7 +65,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
+        return f"Tensor(shape={self.shape}{flag})"
 
 
 def _scalar_err(t: Tensor):
@@ -300,8 +300,11 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    """View as ``shape``; on line points whose axis it keeps, carries the line."""
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
+    if isinstance(a, _Line) and shape[:1] == a.shape[:1]:
+        return _carried(a, lambda t: reshape(t, (1,) + shape[1:]))
     if shape.count(-1) > 1:
         raise DimensionError(f"reshape: at most one -1 allowed, got {shape}")
     if -1 in shape:
@@ -350,12 +353,14 @@ def stack(tensors, axis: int = 0):
 
 
 def take_rows(a, indices, axis: int = 0) -> Tensor:
-    """Gather slices of one axis in the given order."""
+    """Gather slices of one axis in the given order; carries a line on any axis but its points'."""
     a = as_tensor(a)
     idx = list(int(i) for i in indices)
     if not idx:
         raise DimensionError("take_rows: empty index list")
     axis = _check_axis(a, axis)
+    if isinstance(a, _Line) and axis:
+        return _carried(a, lambda t: take_rows(t, idx, axis))
     n = a.data.shape[axis]
     for i in idx:
         if i < 0 or i >= n:
@@ -373,32 +378,54 @@ def take_rows(a, indices, axis: int = 0) -> Tensor:
 
 
 class _Line(Tensor):
-    """The output of ``line``: points that remember the line they lie on."""
+    """The output of ``line``: points that remember the line they lie on,
+    formed when ``data`` is first read; ``shape`` reads no points."""
 
-    __slots__ = ("base", "direction", "alphas")
+    __slots__ = ("base", "direction", "alphas", "_points")
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._points is None:
+            steps = self.alphas.reshape((-1,) + (1,) * (self.direction.ndim - 1))
+            self._points = self.base.data + steps * self.direction
+        return self._points
+
+    @data.setter
+    def data(self, arr) -> None:
+        self._points = arr
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.alphas),) + self.direction.shape[1:]
 
 
 def line(base, direction, alphas) -> Tensor:
     """The points ``base + alphas[p] * direction`` on a new leading axis: a
     (1, ...) base gives (m, ...) points for m ``alphas``. ``direction``
     (an array of base's shape) and ``alphas`` are constants; the backward
-    sums the points' gradient over that axis into ``base``. The points
-    carry all three, so ``patch_stats`` and ``dft_magnitude`` differentiate
-    them into ``base`` without forming a per-point gradient."""
+    sums the points' gradient over that axis into ``base``. The points are
+    formed only when read: linear primitives that keep the point axis carry
+    the line (``_carried``), and ``patch_stats`` and ``dft_magnitude``
+    differentiate it into ``base`` without a per-point gradient."""
     base = as_tensor(base)
     d = np.asarray(direction, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64).reshape(-1)
-    if base.data.shape[:1] != (1,) or d.shape != base.data.shape:
+    if base.shape[:1] != (1,) or d.shape != base.shape:
         raise DimensionError(f"line: base {base.shape} needs a leading axis of 1 and a "
                              f"direction of its shape, got {d.shape}")
 
     def back(g, needs):
         return (g.sum(axis=0, keepdims=True),)
 
-    points = base.data + alphas.reshape((-1,) + (1,) * (d.ndim - 1)) * d
-    out = _apply("line", (base,), points, back, _Line)
+    out = _apply("line", (base,), None, back, _Line)
     out.base, out.direction, out.alphas = base, d, alphas
     return out
+
+
+def _carried(a: _Line, op) -> Tensor:
+    """``op``, linear and keeping the point axis, on line points: the line of ``op(base)``
+    along ``op(direction)``; only ``op(base)`` is taped, so ``op``'s backward runs once."""
+    return line(op(a.base), op(_make(a.direction)).data, a.alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +478,11 @@ def sqrt(a) -> Tensor:
 
 
 def _check_axis(a: Tensor, axis: int) -> int:
-    nd = a.data.ndim
+    nd = len(a.shape)
     if not -nd <= axis < nd:
         raise DimensionError(f"axis {axis} out of range for shape {a.shape}")
     axis = axis % nd
-    if a.data.shape[axis] == 0:
+    if a.shape[axis] == 0:
         raise DimensionError(f"empty axis {axis} in shape {a.shape}")
     return axis
 
@@ -491,8 +518,11 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 # convolution, pooling, spectra (all along the last axis)
 
 def conv1d(x, kernels, stride: int = 1) -> Tensor:
-    """Valid cross-correlation of (C,T) or (B,C,T) input with (O,C,w) kernels."""
+    """Valid cross-correlation of (C,T) or (B,C,T) input with (O,C,w) kernels.
+    On (B,C,T) line points, kernels that need no gradient carry the line."""
     x, kernels = as_tensor(x), as_tensor(kernels)
+    if isinstance(x, _Line) and len(x.shape) == 3 and not kernels.requires_grad:
+        return _carried(x, lambda t: conv1d(t, kernels, stride))
     xd, kd = x.data, kernels.data
     if xd.ndim not in (2, 3) or kd.ndim != 3:
         raise DimensionError(f"conv1d expects (C,T) or (B,C,T) input and (O,C,w) kernels, got {xd.shape}, {kd.shape}")
@@ -520,7 +550,7 @@ def conv1d(x, kernels, stride: int = 1) -> Tensor:
             dx = np.zeros_like(xd)
             hi = (t_out - 1) * stride + 1
             for j in range(width):
-                dx[..., j:j + hi:stride] += np.einsum("...ot,oi->...it", g, kd[:, :, j], optimize=True)
+                dx[..., j:j + hi:stride] += kd[:, :, j].T @ g
         return dx, dk
 
     return _apply("conv1d", (x, kernels), out, back)
@@ -548,9 +578,11 @@ def mean_pool(a, window: int, count: int | None = None) -> Tensor:
     window) view with a ones vector, divided by ``window``: numpy's own
     reduction over a short trailing axis is several times slower. The backward
     pass broadcasts ``g / window`` into the (count, window) view of a zero
-    buffer, so the dropped trailing samples get zero gradient.
-    """
+    buffer, so the dropped trailing samples get zero gradient. On line
+    points with a time axis of their own, it carries the line."""
     a = as_tensor(a)
+    if isinstance(a, _Line) and len(a.shape) > 1:
+        return _carried(a, lambda t: mean_pool(t, window, count))
     view, lead, t_len, count = _pool_view(a, window, count)
     out = (view @ np.ones(window)) / window
 
@@ -628,7 +660,7 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     mean = (view @ ones) / window
     var = np.square(view) @ ones / window - mean * mean     # np.square: view * view is slower
     std = np.sqrt(np.maximum(var, 0.0) + 1e-12)
-    if isinstance(a, _Line) and a.data.ndim > 1 and a.data.size:
+    if isinstance(a, _Line) and len(a.shape) > 1 and a.data.size:
         args = (_line_arg(view, a, 1.0), _line_arg(view, a, -1.0))
         extremes = [np.take_along_axis(view, arg[..., None], axis=-1)[..., 0] for arg in args]
         mid = lead[1:]
@@ -675,19 +707,19 @@ def dft_magnitude(a, bins: int) -> Tensor:
     inverse FFT. The gradient is defined everywhere except exact zeros of
     the magnitude, where the subgradient 0 is used.
 
-    On ``line`` points the node's input is the line's base: the DFT is
-    linear, so the points' spectra are ``F(base) + alpha * F(direction)``
-    (equal to theirs to rounding), and the backward sums the scaled spectra
-    over the points before its one inverse FFT.
+    On ``line`` points, which it never forms, the node's input is the
+    line's base: the DFT is linear, so the points' spectra are ``F(base) +
+    alpha * F(direction)`` (equal to theirs to rounding), and the backward
+    sums the scaled spectra over the points before its one inverse FFT.
     """
     a = as_tensor(a)
-    t_len = a.data.shape[-1]
+    t_len = a.shape[-1]
     if t_len == 0:
         raise DimensionError("dft_magnitude over an empty time axis")
     if bins < 1 or bins > t_len:
         raise DimensionError(f"dft_magnitude: bins must be in [1, {t_len}], got {bins}")
     fft = np.fft.rfft if bins <= t_len // 2 + 1 else np.fft.fft
-    on_line = isinstance(a, _Line) and a.data.ndim > 1
+    on_line = isinstance(a, _Line) and len(a.shape) > 1
     if on_line:
         fb, fd = (fft(x, axis=-1)[..., :bins] for x in (a.base.data, a.direction))
         spectrum = fb + a.alphas.reshape((-1,) + (1,) * (fb.ndim - 1)) * fd

@@ -209,8 +209,9 @@ def cmd_saliency(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     csv_path = out.path(f"saliency_{task_name}_{tag}.csv")
     json_path = out.path(f"saliency_{task_name}_{tag}.json")
     export_saliency(smap, csv_path, json_path)
-    _progress(verbose, f"completeness gap {smap.completeness_gap:.3e} "
-                       f"over delta {smap.target_value - smap.baseline_value:.3e}")
+    verdict = "meets" if smap.completeness_gap <= smap.completeness_limit else "exceeds"
+    _progress(verbose, f"completeness gap {smap.completeness_gap:.3e} {verdict} the limit "
+                       f"{smap.completeness_limit:.3e} (delta {smap.target_value - smap.baseline_value:.3e})")
     return 0
 
 

@@ -117,40 +117,27 @@ def build_expert(arch: str, seed: int, required_input_len: int | None = None,
     )
 
 
-def expert_front(model: ExpertModel, x: Tensor) -> Tensor:
-    """The leading linear stage of a checked (B,C,L) batch: the
-    convolutional expert's first conv1d, the identity for the others."""
-    if x.data.ndim != 3:
+def expert_forward(model: ExpertModel, x: Tensor) -> Tensor:
+    """Features of a (B,C,L) batch."""
+    if len(x.shape) != 3:
         raise DimensionError(f"expert input must be (B,C,L), got shape {x.shape}")
-    _, c, length = x.shape
+    n, c, length = x.shape
     if length != model.required_input_len:
         raise DimensionError(
             f"expert {model.name!r} requires input length {model.required_input_len}, got {length}")
     if c != model.n_leads:
         raise DimensionError(f"expert {model.name!r} expects {model.n_leads} leads, got {c}")
-    if model.arch == "convolutional":
-        return ad.conv1d(x, model.params["k1"], stride=CONV_STRIDES[0])
-    return x
-
-
-def expert_head(model: ExpertModel, z: Tensor) -> Tensor:
-    """The rest of ``expert_forward``: features from ``expert_front``'s output."""
-    n, c, length = z.shape
     p = model.params
     if model.arch == "spectral":
-        mags = ad.dft_magnitude(z, SPECTRAL_BINS)
+        mags = ad.dft_magnitude(x, SPECTRAL_BINS)
         flat = ad.reshape(mags, (n, c * SPECTRAL_BINS))
     elif model.arch == "convolutional":
-        h2 = ad.relu(ad.conv1d(ad.relu(z), p["k2"], stride=CONV_STRIDES[1]))
+        h1 = ad.relu(ad.conv1d(x, p["k1"], stride=CONV_STRIDES[0]))
+        h2 = ad.relu(ad.conv1d(h1, p["k2"], stride=CONV_STRIDES[1]))
         t2 = h2.shape[-1]
         pooled = ad.mean_pool(h2, t2 // CONV_POOL_COUNT, count=CONV_POOL_COUNT)
         flat = ad.reshape(pooled, (n, CONV_CHANNELS * CONV_POOL_COUNT))
     else:
-        stats = ad.patch_stats(z, length // STAT_PATCHES, count=STAT_PATCHES)
+        stats = ad.patch_stats(x, length // STAT_PATCHES, count=STAT_PATCHES)
         flat = ad.reshape(stats, (n, c * STAT_PATCHES * 4))
     return ad.add(ad.matmul(flat, p["w"]), p["b"])
-
-
-def expert_forward(model: ExpertModel, x: Tensor) -> Tensor:
-    """Features of a (B,C,L) batch."""
-    return expert_head(model, expert_front(model, x))

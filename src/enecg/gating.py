@@ -61,7 +61,7 @@ def build_gate(n_experts: int, out_dim: int, rng: np.random.Generator,
 def gate_input(x: Tensor, lead_indices, pooled_len: int) -> Tensor:
     """Mean-pooled lead subset of a (B,C,T) batch, flattened to the gate's
     (B, n*pooled) input; differentiable throughout."""
-    if x.data.ndim != 3:
+    if len(x.shape) != 3:
         raise DimensionError(f"gate input needs a (B,C,T) batch, got shape {x.shape}")
     idx = list(lead_indices)
     pooled = downsample(ad.take_rows(x, idx, axis=1), pooled_len)

@@ -21,7 +21,7 @@ import weakref
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -132,28 +132,17 @@ def build_experts(cfg: ExperimentConfig) -> list[ExpertModel]:
             for s in cfg.experts]
 
 
-def _views(experts: list[ExpertModel], block: Tensor, lead_indices,
-           pooled_len: int) -> Iterator[Tensor]:
-    """The downsampling front of the raw forward, linear in a raw (B,C,T)
-    block: each expert's downsampled view, in roster order, then the gate
-    input. A generator, so each view is made just before its consumer takes it."""
-    for m in experts:
-        yield downsample(block, m.required_input_len)
-    yield gate_input(block, lead_indices, pooled_len)
-
-
-def _block_features(experts: list[ExpertModel], views: Iterable[Tensor]) -> tuple[list[Tensor], Tensor]:
-    """Each frozen expert's features and the gate input, from ``_views``.
-
-    A view stays bound until the next one is made. Peak RSS depends on the
-    order in which the allocator sees blocks freed: freeing each view right
-    after its expert raised perfbench infer's ``peak_rss_mb`` by 3%."""
-    views = iter(views)
+def _block_features(experts: list[ExpertModel], block: Tensor, lead_indices,
+                    pooled_len: int) -> tuple[list[Tensor], Tensor]:
+    """The raw-record forward up to the heads: each frozen expert's features
+    of its downsampled view of a (B,C,T) block, in roster order, and the gate
+    input. A view stays bound until the next is made: freeing each right after
+    its expert raised perfbench infer's ``peak_rss_mb`` by 3% (allocator order)."""
     features = []
     for m in experts:
-        down = next(views)
+        down = downsample(block, m.required_input_len)
         features.append(expert_forward(m, down))
-    return features, next(views)
+    return features, gate_input(block, lead_indices, pooled_len)
 
 
 # Records per expert front-end block. A 64-record raw block is 31 MB, so it
@@ -182,8 +171,7 @@ def _prepare_records(cfg: ExperimentConfig, experts: list[ExpertModel],
     pairs = iter(pairs)
     while block := list(islice(pairs, PREP_BLOCK)):
         block_feats, gate_in = _block_features(
-            experts, _views(experts, ad.stack([r.leads for r, _ in block]),
-                            cfg.gate_leads, cfg.gate_pooled_len))
+            experts, ad.stack([r.leads for r, _ in block]), cfg.gate_leads, cfg.gate_pooled_len)
         for acc, f in zip(feats, block_feats):
             acc.append(f.data)
         gates.append(gate_in.data)
@@ -432,8 +420,7 @@ def _front(batch: list[EcgRecord], experts: list[ExpertModel], lead_indices,
     if (memo is not None and memo[1] == shape and len(memo[0]) == len(objects)
             and all(ref() is obj for ref, obj in zip(memo[0], objects))):
         return memo[2]
-    front = _block_features(experts, _views(experts, ad.stack([r.leads for r in batch]),
-                                            lead_indices, pooled_len))
+    front = _block_features(experts, ad.stack([r.leads for r in batch]), lead_indices, pooled_len)
     _last_front = [weakref.ref(x) for x in objects], shape, front
     return front
 

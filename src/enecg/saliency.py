@@ -4,30 +4,20 @@ The path integral from a baseline to the input is approximated with the
 midpoint Riemann rule: the gradient of the target scalar is evaluated at
 m interpolation points (t - 0.5)/m along the straight line and averaged,
 then scaled by (x - baseline). The completeness gap |sum(IG) - (F(x) -
-F(baseline))| is computed and stored rather than hidden.
+F(baseline))| is stored rather than hidden, with the IG paper's 5% limit.
 
-A scalar model is read as a linear front (raw block -> views) followed by a
-head (views -> one scalar per row). The straight-line path commutes with a
-linear map (Sundararajan et al. 2017, arXiv 1703.01365), so the points are
-interpolated between the baseline's and the input's views, never in raw
-sample space. The ensemble's front ends at each expert's first
-nonlinearity (downsampling, the convolutional expert's first conv1d, the
-gate input's window means), so no point is pooled or convolved from raw
-samples. The points run in chunks of ``IG_CHUNK``, one tape each. They
-are ``line`` nodes, so a chunk's backward sums their gradients into one
-leaf per baseline view. The statistical expert's ``patch_stats`` and the
-spectral expert's ``dft_magnitude`` read the line, not every point, where
-they can (see their docstrings). The point-averaged view
-gradients are pulled back to raw samples once, by differentiating the
-front on one record-sized tape. A plain callable has an identity front.
+The model is any callable; each chunk of ``IG_CHUNK`` points is one
+``autodiff.line`` over the baseline, on one tape. The straight-line path
+commutes with a linear map (Sundararajan et al. 2017, arXiv 1703.01365),
+so linear primitives carry the line rather than form its points (see
+``autodiff.line``): an ensemble map forms neither its raw nor its spectral points.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -35,8 +25,8 @@ from . import autodiff as ad
 from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, ParseError, UsageError, read_lines
-from .experts import ExpertModel, expert_front, expert_head
-from .pipeline import _check_experts, _features_forward, _gated, _views
+from .experts import ExpertModel
+from .pipeline import _block_features, _check_experts, _features_forward, _gated
 
 # interpolation points per tape: bounds IG's working set by the chunk, not
 # by the step count
@@ -52,24 +42,12 @@ class SaliencyMap:
     target_value: float             # F(x)
     baseline_value: float           # F(baseline)
 
-
-@dataclass(frozen=True)
-class SplitModel:
-    """A scalar model split at its linear front: ``front`` maps a (B, ...)
-    block linearly to an iterable of views, ``head`` maps the views to one
-    scalar per row. Calling it runs both."""
-    front: Callable[[Tensor], Iterable[Tensor]]
-    head: Callable[[Iterable[Tensor]], Tensor]
-
-    def __call__(self, block: Tensor) -> Tensor:
-        return self.head(self.front(block))
-
-
-def _split(model) -> SplitModel:
-    """A plain callable is its own head behind an identity front."""
-    if isinstance(model, SplitModel):
-        return model
-    return SplitModel(lambda block: [block], lambda views: model(views[0]))
+    @property
+    def completeness_limit(self) -> float:
+        """The IG paper's criterion for enough steps (sec. 3): a completeness
+        gap within 5% of the output scale max(|F(x) - F(b)|, |F(x)|, |F(b)|)."""
+        fx, fb = self.target_value, self.baseline_value
+        return 0.05 * max(abs(fx - fb), abs(fx), abs(fb))
 
 
 def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
@@ -78,11 +56,9 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
 
     ``model(t)`` must return one scalar per row of ``t``, a batch of inputs
     along a new leading axis, built from the primitives. ``x`` and
-    ``baseline`` may be Tensors or arrays. A ``SplitModel``'s
-    front must be linear; its head receives the interpolated views as
-    ``line`` points. Each chunk of ``IG_CHUNK`` points is one tape whose
-    summed output is differentiated once; the view gradients, averaged over
-    the points, are pulled back through the front on one record-sized tape.
+    ``baseline`` may be Tensors or arrays. Each chunk of ``IG_CHUNK``
+    points is one ``line`` over the baseline leaf on one tape, whose summed
+    output is differentiated once into that leaf.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise UsageError(f"integrated gradients needs an integer steps >= 1, got {steps!r}")
@@ -91,36 +67,23 @@ def integrated_gradients(model, x: Tensor, baseline: Tensor | None = None,
     if base.shape != x.shape:
         raise DimensionError(f"baseline shape {base.shape} != input shape {x.shape}")
     diff = x.data - base.data
-    split = _split(model)
-    x_views = list(split.front(Tensor(x.data[None, ...])))
-    b_views = list(split.front(Tensor(base.data[None, ...])))
-    deltas = [v.data - b.data for v, b in zip(x_views, b_views)]
-    if not all(np.isfinite(d).all() for d in deltas):
+    if not np.isfinite(diff).all():
         raise UsageError("integrated gradients needs finite views of the input and baseline")
 
     alphas = (np.arange(steps) + 0.5) / steps
-    # each chunk's backward sums its points' gradients into these leaves
-    bases = [ad._make(b.data, True) for b in b_views]
+    # each chunk's backward sums its points' gradients into this leaf
+    leaf = ad._make(base.data[None], True)
     for lo in range(0, steps, IG_CHUNK):
         chunk = alphas[lo:lo + IG_CHUNK]
         with Tape() as tape:
-            out = split.head([ad.line(b, d, chunk) for b, d in zip(bases, deltas)])
+            out = model(ad.line(leaf, diff[None], chunk))
             if out.data.size != chunk.size:
                 raise UsageError(f"model returned {out.data.size} values for {chunk.size} points; "
                                  "expected one scalar per interpolation point")
             backward(ad.reduce_sum(out), tape)
-    # a view the target does not read gets no gradient
-    grad_sums = [np.zeros(b.shape) if b.grad is None else b.grad for b in bases]
-
-    probe = Tensor(np.zeros((1,) + x.shape), requires_grad=True)
-    with Tape() as tape:
-        terms = [ad.reduce_sum(ad.mul(v, Tensor(g / steps)))
-                 for v, g in zip(split.front(probe), grad_sums)]
-        backward(reduce(ad.add, terms), tape)
-    attributions = diff * probe.grad[0]
-
-    f_x = float(split.head(x_views).data.reshape(-1)[0])
-    f_base = float(split.head(b_views).data.reshape(-1)[0])
+    # an input the target does not read gets no gradient
+    attributions = diff * (0.0 if leaf.grad is None else leaf.grad[0] / steps)
+    f_x, f_base = (float(model(Tensor(v[None, ...])).data.reshape(-1)[0]) for v in (x.data, base.data))
     gap = abs(attributions.sum() - (f_x - f_base))
     label = "zeros" if baseline is None else f"tensor{base.shape}"
     return SaliencyMap(attributions, label, int(steps), gap, f_x, f_base)
@@ -148,15 +111,15 @@ def scalar_target(task: tk.TaskSpec, logits: Tensor, class_index: int | None = N
 
 
 def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
-                          expert_index: int | None = None, class_index: int | None = None) -> SplitModel:
+                          expert_index: int | None = None,
+                          class_index: int | None = None) -> Callable[[Tensor], Tensor]:
     """Scalar model over a raw (B,C,T) record batch for IG attribution.
 
     Attributes the combined logit by default, or a single expert's logit
     when ``expert_index``, an integer in 0..N-1, is given. Regression
     outputs stay in the standardized training scale; attribution shape
-    follows the raw record.
-    The front is each expert's downsample and ``expert_front``, then the
-    gate input; the head is the rest of the raw-record forward.
+    follows the raw record. The model is the raw-record forward of
+    ``forward_enecg``: ``_block_features``, then ``_features_forward``.
     """
     gate = _gated(model)
     if expert_index is not None and (
@@ -165,24 +128,17 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
         raise UsageError(f"expert_index must be an integer in 0..{len(experts) - 1}, "
                          f"got {expert_index!r}")
 
-    def front(block: Tensor):
-        views = _views(experts, block, gate.lead_indices, gate.pooled_len)
-        for m, down in zip(experts, views):
-            yield expert_front(m, down)
-        yield next(views)
-
-    def head(views) -> Tensor:
+    def scalar(block: Tensor) -> Tensor:
         _check_experts(model, experts)
-        views = iter(views)
-        features = [expert_head(m, next(views)) for m in experts]
-        stacked, _, combined = _features_forward(model, features, next(views))
+        features, gate_in = _block_features(experts, block, gate.lead_indices, gate.pooled_len)
+        stacked, _, combined = _features_forward(model, features, gate_in)
         if expert_index is None:
             return scalar_target(task, combined, class_index)
         one = ad.take_rows(stacked, [expert_index], axis=1)
         single = ad.reshape(one, (stacked.shape[0], task.output_dim))
         return scalar_target(task, single, class_index)
 
-    return SplitModel(front, head)
+    return scalar
 
 
 def export_saliency(smap: SaliencyMap, csv_path, json_path=None) -> None:
@@ -201,6 +157,8 @@ def export_saliency(smap: SaliencyMap, csv_path, json_path=None) -> None:
         "completeness_gap": smap.completeness_gap,
         "target_value": smap.target_value,
         "baseline_value": smap.baseline_value,
+        "completeness_limit": smap.completeness_limit,
+        "completeness_ok": bool(smap.completeness_gap <= smap.completeness_limit),
         "shape": list(att.shape),
     }
     path = json_path if json_path is not None else str(csv_path) + ".json"
@@ -226,17 +184,17 @@ def load_saliency_csv(csv_path) -> np.ndarray:
             raise ParseError(f"{csv_path}:{i}: {e}") from e
         if lead < 0 or idx < 0:
             raise ParseError(f"{csv_path}:{i}: negative lead or sample index")
+        if not np.isfinite(val):
+            raise ParseError(f"{csv_path}:{i}: attribution {parts[2]!r} is not finite")
         if (lead, idx) in cells:
             raise ParseError(f"{csv_path}:{i}: repeated row for lead {lead}, sample_index {idx}")
         cells[lead, idx] = val
     if not cells:
         raise ParseError(f"{csv_path}: no attribution rows after the header")
-    n_leads = max(lead for lead, _ in cells) + 1
-    n_samples = max(idx for _, idx in cells) + 1
+    n_leads, n_samples = (max(axis) + 1 for axis in zip(*cells))
     if len(cells) != n_leads * n_samples:
         raise ParseError(f"{csv_path}: {n_leads} leads x {n_samples} samples need "
                          f"{n_leads * n_samples} rows, found {len(cells)}")
     out = np.zeros((n_leads, n_samples))
-    for (lead, idx), val in cells.items():
-        out[lead, idx] = val
+    out[tuple(zip(*cells))] = list(cells.values())
     return out

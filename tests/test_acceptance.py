@@ -75,6 +75,10 @@ def test_criterion_1_gradient_suite():
     lora = [Tensor(rng.normal(size=s)) for s in [(2, 4), (1, 4), (2, 1), (2,), (3, 2)]]
     target, labels = rng.normal(size=(3, 4)), np.array([3.0, 0.0, 1.0])
     y = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+    def on_line(t):
+        return ad.line(ad.reshape(t, (1, 3, 4)), w1.data[None], [0.25, 0.75])
+
     primitives = [
         ("add", lambda t: ad.reduce_sum(ad.add(t, w1))),
         ("sub", lambda t: ad.reduce_sum(ad.sub(w1, t))),
@@ -107,6 +111,15 @@ def test_criterion_1_gradient_suite():
                                                         [0.25, 0.75]), w1))),
         ("dft_magnitude on a line", lambda t: ad.reduce_sum(ad.dft_magnitude(ad.line(
             ad.reshape(t, (1, 3, 4)), w1.data[None], [0.25, 0.75]), 3))),
+        # linear ops carry the line: each runs once on its base
+        ("mean_pool on a line", lambda t: ad.reduce_sum(ad.mul(ad.mean_pool(
+            on_line(t), 2), Tensor(np.linspace(-1.0, 2.0, 12).reshape(2, 3, 2))))),
+        ("conv1d on a line", lambda t: ad.reduce_sum(ad.mul(ad.conv1d(
+            on_line(t), kern, stride=1), Tensor(np.linspace(-1.0, 2.0, 8).reshape(2, 2, 2))))),
+        ("take_rows on a line", lambda t: ad.reduce_sum(ad.mul(ad.take_rows(
+            on_line(t), [2, 0], axis=1), Tensor(np.linspace(-1.0, 2.0, 16).reshape(2, 2, 4))))),
+        ("reshape on a line", lambda t: ad.reduce_sum(ad.mul(ad.reshape(
+            on_line(t), (2, 12)), Tensor(np.linspace(-1.0, 2.0, 24).reshape(2, 12))))),
     ]
     stat_weights = Tensor(np.linspace(0.5, 2.0, 24).reshape(3, 8))   # no sample sums to ~0
     kinky = [("relu", lambda t: ad.reduce_sum(ad.relu(t))),

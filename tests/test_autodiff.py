@@ -581,6 +581,68 @@ def test_dft_magnitude_on_a_line_equals_it_on_plain_points(case):
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
+# (op on points, tape tag, base shape): each linear in its input and keeping
+# the point axis, so on a line it runs once on the base and the direction
+CARRIED = {
+    "mean_pool": (lambda p: ad.mean_pool(p, 3, count=5), "mean_pool", (1, 2, 3, 17)),
+    "conv1d": (lambda p: ad.conv1d(p, Tensor(np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4)), stride=2),
+               "conv1d", (1, 3, 21)),
+    "take_rows": (lambda p: ad.take_rows(p, [2, 0, 2], axis=1), "take_rows", (1, 4, 6)),
+    "reshape": (lambda p: ad.reshape(p, (p.shape[0], -1)), "reshape", (1, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_carried_op_on_a_line_equals_it_on_plain_points(name):
+    op, tag, shape = CARRIED[name]
+    rng = np.random.default_rng(35)
+    base, direction = rng.normal(size=shape), rng.normal(size=shape)
+    alphas = (np.arange(5) + 0.5) / 5
+    runs = []
+    for on_line in (True, False):
+        leaf = Tensor(base, requires_grad=True)
+        with Tape() as tape:
+            points = ad.line(leaf, direction, alphas)
+            if not on_line:
+                points = Tensor(points.data, requires_grad=True)
+            out = op(points)
+            if on_line:
+                # the op's node reads the line's base, and a line of its output follows
+                assert [node.op for node in tape.nodes[-2:]] == [tag, "line"]
+                assert tape.nodes[-2].inputs[0] is leaf and isinstance(out, ad._Line)
+            weights = np.random.default_rng(36).normal(size=out.shape)
+            backward(ad.reduce_sum(ad.mul(out, Tensor(weights))), tape)
+        if on_line:
+            assert points._points is None
+        runs.append((out.data, leaf.grad if on_line else points.grad.sum(axis=0, keepdims=True)))
+    (out, grad), (want_out, want_grad) = runs
+    assert out.shape == want_out.shape
+    assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def test_kernels_with_a_gradient_and_a_gather_of_points_read_the_points():
+    rng = np.random.default_rng(37)
+    leaf = Tensor(rng.normal(size=(1, 3, 12)), requires_grad=True)
+    kernels = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    with Tape() as tape:
+        points = ad.line(leaf, rng.normal(size=(1, 3, 12)), [0.25, 0.5, 0.75])
+        conv = ad.conv1d(points, kernels)
+        assert tape.nodes[-1].op == "conv1d" and tape.nodes[-1].inputs[0] is points
+        rows = ad.take_rows(points, [2, 0], axis=0)
+        assert tape.nodes[-1].op == "take_rows" and tape.nodes[-1].inputs[0] is points
+        backward(ad.add(ad.reduce_sum(ad.mul(conv, conv)), ad.reduce_sum(rows)), tape)
+    assert points._points is not None
+    assert not isinstance(conv, ad._Line) and not isinstance(rows, ad._Line)
+    plain = Tensor(points.data)
+    want = Tensor(kernels.data, requires_grad=True)
+    with Tape() as tape:
+        want_conv = ad.conv1d(plain, want)
+        backward(ad.reduce_sum(ad.mul(want_conv, want_conv)), tape)
+    assert np.array_equal(conv.data, want_conv.data) and np.array_equal(kernels.grad, want.grad)
+    assert np.array_equal(rows.data, points.data[[2, 0]])
+
+
 def test_elementwise_and_reduction_gradients():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(3, 4)))

@@ -156,6 +156,30 @@ def test_saliency_exports_csv_and_sidecar(cfg_path, tmp_path):
     assert sidecar["steps"] == 16
 
 
+def test_saliency_sidecar_states_whether_the_map_meets_the_completeness_limit(tmp_path, capsys):
+    # the spectral expert's map at the config's 16 steps misses the IG
+    # paper's 5% criterion; at 64 steps it meets it
+    out = str(tmp_path / "run")
+    verdicts = {}
+    for steps in (16, 64):
+        path = tmp_path / f"expert0_{steps}.cfg"
+        path.write_text(SMALL_CFG.replace("record_index = 0", "record_index = 0\nexpert_index = 0")
+                        .replace("steps = 16", f"steps = {steps}"))
+        if not verdicts:
+            assert run(["train", "--config", str(path), "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["saliency", "--config", str(path), "--out", out, "-v"]) == 0
+        err = capsys.readouterr().err
+        doc = json.loads(open(os.path.join(out, "saliency_rr_expert0.json")).read())
+        fx, fb = doc["target_value"], doc["baseline_value"]
+        assert doc["completeness_limit"] == 0.05 * max(abs(fx - fb), abs(fx), abs(fb))
+        assert doc["completeness_ok"] == (doc["completeness_gap"] <= doc["completeness_limit"])
+        verb = "meets" if doc["completeness_ok"] else "exceeds"
+        assert f"{verb} the limit {doc['completeness_limit']:.3e}" in err
+        verdicts[steps] = doc["completeness_ok"]
+    assert verdicts == {16: False, 64: True}
+
+
 def test_saliency_single_expert_attribution(cfg_path, tmp_path):
     expert_cfg = tmp_path / "expert.cfg"
     expert_cfg.write_text(SMALL_CFG.replace("record_index = 0",

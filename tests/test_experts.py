@@ -7,7 +7,7 @@ import pytest
 
 from enecg.autodiff import Tensor, Tape, backward, mul, reduce_sum
 from enecg.errors import DimensionError, UsageError
-from enecg.experts import ARCHITECTURES, build_expert, expert_forward, expert_front, expert_head
+from enecg.experts import ARCHITECTURES, build_expert, expert_forward
 from enecg.optim import finite_diff_grad
 
 SMALL = {"spectral": 64, "convolutional": 224, "statistical": 64}
@@ -77,18 +77,6 @@ def test_batched_forward_matches_per_sample():
         for i in range(3):
             single = expert_forward(m, Tensor(xs[i:i + 1])).data
             np.testing.assert_allclose(batched[i:i + 1], single, rtol=1e-12, atol=0)
-
-
-def test_forward_is_the_head_after_the_front():
-    rng = np.random.default_rng(6)
-    for arch in ARCHITECTURES:
-        m = small_expert(arch)
-        for batch in (1, 3):
-            x = Tensor(rng.normal(size=(batch, 2, m.required_input_len)))
-            z = expert_front(m, x)
-            if arch != "convolutional":
-                assert z is x
-            assert np.array_equal(expert_forward(m, x).data, expert_head(m, z).data)
 
 
 def test_wrong_input_length_names_expected():

@@ -189,6 +189,14 @@ def test_malformed_saliency_csv_is_a_parse_error(tmp_path, body):
         load_saliency_csv(csv_path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_attribution_is_a_parse_error_naming_its_line(tmp_path, value):
+    csv_path = tmp_path / "map.csv"
+    csv_path.write_text(f"lead,sample_index,attribution\n0,0,1.0\n0,1,{value}\n")
+    with pytest.raises(ParseError, match=rf"map\.csv:3: attribution '{value}' is not finite"):
+        load_saliency_csv(csv_path)
+
+
 @pytest.mark.parametrize("body, message", [
     # (0, 1) missing from the 2 x 2 grid
     ("0,0,1.0\n1,0,2.0\n1,1,3.0\n", r"map\.csv: 2 leads x 2 samples need 4 rows, found 3"),
@@ -251,19 +259,6 @@ def single_tape_ig(model, x, baseline, steps):
     return diff * probe.grad.mean(axis=0)
 
 
-@pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
-def test_ensemble_split_model_equals_its_identity_front(small_ensemble, task_name,
-                                                        expert_index, class_index):
-    trained, record, baseline = small_ensemble
-    model = target_model(trained, task_name, expert_index, class_index)
-    fast = integrated_gradients(model, record.leads, baseline=baseline, steps=2 * IG_CHUNK + 5)
-    plain = integrated_gradients(lambda b: model(b), record.leads, baseline=baseline,
-                                 steps=2 * IG_CHUNK + 5)
-    assert relative(fast.attributions, plain.attributions) <= 1e-10
-    assert fast.target_value == plain.target_value
-    assert fast.baseline_value == plain.baseline_value
-
-
 @pytest.mark.parametrize("steps", [1, IG_CHUNK - 1, IG_CHUNK, IG_CHUNK + 1, 100])
 @pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
 def test_chunked_map_agrees_with_a_single_tape(small_ensemble, steps, task_name,
@@ -317,30 +312,29 @@ def test_expert_index_must_be_an_integer_naming_an_expert(small_ensemble):
                           target_model(trained, "rr", 1, None)(points).data)
 
 
-def test_ensemble_front_is_linear(small_ensemble):
-    # IG interpolates the front's views, which is exact only for a linear front
+def test_ensemble_map_never_forms_the_record_line(small_ensemble, monkeypatch):
+    # downsampling and the gate input carry each chunk's line over the raw
+    # record, and the spectral expert reads its line without forming points
     trained, record, baseline = small_ensemble
-    front = target_model(trained, "rr", None, None).front
-    x, y = record.leads.data[None], baseline.data[None]
-    a, c = 0.7, -1.3
-    mixed = list(front(Tensor(a * x + c * y)))
-    parts = [a * u.data + c * v.data for u, v in zip(front(Tensor(x)), front(Tensor(y)))]
-    assert len(mixed) == len(parts) == len(trained.experts) + 1
-    for view, ref in zip(mixed, parts):
-        assert relative(view.data, ref) <= 1e-12
-
-
-def test_chunk_head_runs_one_conv1d(small_ensemble):
-    # the convolutional expert's first conv1d is in the front, so a chunk's
-    # tape holds only its second
-    trained, record, _ = small_ensemble
-    assert [m.arch for m in trained.experts].count("convolutional") == 1
     model = target_model(trained, "rr", None, None)
-    views = model.front(Tensor(np.repeat(record.leads.data[None], IG_CHUNK, axis=0)))
-    points = [Tensor(v.data, requires_grad=True) for v in views]
-    with Tape() as tape:
-        model.head(points)
-    assert sum(node.op == "conv1d" for node in tape.nodes) == 1
+    blocks, views = [], []
+    real = pl.expert_forward
+
+    def seen(m, x):
+        views.append((m.arch, x))
+        return real(m, x)
+
+    def recorded(block):
+        blocks.append(block)
+        return model(block)
+
+    monkeypatch.setattr(pl, "expert_forward", seen)
+    integrated_gradients(recorded, record.leads, baseline=baseline, steps=2 * IG_CHUNK + 5)
+    lines = [b for b in blocks if isinstance(b, ad._Line)]
+    assert [b.shape[0] for b in lines] == [IG_CHUNK, IG_CHUNK, 5] and len(blocks) == 5
+    assert all(b._points is None for b in lines)
+    spectral = [x for arch, x in views if arch == "spectral" and isinstance(x, ad._Line)]
+    assert len(spectral) == 3 and all(x._points is None for x in spectral)
 
 
 def test_ensemble_map_peaks_below_one_raw_probe():
