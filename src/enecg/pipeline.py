@@ -101,11 +101,11 @@ class ExperimentConfig:
             raise UsageError(f"unknown ensemble strategy {self.ensemble!r}; expected one of {STRATEGIES}")
         for name in self.tasks:
             tk.task_by_name(name)
-        if not self.experts:
-            raise UsageError("expert roster is empty")
         # tasks and experts are keyed by name: in reports, histories and checksums
         for what, names in (("experiment.tasks", self.tasks),
                             ("experts.roster", [s.name for s in self.experts])):
+            if not names:
+                raise UsageError(f"{what} is empty: it needs at least one entry")
             repeated = [n for i, n in enumerate(names) if n in names[:i]]
             if repeated:
                 raise UsageError(f"{what} names {repeated[0]!r} more than once")
@@ -356,17 +356,25 @@ def fit_input_stats(prepared: PreparedDataset, train_idx: np.ndarray
     return stats[:-1], stats[-1]
 
 
+def _standardized(model: TaskModel, features: list[Tensor], gate_in: Tensor):
+    """Expert features, grouped (n,B,k) per head group, and the gate input,
+    z-scored on the tape: the one place a model's statistics are applied."""
+    features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
+                for f, (mean, std) in zip(features, model.feature_stats)]
+    gm, gs = model.gate_stats
+    return model.stack.group_inputs(features), ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
+
+
 def _inputs(model: TaskModel, prepared: PreparedDataset,
             idx: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
-    """The given rows (default all) standardized with the model's statistics:
-    features stacked per head group (n,B,k), in ``stack.members`` order,
-    and the gate input (B,w); a non-finite value is a ``UsageError``."""
+    """The given rows (default all) through ``_standardized``: features
+    stacked per head group (n,B,k), in ``stack.members`` order, and the
+    gate input (B,w); a non-finite value is a ``UsageError``."""
     _check_roster(model, [(f"expert {i}", f.shape[1]) for i, f in enumerate(prepared.features)])
     rows = slice(None) if idx is None else idx
-    feats = [(f[rows] - m) / s for f, (m, s) in zip(prepared.features, model.feature_stats)]
-    gm, gs = model.gate_stats
-    groups = [np.stack([feats[i] for i in members]) for members in model.stack.members]
-    gate_in = (prepared.gate_inputs[rows] - gm) / gs
+    groups, gate_in = _standardized(model, [ad._make(f[rows]) for f in prepared.features],
+                                    ad._make(prepared.gate_inputs[rows]))
+    groups, gate_in = [g.data for g in groups], gate_in.data
     _check_finite("standardized inputs", *groups, gate_in)
     return groups, gate_in
 
@@ -387,16 +395,6 @@ def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple
 
 def _check_experts(model: TaskModel, experts: list[ExpertModel]) -> None:
     _check_roster(model, [(f"expert {m.name!r}", m.feature_dim) for m in experts])
-
-
-def _features_forward(model: TaskModel, features: list[Tensor], gate_in: Tensor):
-    """(stacked, weights, combined) Tensors, on the tape, from expert features
-    and the raw gate input: standardization, then heads, gate and combine."""
-    features = [ad.mul(ad.sub(f, Tensor(mean)), Tensor(1.0 / std))
-                for f, (mean, std) in zip(features, model.feature_stats)]
-    gm, gs = model.gate_stats
-    gate_in = ad.mul(ad.sub(gate_in, Tensor(gm)), Tensor(1.0 / gs))
-    return _forward_grouped(model, model.stack.group_inputs(features), gate_in)
 
 
 # The last raw batch's front-end pass: (weak references to each record's
@@ -427,13 +425,14 @@ def _front(batch: list[EcgRecord], experts: list[ExpertModel], lead_indices,
 
 def forward_enecg(batch: list[EcgRecord], experts: list[ExpertModel], model: TaskModel) -> list[EnsembleOutput]:
     """Full forward from raw records; one EnsembleOutput per input, in order.
-    Consecutive calls on the same batch share one front-end pass (``_front``)."""
+    Consecutive calls on the same batch share one front-end pass (``_front``).
+    Features pass ``_standardized`` as ``evaluate``'s rows do: logits agree bit for bit."""
     gate = _gated(model)
     if not batch:
         return []
     _check_experts(model, experts)
     features, gate_in = _front(batch, experts, gate.lead_indices, gate.pooled_len)
-    stacked, weights, combined = _features_forward(model, features, gate_in)
+    stacked, weights, combined = _forward_grouped(model, *_standardized(model, features, gate_in))
     return [EnsembleOutput(*row) for row in zip(stacked.data, weights.data, combined.data)]
 
 
@@ -575,7 +574,7 @@ def _train(cfg: ExperimentConfig, seed: int | None, prepared: PreparedDataset | 
     stats = fit_input_stats(prepared, train_idx)
     for model in models.values():
         model.feature_stats, model.gate_stats = stats
-    inputs = _inputs(models[cfg.tasks[0]], prepared) if models else None
+    inputs = _inputs(models[cfg.tasks[0]], prepared)
     before = _frozen_checksums(experts, models)
     trained = TrainedModel(cfg=cfg, experts=experts, tasks=models)
     for model in models.values():
@@ -753,8 +752,9 @@ def save_task_model(model: TaskModel, path) -> None:
 def load_task_model(path) -> TaskModel:
     """Rebuild a task model written by ``save_task_model``: tensor names give
     its heads (two layers each), shapes every width and rank. A missing or
-    unexpected entry, a non-finite value, a non-integer count or lead, or a
-    shape that disagrees with what it fills is a ParseError naming both."""
+    unexpected entry, a non-finite value, a standard deviation that is not
+    positive, a non-integer count or lead, or a shape that disagrees with
+    what it fills is a ParseError naming both."""
     tensors, scalars = read_tensors(path)
     unread = set(tensors)
 
@@ -821,6 +821,9 @@ def load_task_model(path) -> TaskModel:
     stats = [(tensor(f"featstats{i}.mean", (h.in_dim,)), tensor(f"featstats{i}.std", (h.in_dim,)))
              for i, h in enumerate(heads)]
     gate_stats = (tensor("gatestats.mean", (gate.in_dim,)), tensor("gatestats.std", (gate.in_dim,)))
+    for name in [f"featstats{i}.std" for i in range(n)] + ["gatestats.std"]:
+        if not (tensors[name] > 0).all():
+            raise ParseError(f"{path}: tensor {name!r} has a standard deviation <= 0")
     if unread:  # e.g. a third layer: every head and the gate have two
         raise ParseError(f"{path}: unexpected tensor {min(unread)!r}")
     return TaskModel(task=task, stack=stack_heads(heads), gate=gate, feature_stats=stats,

@@ -26,7 +26,7 @@ from . import tasks as tk
 from .autodiff import Tensor, Tape, backward
 from .errors import DimensionError, ParseError, UsageError, read_lines
 from .experts import ExpertModel
-from .pipeline import _block_features, _check_experts, _features_forward, _gated
+from .pipeline import _block_features, _check_experts, _forward_grouped, _gated, _standardized
 
 # interpolation points per tape: bounds IG's working set by the chunk, not
 # by the step count
@@ -119,7 +119,7 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
     when ``expert_index``, an integer in 0..N-1, is given. Regression
     outputs stay in the standardized training scale; attribution shape
     follows the raw record. The model is the raw-record forward of
-    ``forward_enecg``: ``_block_features``, then ``_features_forward``.
+    ``forward_enecg``: ``_block_features``, ``_standardized``, ``_forward_grouped``.
     """
     gate = _gated(model)
     if expert_index is not None and (
@@ -131,7 +131,7 @@ def ensemble_scalar_model(experts: list[ExpertModel], model, task: tk.TaskSpec,
     def scalar(block: Tensor) -> Tensor:
         _check_experts(model, experts)
         features, gate_in = _block_features(experts, block, gate.lead_indices, gate.pooled_len)
-        stacked, _, combined = _features_forward(model, features, gate_in)
+        stacked, _, combined = _forward_grouped(model, *_standardized(model, features, gate_in))
         if expert_index is None:
             return scalar_target(task, combined, class_index)
         one = ad.take_rows(stacked, [expert_index], axis=1)

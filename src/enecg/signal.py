@@ -122,6 +122,8 @@ class GeneratorConfig:
         samples = self.duration_s * self.fs_hz       # synthesize rounds it
         if not (samples < np.inf and round(samples) >= 2):
             raise UsageError(f"data.duration_s * data.fs_hz must round to a finite count >= 2, got {samples}")
+        if not 0.0 <= self.noise_amplitude < np.inf:
+            raise UsageError(f"data.noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
         if len(self.lead_mix) < 1:
             raise UsageError("lead_mix needs at least one lead row")
         if not self.templates:

@@ -234,6 +234,13 @@ def _set_line(lines, prefix, replacement):
     lines[i:i + len(replacement)] = replacement
 
 
+def _scale_first(lines, name, factor):
+    """Multiply the first value of tensor ``name`` by ``factor``."""
+    i = next(i for i, line in enumerate(lines) if line.split()[:2] == ["tensor", name])
+    first, *rest = lines[i + 1].split(",")
+    lines[i + 1] = ",".join([repr(float(first) * factor), *rest])
+
+
 def _resize_rows(lines, layer, d):
     """Give every output-side tensor of ``layer`` d rows of zeros, keeping it
     self-consistent, so only the width the layer has differs."""
@@ -269,6 +276,9 @@ HAND_EDITS = {
     "short statistics": ("featstats1.std",
                          lambda ls: _set_line(ls, "tensor featstats1.std ",
                                               ["tensor featstats1.std 1", "1.0"])),
+    # a standard deviation of 0 divides by zero; a negative one flips the sign
+    "zero standard deviation": ("featstats0.std", lambda ls: _scale_first(ls, "featstats0.std", 0.0)),
+    "negative standard deviation": ("gatestats.std", lambda ls: _scale_first(ls, "gatestats.std", -1.0)),
     "rank above width": ("gate.layer1",
                          lambda ls: _set_line(ls, "tensor gate.layer1.lora_a ",
                                               ["tensor gate.layer1.lora_a 7x6",

@@ -402,7 +402,12 @@ def test_invalid_config_exit_code(tmp_path):
     ("pooled_len = 25", "pooled_len = 25\nleads = 12"),
     ("repeats = 1", "repeats = 1\nsplit = 1.0"),
     ("repeats = 1", "repeats = 1\nsplit = 0.2,0.2,0.2,0.4"),
-], ids=["duplicate-lead", "lead-out-of-range", "one-ratio", "four-ratios"])
+    ("repeats = 1", "repeats = 1\ntasks = ,"),
+    ("fs_hz = 100.0", "fs_hz = 100.0\nnoise_amplitude = nan"),
+    ("fs_hz = 100.0", "fs_hz = 100.0\nnoise_amplitude = inf"),
+    ("fs_hz = 100.0", "fs_hz = 100.0\nnoise_amplitude = -0.5"),
+], ids=["duplicate-lead", "lead-out-of-range", "one-ratio", "four-ratios", "no-tasks",
+        "nan-noise", "infinite-noise", "negative-noise"])
 def test_bad_gate_leads_or_split_exits_with_config(tmp_path, capsys, old, new):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SMALL_CFG.replace(old, new))
