@@ -11,7 +11,7 @@ from .adapters import LoraHead, LoraLinear, build_head, head_forward, trainable_
 from .gating import GatingNetwork, build_gate, ensemble_combine, gate_forward
 from .pipeline import (
     ExperimentConfig, ExpertSpec, MetricsReport, TaskModel, TrainedModel,
-    bench, compare_strategies, evaluate, forward_enecg, run_experiment, train,
+    bench, compare_strategies, evaluate, forward_enecg, train,
 )
 from .saliency import SaliencyMap, integrated_gradients
 from .tasks import TASKS, TaskSpec
@@ -25,8 +25,7 @@ __all__ = [
     "LoraHead", "LoraLinear", "build_head", "head_forward", "trainable_params",
     "GatingNetwork", "build_gate", "ensemble_combine", "gate_forward",
     "ExperimentConfig", "ExpertSpec", "MetricsReport", "TaskModel", "TrainedModel",
-    "bench", "compare_strategies", "evaluate", "forward_enecg", "run_experiment",
-    "train",
+    "bench", "compare_strategies", "evaluate", "forward_enecg", "train",
     "SaliencyMap", "integrated_gradients",
     "TASKS", "TaskSpec",
     "__version__",

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .pipeline import (
     TaskResult, TrainedModel, _prepare_records, bench, build_experts, compare_strategies,
-    evaluate, load_task_model, run_experiment, save_task_model, split_indices, train,
+    evaluate, load_task_model, run_suite, save_task_model, split_indices, train,
 )
 from .saliency import ensemble_scalar_model, export_saliency, integrated_gradients
 from .signal import iter_records, save_records, synthesize
@@ -150,7 +150,10 @@ def cmd_eval(cfg, saliency_opts, out: _Out, verbose: bool) -> int:
     if cfg.ensemble != "moe":
         # static/tuned strategies have no checkpointable artifact: per seed,
         # fine-tune each expert alone, weight on validation, score on test
-        report, _ = run_experiment(cfg)
+        runs = run_suite(cfg, (cfg.ensemble,))
+        table = compare_strategies(cfg, runs, (cfg.ensemble,))
+        report = bench(runs[-1].singles, runs[-1].prepared, runs[-1].test_idx)  # the last seed's
+        report.tasks = [table.cells[name][cfg.ensemble] for name in cfg.tasks]
     else:
         trained, prepared, test_idx = _load_with_test_split(cfg, out)
         scores = evaluate(trained, prepared, test_idx)

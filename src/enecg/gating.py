@@ -142,9 +142,12 @@ def _static_metric(task: tk.TaskSpec, logits_per_expert: np.ndarray,
     return tk.metric_from_logits(task, combined, labels)
 
 
+GREEDY_GRID_STEP = 0.1      # greedy search mixes toward one expert in these steps,
+GREEDY_MAX_ROUNDS = 50      # for at most this many rounds
+
+
 def greedy_search_weights(logits_per_expert: np.ndarray, labels: np.ndarray,
-                          task: tk.TaskSpec, grid_step: float = 0.1,
-                          max_rounds: int = 50) -> np.ndarray:
+                          task: tk.TaskSpec) -> np.ndarray:
     """Training-free weights: start from the best single expert and keep any
     strictly metric-improving grid mixture until none improves."""
     logits_per_expert = np.asarray(logits_per_expert, dtype=np.float64)
@@ -160,8 +163,8 @@ def greedy_search_weights(logits_per_expert: np.ndarray, labels: np.ndarray,
     best_j = int(np.argmax(singles))
     weights = np.eye(n_experts)[best_j]
     best = singles[best_j]
-    alphas = np.arange(grid_step, 1.0 + grid_step / 2, grid_step)
-    for _ in range(max_rounds):
+    alphas = np.arange(GREEDY_GRID_STEP, 1.0 + GREEDY_GRID_STEP / 2, GREEDY_GRID_STEP)
+    for _ in range(GREEDY_MAX_ROUNDS):
         improved = None
         for j in range(n_experts):
             for alpha in alphas:

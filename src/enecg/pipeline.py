@@ -39,7 +39,7 @@ from .gating import (
     greedy_search_weights, uniform_weights, zero_shot_confidence_weights,
 )
 from .optim import Adam
-from .signal import EcgRecord, GeneratorConfig, LabelSet, downsample, iter_records
+from .signal import DEFAULT_LEAD_MIX, EcgRecord, GeneratorConfig, LabelSet, downsample, iter_records
 
 DEFAULT_TASKS = ("rr", "age", "sex", "potassium", "arrhythmia")
 
@@ -92,7 +92,7 @@ class ExperimentConfig:
                 or any(r <= 0 for r in self.split)):
             raise UsageError(f"experiment.split: three positive ratios (train, validation, "
                              f"test) must sum to 1, got {self.split}")
-        n_leads = len(self.data.lead_mix)
+        n_leads = len(DEFAULT_LEAD_MIX)
         if (not self.gate_leads or len(set(self.gate_leads)) != len(self.gate_leads)
                 or not all(0 <= i < n_leads for i in self.gate_leads)):
             raise UsageError(f"gate leads must be distinct indices in 0..{n_leads - 1}, "
@@ -109,6 +109,12 @@ class ExperimentConfig:
             repeated = [n for i, n in enumerate(names) if n in names[:i]]
             if repeated:
                 raise UsageError(f"{what} names {repeated[0]!r} more than once")
+        widths = {"heads.hidden_dim": self.head_hidden, "heads.rank": self.head_rank,
+                  "gating.hidden_dim": self.gate_hidden, "gating.pooled_len": self.gate_pooled_len,
+                  **{f"experts.roster feature_dim of {s.name!r}": s.feature_dim for s in self.experts}}
+        for key, value in widths.items():
+            if value < 1:
+                raise UsageError(f"{key} must be >= 1, got {value}")
         if self.epochs < 0 or self.batch_size < 1 or self.repeats < 1:
             raise UsageError("epochs must be >= 0, batch_size and repeats >= 1")
         if not 0.0 < self.learning_rate < np.inf:
@@ -660,23 +666,23 @@ def parameter_counts(trained: TrainedModel) -> tuple[int, int]:
 # a pass is timed again until this long has gone by, so a stall of the
 # machine shorter than the window cannot slow every pass
 BENCH_WINDOW_S = 0.2
+BENCH_PASSES = 3
 
 
-def _fastest_pass(run, passes: int) -> float:
-    """Seconds of the fastest of at least ``passes`` timed calls of ``run``,
+def _fastest_pass(run) -> float:
+    """Seconds of the fastest of at least ``BENCH_PASSES`` timed calls of ``run``,
     repeated until ``BENCH_WINDOW_S`` has gone by: noise on a shared machine
     only adds time to a pass (the ``timeit`` convention)."""
     times = []
     start = time.perf_counter()
-    while len(times) < passes or time.perf_counter() - start < BENCH_WINDOW_S:
+    while len(times) < BENCH_PASSES or time.perf_counter() - start < BENCH_WINDOW_S:
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)
     return min(times)
 
 
-def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
-          passes: int = 3) -> MetricsReport:
+def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray) -> MetricsReport:
     """Throughput of the whole system, exact parameter counts and a
     shape-derived activation-memory estimate of one training step; metrics
     and wallclock are left to the caller.
@@ -688,13 +694,12 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
         raise UsageError("bench needs a nonempty split")
     trainable, frozen = parameter_counts(trained)
     models = list(trained.tasks.values())
-    passes = max(3, passes)
 
     def score():
         for model in models:
             _task_logits(model, prepared, idx)
 
-    throughput = idx.size / _fastest_pass(score, passes)
+    throughput = idx.size / _fastest_pass(score)
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
     inputs = _inputs(models[0], prepared)
@@ -704,7 +709,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray,
     _, tape = _train_step(models, inputs, targets, batch, probe)    # untimed: sizes one step
     activation_bytes = sum(node.output.data.size for node in tape.nodes) * 8
     train_throughput = batch.size / _fastest_pass(
-        lambda: _train_step(models, inputs, targets, batch, probe), passes)
+        lambda: _train_step(models, inputs, targets, batch, probe))
     probe.zero_grad()
 
     return MetricsReport(
@@ -879,7 +884,8 @@ def fit_sample_aware(cfg: ExperimentConfig, gate_inputs: np.ndarray, logits: np.
                       cfg.gate_hidden, per_coordinate=cfg.per_coordinate_weights, lora_only=False)
     stacked = np.transpose(logits, (1, 0, 2))
     opt = Adam(trainable_params(gate), lr=cfg.learning_rate)
-    pos_w, neg_w = tk.class_weights(targets) if task.kind == "binary" else (1.0, 1.0)
+    pos_w, neg_w = (tk.class_weights(targets) if task.kind == "binary" and cfg.class_weighted_bce
+                    else (1.0, 1.0))
     for epoch in range(cfg.epochs):
         order = rng.permutation(targets.size)
         for start in range(0, order.size, cfg.batch_size):
@@ -979,21 +985,3 @@ def compare_strategies(cfg: ExperimentConfig, runs: list[SuiteRun] | None = None
                 else TaskResult(task_name, metric, float(np.mean(values)), float(np.std(values)),
                                 [float(v) for v in values]))
     return StrategyComparison(list(cfg.tasks), list(strategies), cells)
-
-
-def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list[SuiteRun]]:
-    """Train and evaluate ``cfg.ensemble`` over cfg.repeats seeds: the
-    report's tasks are its column of ``compare_strategies``.
-
-    With ensemble="moe" the full system is trained; other strategies
-    fine-tune each expert alone and combine with strategy weights. The
-    report's bench figures are those of the last seed's trained system.
-    """
-    t0 = time.perf_counter()
-    runs = run_suite(cfg, (cfg.ensemble,))
-    table = compare_strategies(cfg, runs, (cfg.ensemble,))
-    last = runs[-1]
-    report = bench(last.moe if last.moe is not None else last.singles, last.prepared, last.test_idx)
-    report.tasks = [table.cells[name][cfg.ensemble] for name in cfg.tasks]
-    report.wallclock_s = time.perf_counter() - t0
-    return report, runs

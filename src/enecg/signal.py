@@ -11,7 +11,7 @@ the T amplitude, and the arrhythmia class selects one of 15 beat templates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -86,6 +86,16 @@ DEFAULT_LEAD_MIX: tuple[tuple[float, float, float], ...] = (
 )
 
 
+# per-record morphology draws; synthesize reads them and the tables above at each call
+SEX_P_FACTORS: tuple[float, float] = (0.70, 1.80)   # P-amplitude regime by sex
+P_AMP_JITTER = 0.22             # lognormal sigma on the P regime
+AMP_JITTER = 0.10               # lognormal sigma on overall gain
+T_AMP_JITTER = 0.15
+T_WIDTH_JITTER = 0.30
+RT_RANGE_S: tuple[float, float] = (0.26, 0.42)      # per-record R-to-T interval
+AGE_NOISE_YEARS = 2.0
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int = 0
@@ -93,19 +103,9 @@ class GeneratorConfig:
     duration_s: float = 10.0
     fs_hz: float = 500.0
     heart_rate_bpm: tuple[float, float] = (50.0, 110.0)
-    waves: dict[str, WaveShape] = field(default_factory=lambda: dict(DEFAULT_WAVES))
-    lead_mix: tuple[tuple[float, float, float], ...] = DEFAULT_LEAD_MIX
     noise_amplitude: float = 0.05
     potassium_rate: float = 0.03
     sex_ratio: float = 0.5
-    sex_p_factors: tuple[float, float] = (0.70, 1.80)
-    p_amp_jitter: float = 0.22          # lognormal sigma on the P regime
-    amp_jitter: float = 0.10            # lognormal sigma on overall gain
-    t_amp_jitter: float = 0.15
-    t_width_jitter: float = 0.30
-    rt_range_s: tuple[float, float] = (0.26, 0.42)   # per-record R-to-T interval
-    age_noise_years: float = 2.0
-    templates: tuple[BeatTemplate, ...] = DEFAULT_TEMPLATES
 
     def validate(self) -> None:
         if self.n_records < 0:
@@ -124,10 +124,6 @@ class GeneratorConfig:
             raise UsageError(f"data.duration_s * data.fs_hz must round to a finite count >= 2, got {samples}")
         if not 0.0 <= self.noise_amplitude < np.inf:
             raise UsageError(f"data.noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
-        if len(self.lead_mix) < 1:
-            raise UsageError("lead_mix needs at least one lead row")
-        if not self.templates:
-            raise UsageError("at least one beat template is required")
 
 
 @dataclass
@@ -211,14 +207,14 @@ def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
     t_len = int(round(cfg.duration_s * cfg.fs_hz))
 
     # label draws, in a fixed order
-    cls = int(rng.integers(len(cfg.templates)))
-    tpl = cfg.templates[cls]
+    cls = int(rng.integers(len(DEFAULT_TEMPLATES)))
+    tpl = DEFAULT_TEMPLATES[cls]
     heart_rate = float(rng.uniform(*cfg.heart_rate_bpm)) * tpl.hr_scale
     sex = int(rng.random() < cfg.sex_ratio)
     potassium = int(rng.random() < cfg.potassium_rate)
-    rt_s = float(rng.uniform(*cfg.rt_range_s))
-    lo, hi = cfg.rt_range_s
-    age = 100.0 * (rt_s - lo) / (hi - lo) + float(rng.uniform(-cfg.age_noise_years, cfg.age_noise_years))
+    rt_s = float(rng.uniform(*RT_RANGE_S))
+    lo, hi = RT_RANGE_S
+    age = 100.0 * (rt_s - lo) / (hi - lo) + float(rng.uniform(-AGE_NOISE_YEARS, AGE_NOISE_YEARS))
     age = float(np.clip(age, 0.0, 110.0))
     labels = LabelSet(
         rr_ms=60000.0 / heart_rate,
@@ -231,10 +227,10 @@ def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
     # per-record morphology jitters; an abnormal potassium gives a peaked T:
     # twice the amplitude at half the width, which survives fine-grained
     # max-pooling but is attenuated by coarse mean-pooled views
-    gain = float(np.exp(rng.normal(0.0, cfg.amp_jitter)))
-    p_factor = cfg.sex_p_factors[sex] * float(np.exp(rng.normal(0.0, cfg.p_amp_jitter)))
-    t_factor = tpl.t_amp_scale * (2.0 if potassium else 1.0) * float(np.exp(rng.normal(0.0, cfg.t_amp_jitter)))
-    t_width_factor = (0.5 if potassium else 1.0) * float(np.exp(rng.normal(0.0, cfg.t_width_jitter)))
+    gain = float(np.exp(rng.normal(0.0, AMP_JITTER)))
+    p_factor = SEX_P_FACTORS[sex] * float(np.exp(rng.normal(0.0, P_AMP_JITTER)))
+    t_factor = tpl.t_amp_scale * (2.0 if potassium else 1.0) * float(np.exp(rng.normal(0.0, T_AMP_JITTER)))
+    t_width_factor = (0.5 if potassium else 1.0) * float(np.exp(rng.normal(0.0, T_WIDTH_JITTER)))
 
     rr_s = 60.0 / heart_rate
     centers: list[float] = []
@@ -256,8 +252,8 @@ def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
     # one render per source row; within a row the beats keep their order,
     # and a beat's Q, R and S stay adjacent
     beats = np.asarray(centers)
-    p, t_wave = cfg.waves["P"], cfg.waves["T"]
-    qrs = [cfg.waves[name] for name in ("Q", "R", "S")]
+    p, t_wave = DEFAULT_WAVES["P"], DEFAULT_WAVES["T"]
+    qrs = [DEFAULT_WAVES[name] for name in ("Q", "R", "S")]
     has_p = (np.arange(beats.size) % tpl.drop_p_every != 0 if tpl.drop_p_every > 0
              else np.ones(beats.size, dtype=bool))
     wscale = tpl.qrs_width_scale * np.where(wide, 2.2, 1.0)[:, None]
@@ -271,7 +267,7 @@ def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
                       gain * t_wave.amplitude_mv * t_factor, t_wave.width_s * t_width_factor),
     ])
 
-    mix = np.asarray(cfg.lead_mix, dtype=np.float64)
+    mix = np.asarray(DEFAULT_LEAD_MIX, dtype=np.float64)
     leads = mix @ sources
     if cfg.noise_amplitude > 0:
         noise = rng.standard_normal(leads.shape)

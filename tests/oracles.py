@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from enecg import autodiff as ad
+from enecg import signal as sg
 from enecg import tasks as tk
 from enecg.adapters import trainable_params
 from enecg.gating import build_gate, ensemble_combine, gate_forward
@@ -112,22 +113,23 @@ def add_gaussian(row, fs, center_s, amp, width_s):
 
 
 def synthesize_per_beat(cfg, index):
-    """``signal.synthesize`` rendered one wave at a time: (leads array, labels)."""
+    """``signal.synthesize`` rendered one wave at a time: (leads array, labels).
+    Like it, reads the morphology constants of ``signal`` at each call."""
     rng = _record_rng(cfg.seed, index)
     t_len = int(round(cfg.duration_s * cfg.fs_hz))
-    cls = int(rng.integers(len(cfg.templates)))
-    tpl = cfg.templates[cls]
+    cls = int(rng.integers(len(sg.DEFAULT_TEMPLATES)))
+    tpl = sg.DEFAULT_TEMPLATES[cls]
     heart_rate = float(rng.uniform(*cfg.heart_rate_bpm)) * tpl.hr_scale
     sex = int(rng.random() < cfg.sex_ratio)
     potassium = int(rng.random() < cfg.potassium_rate)
-    rt_s = float(rng.uniform(*cfg.rt_range_s))
-    lo, hi = cfg.rt_range_s
-    age = 100.0 * (rt_s - lo) / (hi - lo) + float(rng.uniform(-cfg.age_noise_years, cfg.age_noise_years))
+    rt_s = float(rng.uniform(*sg.RT_RANGE_S))
+    lo, hi = sg.RT_RANGE_S
+    age = 100.0 * (rt_s - lo) / (hi - lo) + float(rng.uniform(-sg.AGE_NOISE_YEARS, sg.AGE_NOISE_YEARS))
     labels = LabelSet(60000.0 / heart_rate, float(np.clip(age, 0.0, 110.0)), sex, potassium, cls)
-    gain = float(np.exp(rng.normal(0.0, cfg.amp_jitter)))
-    p_factor = cfg.sex_p_factors[sex] * float(np.exp(rng.normal(0.0, cfg.p_amp_jitter)))
-    t_factor = tpl.t_amp_scale * (2.0 if potassium else 1.0) * float(np.exp(rng.normal(0.0, cfg.t_amp_jitter)))
-    t_width_factor = (0.5 if potassium else 1.0) * float(np.exp(rng.normal(0.0, cfg.t_width_jitter)))
+    gain = float(np.exp(rng.normal(0.0, sg.AMP_JITTER)))
+    p_factor = sg.SEX_P_FACTORS[sex] * float(np.exp(rng.normal(0.0, sg.P_AMP_JITTER)))
+    t_factor = tpl.t_amp_scale * (2.0 if potassium else 1.0) * float(np.exp(rng.normal(0.0, sg.T_AMP_JITTER)))
+    t_width_factor = (0.5 if potassium else 1.0) * float(np.exp(rng.normal(0.0, sg.T_WIDTH_JITTER)))
 
     rr_s = 60.0 / heart_rate
     centers, wide = [], []
@@ -145,7 +147,7 @@ def synthesize_per_beat(cfg, index):
         c += interval
         k += 1
 
-    waves = cfg.waves
+    waves = sg.DEFAULT_WAVES
     sources = np.zeros((3, t_len))
     for k, center in enumerate(centers):
         drop_p = tpl.drop_p_every > 0 and k % tpl.drop_p_every == 0
@@ -162,7 +164,7 @@ def synthesize_per_beat(cfg, index):
         add_gaussian(sources[2], cfg.fs_hz, center + rt_s + tpl.t_shift_s,
                      gain * t_wave.amplitude_mv * t_factor, t_wave.width_s * t_width_factor)
 
-    leads = np.asarray(cfg.lead_mix, dtype=np.float64) @ sources
+    leads = np.asarray(sg.DEFAULT_LEAD_MIX, dtype=np.float64) @ sources
     if cfg.noise_amplitude > 0:
         leads = leads + cfg.noise_amplitude * rng.standard_normal(leads.shape)
     return leads, labels
@@ -170,7 +172,7 @@ def synthesize_per_beat(cfg, index):
 
 def train_sample_aware(gate_inputs, logits_per_expert, labels, task, seed=0, lead_indices=(1,),
                        pooled_len=250, hidden_dim=64, epochs=30, batch_size=32, lr=1e-3,
-                       per_coordinate=True):
+                       per_coordinate=True, class_weighted=True):
     """The sample-aware baseline's fit as its own Adam loop: a fully
     trainable gate fitted on validation gate inputs by the task loss of its
     weighted combination of the experts' (N,B,L) logits."""
@@ -181,7 +183,8 @@ def train_sample_aware(gate_inputs, logits_per_expert, labels, task, seed=0, lea
                       per_coordinate=per_coordinate, lora_only=False)
     stacked = np.transpose(np.asarray(logits_per_expert, dtype=np.float64), (1, 0, 2))
     opt = Adam(trainable_params(gate), lr=lr)
-    pos_w, neg_w = tk.class_weights(labels) if task.kind == "binary" else (1.0, 1.0)
+    weighted = class_weighted and task.kind == "binary"
+    pos_w, neg_w = tk.class_weights(labels) if weighted else (1.0, 1.0)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):

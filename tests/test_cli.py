@@ -431,6 +431,28 @@ def test_learning_rate_not_finite_and_positive_exits_with_config(tmp_path, capsy
     assert not (out / "checkpoints").exists()
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("rank = 2", "rank = 0", "heads.rank must be >= 1, got 0"),
+    ("rank = 2", "rank = -1", "heads.rank must be >= 1, got -1"),
+    ("hidden_dim = 16\nrank", "hidden_dim = 0\nrank", "heads.hidden_dim must be >= 1, got 0"),
+    ("pooled_len = 25\nhidden_dim = 16", "pooled_len = 25\nhidden_dim = 0",
+     "gating.hidden_dim must be >= 1, got 0"),
+    ("pooled_len = 25", "pooled_len = 0", "gating.pooled_len must be >= 1, got 0"),
+    ("stat:statistical:2:128:16", "stat:statistical:2:128:0",
+     "experts.roster feature_dim of 'stat' must be >= 1, got 0"),
+], ids=["rank-0", "rank-negative", "head-hidden-0", "gate-hidden-0", "pooled-len-0", "feature-dim-0"])
+def test_width_below_one_exits_with_config_naming_its_key(tmp_path, capsys, old, new, message):
+    path = tmp_path / "width.cfg"
+    path.write_text(SMALL_CFG.replace(old, new))
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(path), "--out", str(out)]) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["error"], record["message"]) == ("ConfigError", message)
+    assert not (out / "checkpoints").exists()
+
+
 @pytest.mark.parametrize("line", ["duration_s = 2.0", "fs_hz = 100.0"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_duration_or_rate_exits_with_config(tmp_path, capsys, line, value):

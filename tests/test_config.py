@@ -1,9 +1,13 @@
 """Strict config parsing: defaults, errors with key names, echo round-trip."""
 
+from dataclasses import fields
+
 import pytest
 
 from enecg.config import _SCHEMA, ENV_SEED, echo_config, load_config
 from enecg.errors import ConfigError
+from enecg.pipeline import ExperimentConfig
+from enecg.signal import GeneratorConfig
 
 
 def write(tmp_path, text):
@@ -166,3 +170,8 @@ def test_echo_lists_every_schema_key(tmp_path):
     assert keys == set(_SCHEMA)
     cfg2, sal2 = load_config(write(tmp_path, echo))
     assert (cfg2, sal2) == (cfg, saliency)
+    # every setting is a key, so the echo records the whole run
+    targets = {target for _, target in _SCHEMA.values()}
+    assert {f.name for f in fields(ExperimentConfig)} - {"data"} <= targets
+    assert {f"data.{f.name}" for f in fields(GeneratorConfig)} - {"data.seed", "data.n_records"} \
+        == {t for t in targets if t.startswith("data.")}

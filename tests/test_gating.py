@@ -290,6 +290,28 @@ def test_sample_aware_fit_matches_its_own_adam_loop(task_name, per_coordinate):
             assert np.array_equal(layer_got.tensors()[key].data, t.data), key
 
 
+def test_sample_aware_fit_follows_the_class_weighted_bce_switch():
+    # switched off, the gate trains on the unweighted loss the singles it combines trained on
+    task = tk.TASKS["sex"]
+    rng = np.random.default_rng(22)
+    n = 50
+    gate_inputs = rng.normal(size=(n, 16))
+    logits = rng.normal(size=(3, n, 1))
+    y = (rng.random(n) < 0.2).astype(float)
+    cfg = ExperimentConfig(gate_leads=(0, 1), gate_pooled_len=8, gate_hidden=8, epochs=3,
+                           class_weighted_bce=False)
+    got = fit_sample_aware(cfg, gate_inputs, logits, y, task, 5)
+    want, weighted = (train_sample_aware(gate_inputs, logits, y, task, seed=5, lead_indices=(0, 1),
+                                         pooled_len=8, hidden_dim=8, epochs=3, class_weighted=flag)
+                      for flag in (False, True))
+    for layer_got, layer_want, layer_weighted in zip(got.layers, want.layers, weighted.layers,
+                                                     strict=True):
+        # the gate trains w0 too; class weights would have moved it
+        assert not np.array_equal(layer_got.w0.data, layer_weighted.w0.data)
+        for key, t in layer_want.tensors().items():
+            assert np.array_equal(layer_got.tensors()[key].data, t.data), key
+
+
 def test_non_finite_sample_aware_loss_names_the_task():
     gate_inputs, logits, y = build_sample_aware_scenario(n=40)
     cfg = ExperimentConfig(gate_leads=(0,), gate_pooled_len=8, gate_hidden=8, epochs=1)

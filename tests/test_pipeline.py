@@ -559,8 +559,8 @@ def test_bench_throughput_reproducible_within_half(tiny_setup):
     cfg, experts, prepared = tiny_setup
     trained = train(tiny_cfg(epochs=0), seed=5, prepared=prepared, experts=experts)
     idx = np.arange(120)
-    a = bench(trained, prepared, idx, passes=5).throughput_sps
-    b = bench(trained, prepared, idx, passes=5).throughput_sps
+    a = bench(trained, prepared, idx).throughput_sps
+    b = bench(trained, prepared, idx).throughput_sps
     assert abs(a - b) / max(a, b) <= 0.5
 
 
@@ -585,9 +585,8 @@ def test_bench_requires_nonempty_split(tiny_setup):
 
 @pytest.mark.parametrize("bad", [
     dict(gate_leads=()), dict(gate_leads=(1, 1)), dict(gate_leads=(12,)), dict(gate_leads=(-1,)),
-    dict(gate_leads=(3,), data=GeneratorConfig(lead_mix=((1.0, 1.0, 1.0),) * 3)),
     dict(split=(1.0,)), dict(split=(0.2, 0.2, 0.2, 0.4)),
-], ids=["no-leads", "duplicate-lead", "lead-12", "negative-lead", "lead-beyond-mix",
+], ids=["no-leads", "duplicate-lead", "lead-12", "negative-lead",
         "one-ratio", "four-ratios"])
 def test_config_rejects_bad_gate_leads_and_split_arity(bad):
     with pytest.raises(UsageError):
@@ -658,21 +657,6 @@ def test_mixed_width_roster_matches_a_per_head_loop(task):
                         np.testing.assert_array_equal(t.grad[pos], view.grad)
 
 
-def test_single_task_moe_step_records_at_most_20_nodes():
-    cfg = ExperimentConfig(n_records=40)
-    experts = build_experts(cfg)
-    prepared = prepare_dataset(cfg, experts, seed=0)
-    for name in cfg.tasks:
-        model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
-        model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
-        _, tape = pipeline._train_step([model], _inputs(model, prepared),
-                                       [model.targets(prepared)], np.arange(32),
-                                       Adam(model.trainable()))
-        assert len(tape) <= 20, name
-        # one node per layer: both head layers over all three experts, both gate layers
-        assert [node.op for node in tape.nodes].count("lora_linear") == 4, name
-
-
 def test_single_task_moe_step_records_at_most_12_nodes():
     # the combination and the task loss are one node each
     cfg = ExperimentConfig(n_records=40)
@@ -686,6 +670,9 @@ def test_single_task_moe_step_records_at_most_12_nodes():
                                        [model.targets(prepared)], np.arange(32),
                                        Adam(model.trainable()))
         assert len(tape) <= 12, name
+        ops = [node.op for node in tape.nodes]
+        # one node per layer: both head layers over all three experts, both gate layers
+        assert ops.count("lora_linear") == 4, name
         loss_op = {"regression": "mse", "binary": "weighted_bce_with_logits",
                    "multiclass": "cross_entropy"}[model.task.kind]
-        assert [node.op for node in tape.nodes][-2:] == ["weighted_sum", loss_op], name
+        assert ops[-2:] == ["weighted_sum", loss_op], name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from enecg import signal
 from enecg.autodiff import _make
 from enecg.errors import DimensionError, ParseError, UsageError
 from enecg.signal import (
@@ -36,15 +37,16 @@ def detect_r_peaks(lead: np.ndarray) -> np.ndarray:
     return np.asarray(peaks)
 
 
-def test_rr_label_is_60000_over_heart_rate():
-    cfg = small_cfg(heart_rate_bpm=(60.0, 60.0), templates=(DEFAULT_TEMPLATES[0],))
+def test_rr_label_is_60000_over_heart_rate(monkeypatch):
+    monkeypatch.setattr(signal, "DEFAULT_TEMPLATES", (DEFAULT_TEMPLATES[0],))
+    cfg = small_cfg(heart_rate_bpm=(60.0, 60.0))
     for _, labels in iter_records(cfg):
         assert labels.rr_ms == 1000.0
 
 
-def test_peak_detector_recovers_rr_on_noiseless_sinus():
-    cfg = GeneratorConfig(seed=3, n_records=6, noise_amplitude=0.0,
-                          templates=(DEFAULT_TEMPLATES[0],))
+def test_peak_detector_recovers_rr_on_noiseless_sinus(monkeypatch):
+    monkeypatch.setattr(signal, "DEFAULT_TEMPLATES", (DEFAULT_TEMPLATES[0],))
+    cfg = GeneratorConfig(seed=3, n_records=6, noise_amplitude=0.0)
     period_ms = 1000.0 / cfg.fs_hz
     for record, labels in iter_records(cfg):
         lead_ii = record.leads.data[1]
@@ -98,9 +100,9 @@ def test_synthesize_matches_the_per_beat_oracle():
     assert {k for _, k in seen} == {0, 1}
 
 
-def test_age_tracks_r_to_t_interval():
-    cfg = GeneratorConfig(seed=9, n_records=200, duration_s=1.0, fs_hz=20.0, age_noise_years=0.0)
-    lo, hi = cfg.rt_range_s
+def test_age_tracks_r_to_t_interval(monkeypatch):
+    monkeypatch.setattr(signal, "AGE_NOISE_YEARS", 0.0)
+    cfg = GeneratorConfig(seed=9, n_records=200, duration_s=1.0, fs_hz=20.0)
     ages = np.array([lab.age_years for _, lab in iter_records(cfg)])
     assert ages.min() >= 0.0 and ages.max() <= 110.0
     assert ages.std() > 10.0  # spread across the affine range
