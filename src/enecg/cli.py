@@ -31,27 +31,20 @@ from .pipeline import (
 from .saliency import ensemble_scalar_model, export_saliency, integrated_gradients
 from .signal import iter_records, save_records, synthesize
 
-EXIT_CODES = {
-    "ok": 0,
-    "internal": 1,
-    "usage": 2,
-    "config": 3,
-    "parse": 4,
-    "dimension": 5,
-    "not_applicable": 6,
-    "nonfinite": 7,
-    "invariant": 8,
-}
-
-_ERROR_CLASSES = [
-    (ConfigError, "config"),
-    (ParseError, "parse"),
-    (DimensionError, "dimension"),
-    (NotApplicableError, "not_applicable"),
-    (NonFiniteLossError, "nonfinite"),
-    (InvariantError, "invariant"),
-    (UsageError, "usage"),
+# (class, label, exit code), most specific first: a ConfigError is a UsageError,
+# and anything unclassified is internal
+_ERROR_CODES = [
+    (ConfigError, "config", 3),
+    (ParseError, "parse", 4),
+    (DimensionError, "dimension", 5),
+    (NotApplicableError, "not_applicable", 6),
+    (NonFiniteLossError, "nonfinite", 7),
+    (InvariantError, "invariant", 8),
+    (UsageError, "usage", 2),
+    (Exception, "internal", 1),
 ]
+
+EXIT_CODES = {"ok": 0, **{label: code for _, label, code in _ERROR_CODES}}
 
 RECORDS_PER_FILE = 1000
 
@@ -256,10 +249,9 @@ def run(argv) -> int:
             code = COMMANDS[args.command](cfg, saliency_opts, out, args.verbose)
         out.finish()
         return code
-    except Exception as e:  # one JSON line; anything unclassified is internal
-        label = next((label for klass, label in _ERROR_CLASSES if isinstance(e, klass)), "internal")
+    except Exception as e:  # one JSON line
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
-        return EXIT_CODES[label]
+        return next(code for klass, _, code in _ERROR_CODES if isinstance(e, klass))
 
 
 def main() -> None:

@@ -166,11 +166,7 @@ def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfi
     if data_kwargs:
         exp_kwargs["data"] = GeneratorConfig(**data_kwargs)
     cfg = ExperimentConfig(**exp_kwargs)
-    try:
-        cfg.validate()
-        cfg.data.validate()
-    except Exception as e:
-        raise ConfigError(str(e)) from e
+    cfg.validate()
     return cfg, saliency
 
 

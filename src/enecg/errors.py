@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all enecg modules, plus their UTF-8 line reader.
 
-Each class maps to one stable CLI exit code (see cli.EXIT_CODES).
+Each class maps to one stable CLI exit code (see cli.EXIT_CODES); a
+ConfigError is also a UsageError, so library callers catch it as one.
 """
 
 
@@ -16,7 +17,7 @@ class UsageError(EnecgError):
     """An operation was called in a way its contract forbids."""
 
 
-class ConfigError(EnecgError):
+class ConfigError(UsageError):
     """Bad experiment configuration (unknown key, type mismatch, bad value)."""
 
 

@@ -43,6 +43,15 @@ CONV_STRIDES = (4, 4)
 CONV_POOL_COUNT = 12
 STAT_PATCHES = 32
 
+# shortest input each architecture accepts: one sample per spectral bin or
+# statistics patch, and CONV_POOL_COUNT steps out of the second conv stage
+MIN_INPUT_LEN = {
+    "spectral": SPECTRAL_BINS,
+    "convolutional": ((CONV_POOL_COUNT - 1) * CONV_STRIDES[1] + CONV_WIDTHS[1] - 1) * CONV_STRIDES[0]
+                     + CONV_WIDTHS[0],
+    "statistical": STAT_PATCHES,
+}
+
 
 @dataclass(frozen=True)
 class ExpertModel:
@@ -70,38 +79,25 @@ def _frozen(rng: np.random.Generator, shape, scale: float) -> Tensor:
     return t
 
 
-def _conv_out_len(length: int) -> tuple[int, int]:
-    t1 = (length - CONV_WIDTHS[0]) // CONV_STRIDES[0] + 1
-    t2 = (t1 - CONV_WIDTHS[1]) // CONV_STRIDES[1] + 1
-    return t1, t2
-
-
 def build_expert(arch: str, seed: int, required_input_len: int | None = None,
                  feature_dim: int = 64, n_leads: int = 12, name: str | None = None) -> ExpertModel:
     if arch not in ARCHITECTURES:
         raise UsageError(f"unknown expert architecture {arch!r}; expected one of {ARCHITECTURES}")
     length = DEFAULT_INPUT_LEN[arch] if required_input_len is None else int(required_input_len)
+    if length < MIN_INPUT_LEN[arch]:
+        raise UsageError(f"{arch} expert needs input length >= {MIN_INPUT_LEN[arch]}, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, ARCHITECTURES.index(arch))))
     params: dict[str, Tensor] = {}
 
     if arch == "spectral":
-        if length < SPECTRAL_BINS:
-            raise UsageError(f"spectral expert needs input length >= {SPECTRAL_BINS}, got {length}")
         in_dim = n_leads * SPECTRAL_BINS
     elif arch == "convolutional":
-        t1, t2 = _conv_out_len(length)
-        if t2 < CONV_POOL_COUNT:
-            t1_min = (CONV_POOL_COUNT - 1) * CONV_STRIDES[1] + CONV_WIDTHS[1]
-            len_min = (t1_min - 1) * CONV_STRIDES[0] + CONV_WIDTHS[0]
-            raise UsageError(f"convolutional expert needs input length >= {len_min}, got {length}")
         params["k1"] = _frozen(rng, (CONV_CHANNELS, n_leads, CONV_WIDTHS[0]),
                                1.0 / np.sqrt(n_leads * CONV_WIDTHS[0]))
         params["k2"] = _frozen(rng, (CONV_CHANNELS, CONV_CHANNELS, CONV_WIDTHS[1]),
                                1.0 / np.sqrt(CONV_CHANNELS * CONV_WIDTHS[1]))
         in_dim = CONV_CHANNELS * CONV_POOL_COUNT
     else:  # statistical
-        if length < STAT_PATCHES:
-            raise UsageError(f"statistical expert needs input length >= {STAT_PATCHES}, got {length}")
         in_dim = n_leads * STAT_PATCHES * 4
     # every architecture ends in one frozen projection to the feature width
     params["w"] = _frozen(rng, (in_dim, feature_dim), 1.0 / np.sqrt(in_dim))

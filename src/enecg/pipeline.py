@@ -32,8 +32,8 @@ from .adapters import (
     stack_forward, stack_heads, trainable_params, write_tensors,
 )
 from .autodiff import Tensor, Tape, backward
-from .errors import InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
-from .experts import ExpertModel, build_expert, expert_forward
+from .errors import ConfigError, InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
+from .experts import ARCHITECTURES, DEFAULT_INPUT_LEN, MIN_INPUT_LEN, ExpertModel, build_expert, expert_forward
 from .gating import (
     GatingNetwork, _static_metric, build_gate, ensemble_combine, gate_forward, gate_input,
     greedy_search_weights, uniform_weights, zero_shot_confidence_weights,
@@ -88,38 +88,53 @@ class ExperimentConfig:
     data: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def validate(self) -> None:
+        self.data.validate()
         if (len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9
-                or any(r <= 0 for r in self.split)):
-            raise UsageError(f"experiment.split: three positive ratios (train, validation, "
-                             f"test) must sum to 1, got {self.split}")
+                or not all(r > 0 for r in self.split)):  # a NaN ratio is not > 0
+            raise ConfigError(f"experiment.split: three positive ratios (train, validation, "
+                              f"test) must sum to 1, got {self.split}")
         n_leads = len(DEFAULT_LEAD_MIX)
         if (not self.gate_leads or len(set(self.gate_leads)) != len(self.gate_leads)
                 or not all(0 <= i < n_leads for i in self.gate_leads)):
-            raise UsageError(f"gate leads must be distinct indices in 0..{n_leads - 1}, "
-                             f"got {self.gate_leads}")
+            raise ConfigError(f"gate leads must be distinct indices in 0..{n_leads - 1}, "
+                              f"got {self.gate_leads}")
         if self.ensemble not in STRATEGIES:
-            raise UsageError(f"unknown ensemble strategy {self.ensemble!r}; expected one of {STRATEGIES}")
+            raise ConfigError(f"unknown ensemble strategy {self.ensemble!r}; expected one of {STRATEGIES}")
         for name in self.tasks:
-            tk.task_by_name(name)
+            if name not in tk.TASKS:
+                raise ConfigError(f"experiment.tasks: unknown task {name!r}; "
+                                  f"expected one of {sorted(tk.TASKS)}")
         # tasks and experts are keyed by name: in reports, histories and checksums
         for what, names in (("experiment.tasks", self.tasks),
                             ("experts.roster", [s.name for s in self.experts])):
             if not names:
-                raise UsageError(f"{what} is empty: it needs at least one entry")
+                raise ConfigError(f"{what} is empty: it needs at least one entry")
             repeated = [n for i, n in enumerate(names) if n in names[:i]]
             if repeated:
-                raise UsageError(f"{what} names {repeated[0]!r} more than once")
-        widths = {"heads.hidden_dim": self.head_hidden, "heads.rank": self.head_rank,
-                  "gating.hidden_dim": self.gate_hidden, "gating.pooled_len": self.gate_pooled_len,
-                  **{f"experts.roster feature_dim of {s.name!r}": s.feature_dim for s in self.experts}}
-        for key, value in widths.items():
-            if value < 1:
-                raise UsageError(f"{key} must be >= 1, got {value}")
+                raise ConfigError(f"{what} names {repeated[0]!r} more than once")
+        samples = (self.data.n_samples, "the samples per record, data.duration_s * data.fs_hz")
+        # key -> (value, lowest, (highest, what it is) or None)
+        bounds = {"heads.hidden_dim": (self.head_hidden, 1, None),
+                  "gating.hidden_dim": (self.gate_hidden, 1, None),
+                  "gating.pooled_len": (self.gate_pooled_len, 1, samples)}
+        for s in self.experts:
+            if s.arch not in ARCHITECTURES:
+                raise ConfigError(f"experts.roster arch of {s.name!r} must be in {ARCHITECTURES}, got {s.arch!r}")
+            length = DEFAULT_INPUT_LEN[s.arch] if s.input_len is None else s.input_len
+            bounds[f"experts.roster feature_dim of {s.name!r}"] = (s.feature_dim, 1, None)
+            bounds[f"experts.roster input_len of {s.name!r}"] = (length, MIN_INPUT_LEN[s.arch], samples)
+        widths = min(self.head_hidden, *(s.feature_dim for s in self.experts))
+        bounds["heads.rank"] = (self.head_rank, 1, (widths, "heads.hidden_dim and every roster feature_dim"))
+        for key, (value, lo, hi) in bounds.items():
+            if value < lo:
+                raise ConfigError(f"{key} must be >= {lo}, got {value}")
+            if hi and value > hi[0]:
+                raise ConfigError(f"{key} must be <= {hi[0]} ({hi[1]}), got {value}")
         if self.epochs < 0 or self.batch_size < 1 or self.repeats < 1:
-            raise UsageError("epochs must be >= 0, batch_size and repeats >= 1")
+            raise ConfigError("epochs must be >= 0, batch_size and repeats >= 1")
         if not 0.0 < self.learning_rate < np.inf:
-            raise UsageError(f"experiment.learning_rate must be finite and positive, "
-                             f"got {self.learning_rate}")
+            raise ConfigError(f"experiment.learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
 
 
 # ---------------------------------------------------------------------------

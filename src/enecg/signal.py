@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .autodiff import Tensor, _make, mean_pool
-from .errors import DimensionError, ParseError, UsageError, read_lines
+from .errors import ConfigError, DimensionError, ParseError, UsageError, read_lines
 
 
 @dataclass(frozen=True)
@@ -107,23 +107,27 @@ class GeneratorConfig:
     potassium_rate: float = 0.03
     sex_ratio: float = 0.5
 
+    @property
+    def n_samples(self) -> int:  # per lead, in every record
+        return int(round(self.duration_s * self.fs_hz))
+
     def validate(self) -> None:
         if self.n_records < 0:
-            raise UsageError("n_records must be nonnegative")
-        lo, hi = self.heart_rate_bpm
-        if not (0 < lo <= hi):
-            raise UsageError(f"heart-rate range must be positive and ordered, got {self.heart_rate_bpm}")
+            raise ConfigError("n_records must be nonnegative")
+        rates = self.heart_rate_bpm
+        if not (len(rates) == 2 and 0 < rates[0] <= rates[1]):
+            raise ConfigError(f"data.heart_rate_bpm must be two positive, ordered rates, got {rates}")
         for name, rate in (("potassium_rate", self.potassium_rate), ("sex_ratio", self.sex_ratio)):
             if not 0.0 <= rate <= 1.0:
-                raise UsageError(f"{name} must lie in [0,1], got {rate}")
+                raise ConfigError(f"{name} must lie in [0,1], got {rate}")
         if not (0 < self.duration_s < np.inf and 0 < self.fs_hz < np.inf):
-            raise UsageError(f"data.duration_s and data.fs_hz must be finite and positive, "
-                             f"got {self.duration_s} and {self.fs_hz}")
-        samples = self.duration_s * self.fs_hz       # synthesize rounds it
-        if not (samples < np.inf and round(samples) >= 2):
-            raise UsageError(f"data.duration_s * data.fs_hz must round to a finite count >= 2, got {samples}")
+            raise ConfigError(f"data.duration_s and data.fs_hz must be finite and positive, "
+                              f"got {self.duration_s} and {self.fs_hz}")
+        samples = self.duration_s * self.fs_hz
+        if not (samples < np.inf and self.n_samples >= 2):
+            raise ConfigError(f"data.duration_s * data.fs_hz must round to a finite count >= 2, got {samples}")
         if not 0.0 <= self.noise_amplitude < np.inf:
-            raise UsageError(f"data.noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
+            raise ConfigError(f"data.noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
 
 
 @dataclass
@@ -204,7 +208,7 @@ def synthesize(cfg: GeneratorConfig, index: int) -> tuple[EcgRecord, LabelSet]:
     """Record ``index`` of the dataset ``cfg.seed`` describes; ``cfg.n_records``
     plays no part."""
     rng = _record_rng(cfg.seed, index)
-    t_len = int(round(cfg.duration_s * cfg.fs_hz))
+    t_len = cfg.n_samples
 
     # label draws, in a fixed order
     cls = int(rng.integers(len(DEFAULT_TEMPLATES)))

@@ -402,11 +402,12 @@ def test_invalid_config_exit_code(tmp_path):
     ("pooled_len = 25", "pooled_len = 25\nleads = 12"),
     ("repeats = 1", "repeats = 1\nsplit = 1.0"),
     ("repeats = 1", "repeats = 1\nsplit = 0.2,0.2,0.2,0.4"),
+    ("repeats = 1", "repeats = 1\nsplit = nan,0.5,0.5"),
     ("repeats = 1", "repeats = 1\ntasks = ,"),
     ("fs_hz = 100.0", "fs_hz = 100.0\nnoise_amplitude = nan"),
     ("fs_hz = 100.0", "fs_hz = 100.0\nnoise_amplitude = inf"),
     ("fs_hz = 100.0", "fs_hz = 100.0\nnoise_amplitude = -0.5"),
-], ids=["duplicate-lead", "lead-out-of-range", "one-ratio", "four-ratios", "no-tasks",
+], ids=["duplicate-lead", "lead-out-of-range", "one-ratio", "four-ratios", "nan-ratio", "no-tasks",
         "nan-noise", "infinite-noise", "negative-noise"])
 def test_bad_gate_leads_or_split_exits_with_config(tmp_path, capsys, old, new):
     bad = tmp_path / "bad.cfg"
@@ -451,6 +452,78 @@ def test_width_below_one_exits_with_config_naming_its_key(tmp_path, capsys, old,
     record = json.loads(lines[0])
     assert (record["error"], record["message"]) == ("ConfigError", message)
     assert not (out / "checkpoints").exists()
+
+
+# (old, new, message): 200-sample records, so each edit reached train and failed there
+SHAPE_MISTAKES = [
+    ("stat:statistical:2:128:16", "stat:transformer:2:128:16",
+     "experts.roster arch of 'stat' must be in ('spectral', 'convolutional', 'statistical'), "
+     "got 'transformer'"),
+    ("spec:spectral:1:128:16", "spec:spectral:1:1:16",
+     "experts.roster input_len of 'spec' must be >= 64, got 1"),
+    ("stat:statistical:2:128:16", "stat:statistical:2:8:16",
+     "experts.roster input_len of 'stat' must be >= 32, got 8"),
+    ("stat:statistical:2:128:16", "stat:convolutional:2:219:16",
+     "experts.roster input_len of 'stat' must be >= 220, got 219"),
+    ("spec:spectral:1:128:16", "spec:spectral:1:10000:16",
+     "experts.roster input_len of 'spec' must be <= 200 (the samples per record, "
+     "data.duration_s * data.fs_hz), got 10000"),
+    ("stat:statistical:2:128:16", "stat:statistical:2:-:16",
+     "experts.roster input_len of 'stat' must be <= 200 (the samples per record, "
+     "data.duration_s * data.fs_hz), got 2500"),
+    ("pooled_len = 25", "pooled_len = 10000",
+     "gating.pooled_len must be <= 200 (the samples per record, data.duration_s * data.fs_hz), "
+     "got 10000"),
+    ("rank = 2", "rank = 20",
+     "heads.rank must be <= 16 (heads.hidden_dim and every roster feature_dim), got 20"),
+    ("stat:statistical:2:128:16", "stat:statistical:2:128:1",
+     "heads.rank must be <= 1 (heads.hidden_dim and every roster feature_dim), got 2"),
+]
+
+
+@pytest.mark.parametrize("old,new,message", SHAPE_MISTAKES,
+                         ids=["unknown-arch", "spectral-input-1", "statistical-input-8",
+                              "convolutional-input-219", "input-beyond-record", "default-input-beyond-record",
+                              "pooled-len-beyond-record", "rank-above-hidden", "rank-above-feature-dim"])
+def test_roster_and_width_mistakes_exit_with_config_naming_their_key(tmp_path, capsys, old, new,
+                                                                     message):
+    path = tmp_path / "shape.cfg"
+    path.write_text(SMALL_CFG.replace(old, new))
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(path), "--out", str(out)]) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+    assert not (out / "checkpoints").exists()
+
+
+def test_shape_bounds_admit_their_limits(tmp_path):
+    # input_len and pooled_len equal to the record's 200 samples, rank equal to every width
+    path = tmp_path / "limits.cfg"
+    path.write_text(SMALL_CFG.replace("stat:statistical:2:128:16", "stat:statistical:2:200:16")
+                    .replace("pooled_len = 25", "pooled_len = 200").replace("rank = 2", "rank = 16"))
+    load_config(path)
+
+
+def test_error_raised_inside_validate_keeps_its_class(cfg_path, tmp_path, capsys, monkeypatch):
+    from enecg.pipeline import ExperimentConfig
+
+    def validate(self):
+        raise RuntimeError("a bug in a check")
+
+    monkeypatch.setattr(ExperimentConfig, "validate", validate)
+    assert run(["train", "--config", cfg_path, "--out", str(tmp_path / "t")]) == EXIT_CODES["internal"] == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "a bug in a check"}
+
+
+def test_negative_record_count_exits_with_config_from_gen(tmp_path, capsys):
+    path = tmp_path / "negative.cfg"
+    path.write_text(SMALL_CFG.replace("n_records = 160", "n_records = -1"))
+    assert run(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == EXIT_CODES["config"]
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ConfigError", "message": "n_records must be nonnegative"}
 
 
 @pytest.mark.parametrize("line", ["duration_s = 2.0", "fs_hz = 100.0"])

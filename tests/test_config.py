@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from enecg.config import _SCHEMA, ENV_SEED, echo_config, load_config
-from enecg.errors import ConfigError
+from enecg.errors import ConfigError, UsageError
 from enecg.pipeline import ExperimentConfig
 from enecg.signal import GeneratorConfig
 
@@ -29,6 +29,18 @@ def test_bad_split_sum_is_named(tmp_path):
     path = write(tmp_path, "[experiment]\nseed = 1\nsplit = 0.7,0.2,0.2\n")
     with pytest.raises(ConfigError, match="sum to 1"):
         load_config(path)
+
+
+@pytest.mark.parametrize("rates", ["60", "50,60,70"])
+def test_heart_rate_range_of_other_than_two_rates_names_its_key(tmp_path, rates):
+    path = write(tmp_path, f"[experiment]\nseed = 1\n[data]\nheart_rate_bpm = {rates}\n")
+    with pytest.raises(ConfigError, match="data.heart_rate_bpm must be two positive, ordered rates"):
+        load_config(path)
+
+
+def test_config_error_is_a_usage_error():
+    # library callers that catch UsageError catch every refused config value
+    assert issubclass(ConfigError, UsageError)
 
 
 def test_unknown_key_is_error_with_name(tmp_path):

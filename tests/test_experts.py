@@ -7,7 +7,7 @@ import pytest
 
 from enecg.autodiff import Tensor, Tape, backward, mul, reduce_sum
 from enecg.errors import DimensionError, UsageError
-from enecg.experts import ARCHITECTURES, build_expert, expert_forward
+from enecg.experts import ARCHITECTURES, MIN_INPUT_LEN, build_expert, expert_forward
 from enecg.optim import finite_diff_grad
 
 SMALL = {"spectral": 64, "convolutional": 224, "statistical": 64}
@@ -94,6 +94,22 @@ def test_single_record_input_is_dimension_error():
 def test_unknown_architecture_rejected():
     with pytest.raises(UsageError):
         build_expert("transformer", seed=0)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_minimum_input_length_builds_and_runs_and_one_less_is_refused(arch):
+    length = MIN_INPUT_LEN[arch]
+    m = build_expert(arch, seed=0, required_input_len=length, feature_dim=8, n_leads=2)
+    x = np.random.default_rng(0).normal(size=(3, 2, length))
+    assert expert_forward(m, Tensor(x)).shape == (3, 8)
+    with pytest.raises(UsageError, match=f"{arch} expert needs input length >= {length}, got {length - 1}"):
+        build_expert(arch, seed=0, required_input_len=length - 1, feature_dim=8, n_leads=2)
+
+
+def test_minimum_input_lengths_are_64_220_and_32():
+    # convolutional: 220 samples give 52 steps out of the first stage and 12,
+    # one per pooled output, out of the second
+    assert MIN_INPUT_LEN == {"spectral": 64, "convolutional": 220, "statistical": 32}
 
 
 def draw_away_from_ties(rng, shape, window, min_gap=1e-3):
