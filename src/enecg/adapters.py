@@ -13,6 +13,9 @@ sample-aware baseline's gate) trains ``w0`` instead and freezes the factors.
 A task model's expert heads live in a ``HeadStack``: heads of equal shape
 (in practice, experts of equal feature width) share one head whose tensors
 carry a leading expert axis, so each of its layers is one batched node.
+Training stacks the equally shaped heads of several tasks once more, on a
+leading task axis (``stack_views``); each task's tensors are views of the
+stacked ones.
 """
 
 from __future__ import annotations
@@ -132,36 +135,58 @@ class HeadStack:
         return [ad.stack([features[i] for i in m]) for m in self.members]
 
 
+def head_shapes(head: LoraHead) -> tuple:
+    """The shapes of a head's tensors, layer by layer: heads stack when they agree."""
+    return tuple(t.shape for layer in head.layers for t in layer.tensors().values())
+
+
+def stack_views(heads: list[LoraHead]) -> list[LoraLinear]:
+    """The layers of equally shaped heads, stacked on a new leading axis.
+    Each head's tensors become views of the stacked ones, so a write to
+    either (an Adam step, a best-epoch restore) is a write to both. The
+    matrices are stored transposed, the layout ``lora_linear`` multiplies
+    by, so it reads them without a copy."""
+    layers = []
+    for j, first in enumerate(heads[0].layers):
+        stacked = {}
+        for key, t in first.tensors().items():
+            parts = [h.layers[j].tensors()[key].data for h in heads]
+            # np.array, not np.stack, which would keep each part's memory order
+            data = (np.stack(parts) if key == "bias"
+                    else np.array([p.swapaxes(-1, -2) for p in parts]).swapaxes(-1, -2))
+            stacked[key] = ad._make(data, t.requires_grad)
+        for i, head in enumerate(heads):
+            for key, t in stacked.items():
+                setattr(head.layers[j], key, ad._make(t.data[i], t.requires_grad))
+        layers.append(LoraLinear.of(**stacked))
+    return layers
+
+
 def stack_heads(heads: list[LoraHead]) -> HeadStack:
     """Group heads whose tensors have equal shapes (a roster that mixes
     feature widths gives one group per width) and stack each group."""
     members: dict[tuple, list[int]] = {}
     for i, head in enumerate(heads):
-        shapes = tuple(t.shape for layer in head.layers for t in layer.tensors().values())
-        members.setdefault(shapes, []).append(i)
-    groups = []
-    for m in members.values():
-        layers = []
-        for j, first in enumerate(heads[m[0]].layers):
-            layers.append(LoraLinear.of(**{
-                key: Tensor(np.stack([heads[i].layers[j].tensors()[key].data for i in m]),
-                            requires_grad=t.requires_grad)
-                for key, t in first.tensors().items()}))
-        groups.append(LoraHead(layers))
+        members.setdefault(head_shapes(head), []).append(i)
+    groups = [LoraHead(stack_views([heads[i] for i in m])) for m in members.values()]
     return HeadStack(groups, list(members.values()))
 
 
 def stack_forward(stack: HeadStack, inputs: list[Tensor]) -> Tensor:
-    """(B, N, L) logits of all N expert heads from each group's (n,B,k) input."""
-    # expert axis second before the groups are joined, so each expert's
-    # gradient arrives as a (B,L) view of a (B,N,L) array, as from a
-    # per-head loop stacked on axis 1
-    outs = [ad.transpose(head_forward(group, x), (1, 0, 2))
-            for group, x in zip(stack.groups, inputs)]
-    logits = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
+    """(B, N, L) logits of all N expert heads from each group's (n,B,k)
+    input; a stack with a leading task axis maps (T,n,B,k) to (T,B,N,L)."""
+    # expert axis next to last before the groups are joined, so each
+    # expert's gradient arrives as a (B,L) view of a (B,N,L) array, as from
+    # a per-head loop stacked on axis 1
+    outs = []
+    for group, x in zip(stack.groups, inputs):
+        logits = head_forward(group, x)
+        nd = len(logits.shape)
+        outs.append(ad.transpose(logits, (*range(nd - 3), nd - 2, nd - 3, nd - 1)))
+    logits = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-2)
     order = [i for m in stack.members for i in m]
     if order != sorted(order):  # groups interleave on the roster
-        logits = ad.take_rows(logits, np.argsort(order), axis=1)
+        logits = ad.take_rows(logits, np.argsort(order), axis=-2)
     return logits
 
 

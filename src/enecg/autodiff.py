@@ -242,28 +242,32 @@ def lora_linear(x, w0, a, b, bias) -> Tensor:
     """One LoRA layer, ``x @ w0.T + (x @ a.T) @ b.T + bias``, as a single node.
 
     Plain: w0 (d,k), a (r,k), b (d,r), bias (d,) and x (k,) or (B,k).
-    Stacked over N experts: w0 (N,d,k), a (N,r,k), b (N,d,r), bias (N,d)
-    and x (N,B,k), one batched product per term. The transposed weights are
-    contiguous copies and the backward forms every product from the same
-    operand layouts as the matmul/transpose/add composition of the layer, so
-    the two agree bit for bit. Any of the five inputs may require a gradient.
+    Stacked over leading axes S (experts, or tasks then experts): w0
+    (*S,d,k), a (*S,r,k), b (*S,d,r), bias (*S,d) and x (*S,B,k), one
+    batched product per term, so each slice computes what its layer computes
+    alone. The transposed weights are contiguous, as the transpose
+    primitive makes them, and the backward forms every product from the
+    same operand layouts as the matmul/transpose/add composition of the
+    layer, so the two agree bit for bit. Any of the five inputs may require
+    a gradient.
     """
     x, w0, a, b, bias = (as_tensor(t) for t in (x, w0, a, b, bias))
     xd = x.data
     lead = w0.shape[:-2]
-    ok = w0.data.ndim in (2, 3) and a.data.ndim == w0.data.ndim
+    ok = w0.data.ndim >= 2 and a.data.ndim == w0.data.ndim
     if ok:
         (d, k), r = w0.shape[-2:], a.shape[-2]
         ok = (b.shape == lead + (d, r) and bias.shape == lead + (d,) and xd.shape[-1:] == (k,)
               and a.shape == lead + (r, k)
-              and (xd.ndim == 3 and xd.shape[0] == lead[0] if lead else xd.ndim in (1, 2)))
+              and (xd.shape[:-2] == lead if lead else xd.ndim in (1, 2)))
     if not ok:
         raise DimensionError(f"lora_linear: x {x.shape}, w0 {w0.shape}, a {a.shape}, "
                              f"b {b.shape} and bias {bias.shape} do not form a layer")
 
-    w0t, at, bt = (t.data.swapaxes(-1, -2).copy() for t in (w0, a, b))
+    # a copy unless the weight is stored transposed (adapters.stack_views)
+    w0t, at, bt = (np.ascontiguousarray(t.data.swapaxes(-1, -2)) for t in (w0, a, b))
     xa = xd @ at
-    out = xd @ w0t + xa @ bt + (bias.data[:, None, :] if lead else bias.data)
+    out = xd @ w0t + xa @ bt + (bias.data[..., None, :] if lead else bias.data)
 
     def back(g, needs):
         # a single sample is differentiated as a one-row batch
@@ -276,7 +280,7 @@ def lora_linear(x, w0, a, b, bias) -> Tensor:
                 (x2.swapaxes(-1, -2) @ g2).swapaxes(-1, -2) if needs[1] else None,
                 (x2.swapaxes(-1, -2) @ dxa).swapaxes(-1, -2) if needs[2] else None,
                 (xa2.swapaxes(-1, -2) @ g2).swapaxes(-1, -2) if needs[3] else None,
-                # contiguous: a strided (N,B,1) view would be summed in
+                # contiguous: a strided (...,B,1) view would be summed in
                 # another order than each expert's (B,1) column
                 np.ascontiguousarray(g2).sum(axis=-2) if needs[4] else None)
 
@@ -434,11 +438,15 @@ def _carried(a: _Line, op) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
+    # np.where(mask, a, 0.0) without a branch per element: fmax drops
+    # negatives and NaN, and adding 0.0 turns a -0.0 into 0.0
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
 
     def back(g, needs):
         return (g * mask,)
 
-    return _apply("relu", (a,), np.where(mask, a.data, 0.0), back)
+    return _apply("relu", (a,), out, back)
 
 
 def softplus(a) -> Tensor:

@@ -70,14 +70,16 @@ def gate_input(x: Tensor, lead_indices, pooled_len: int) -> Tensor:
 
 def gate_forward(gate: GatingNetwork, pooled_input: Tensor) -> Tensor:
     """Gating probabilities of a (B, input width) batch, shape (B, N, K),
-    softmaxed over the experts."""
-    if pooled_input.data.ndim != 2 or pooled_input.shape[1] != gate.in_dim:
+    softmaxed over the experts; a gate stacked over T tasks maps (T,B,width)
+    to (T,B,N,K)."""
+    lead = gate.layers[0].w0.shape[:-2]
+    if len(pooled_input.shape) != len(lead) + 2 or pooled_input.shape[-1] != gate.in_dim:
         raise DimensionError(
             f"gate expects input width {gate.in_dim} on a (B, width) batch, "
             f"got shape {pooled_input.shape}")
     scores = head_forward(gate, pooled_input)
-    grid = ad.reshape(scores, (pooled_input.shape[0], gate.n_experts, gate.weight_dim))
-    return ad.softmax(grid, axis=1)
+    grid = ad.reshape(scores, scores.shape[:-1] + (gate.n_experts, gate.weight_dim))
+    return ad.softmax(grid, axis=-2)
 
 
 def ensemble_combine(logits: Tensor, weights: Tensor) -> Tensor:

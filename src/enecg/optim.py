@@ -75,14 +75,14 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -
     """
     if h <= 0:
         raise UsageError(f"finite_diff_grad: step must be positive, got {h}")
-    flat = x.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    data = x.data    # indexed, not flattened: a strided view's reshape is a copy
+    grad = np.zeros(data.shape)
+    for i in np.ndindex(data.shape):
+        orig = data[i]
+        data[i] = orig + h
         f_plus = float(f(x))
-        flat[i] = orig - h
+        data[i] = orig - h
         f_minus = float(f(x))
-        flat[i] = orig
+        data[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return Tensor(grad.reshape(x.data.shape))
+    return Tensor(grad)

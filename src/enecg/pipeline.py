@@ -7,6 +7,10 @@ precomputed once per dataset, standardized once per ``train`` call, and
 training only runs heads and gate on batched feature tensors; that keeps
 the whole suite at desk scale. A task model's expert heads are stacked, so each head
 layer is one ``lora_linear`` node over all experts of a feature width.
+``train`` fits all its tasks in one loop: the tasks whose heads and gates
+have equal shapes are stacked once more on a leading task axis, and each
+batch takes one tape, one backward and one Adam step for every task, each
+task reading its own rows.
 
 Optimization touches exactly the LoRA factors and biases of heads and
 gate; expert parameters and every frozen base weight are checksum-verified
@@ -28,8 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from . import tasks as tk
 from .adapters import (
-    HeadStack, LoraHead, LoraLinear, build_head, head_checksum, head_forward, read_tensors,
-    stack_forward, stack_heads, trainable_params, write_tensors,
+    HeadStack, LoraHead, LoraLinear, build_head, head_checksum, head_forward, head_shapes,
+    read_tensors, stack_forward, stack_heads, stack_views, trainable_params, write_tensors,
 )
 from .autodiff import Tensor, Tape, backward
 from .errors import ConfigError, InvariantError, NonFiniteLossError, NotApplicableError, ParseError, UsageError
@@ -96,10 +100,11 @@ class ExperimentConfig:
         n_leads = len(DEFAULT_LEAD_MIX)
         if (not self.gate_leads or len(set(self.gate_leads)) != len(self.gate_leads)
                 or not all(0 <= i < n_leads for i in self.gate_leads)):
-            raise ConfigError(f"gate leads must be distinct indices in 0..{n_leads - 1}, "
+            raise ConfigError(f"gating.leads must be distinct indices in 0..{n_leads - 1}, "
                               f"got {self.gate_leads}")
         if self.ensemble not in STRATEGIES:
-            raise ConfigError(f"unknown ensemble strategy {self.ensemble!r}; expected one of {STRATEGIES}")
+            raise ConfigError(f"experiment.ensemble: unknown strategy {self.ensemble!r}; "
+                              f"expected one of {STRATEGIES}")
         for name in self.tasks:
             if name not in tk.TASKS:
                 raise ConfigError(f"experiment.tasks: unknown task {name!r}; "
@@ -113,25 +118,33 @@ class ExperimentConfig:
             if repeated:
                 raise ConfigError(f"{what} names {repeated[0]!r} more than once")
         samples = (self.data.n_samples, "the samples per record, data.duration_s * data.fs_hz")
-        # key -> (value, lowest, (highest, what it is) or None)
-        bounds = {"heads.hidden_dim": (self.head_hidden, 1, None),
-                  "gating.hidden_dim": (self.gate_hidden, 1, None),
-                  "gating.pooled_len": (self.gate_pooled_len, 1, samples)}
+        # (key, value, lowest, (highest, what it is) or None), checked in order
+        bounds = [("experiment.epochs", self.epochs, 0, None),
+                  ("experiment.batch_size", self.batch_size, 1, None),
+                  ("experiment.repeats", self.repeats, 1, None),
+                  ("heads.hidden_dim", self.head_hidden, 1, None),
+                  ("gating.hidden_dim", self.gate_hidden, 1, None),
+                  ("gating.pooled_len", self.gate_pooled_len, 1, samples)]
         for s in self.experts:
             if s.arch not in ARCHITECTURES:
                 raise ConfigError(f"experts.roster arch of {s.name!r} must be in {ARCHITECTURES}, got {s.arch!r}")
             length = DEFAULT_INPUT_LEN[s.arch] if s.input_len is None else s.input_len
-            bounds[f"experts.roster feature_dim of {s.name!r}"] = (s.feature_dim, 1, None)
-            bounds[f"experts.roster input_len of {s.name!r}"] = (length, MIN_INPUT_LEN[s.arch], samples)
-        widths = min(self.head_hidden, *(s.feature_dim for s in self.experts))
-        bounds["heads.rank"] = (self.head_rank, 1, (widths, "heads.hidden_dim and every roster feature_dim"))
-        for key, (value, lo, hi) in bounds.items():
+            bounds.append((f"experts.roster feature_dim of {s.name!r}", s.feature_dim, 1, None))
+            bounds.append((f"experts.roster input_len of {s.name!r}", length, MIN_INPUT_LEN[s.arch], samples))
+        # a head's first layer refuses a rank above its widths; build_gate would
+        # lower it to the gate's, training the gate at another rank than asked
+        head_widths = min(self.head_hidden, *(s.feature_dim for s in self.experts))
+        gate_widths = min(self.gate_hidden, len(self.gate_leads) * self.gate_pooled_len)
+        bounds.append(("heads.rank", self.head_rank, 1,
+                       (head_widths, "heads.hidden_dim and every roster feature_dim")))
+        bounds.append(("heads.rank", self.head_rank, 1,
+                       (gate_widths, "gating.hidden_dim and the gate input width, "
+                                     "gating.leads x gating.pooled_len")))
+        for key, value, lo, hi in bounds:
             if value < lo:
                 raise ConfigError(f"{key} must be >= {lo}, got {value}")
             if hi and value > hi[0]:
                 raise ConfigError(f"{key} must be <= {hi[0]} ({hi[1]}), got {value}")
-        if self.epochs < 0 or self.batch_size < 1 or self.repeats < 1:
-            raise ConfigError("epochs must be >= 0, batch_size and repeats >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"experiment.learning_rate must be finite and positive, "
                               f"got {self.learning_rate}")
@@ -344,27 +357,39 @@ def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor):
     """Batched forward from already-standardized features, one (n,B,k) input
     per head group.
 
-    Returns (stacked expert logits (B,N,L), weights, combined (B,L)). With a
-    single expert the weight is identically one, so the gate is skipped.
+    Returns (stacked expert logits (B,N,L), weights, combined (B,L)); a joint
+    (``_stack_tasks``) keeps its leading task axis on each. With a single
+    expert the weight is identically one, so the gate is skipped.
     """
     stacked = stack_forward(model.stack, inputs)
-    weights = (Tensor(np.ones((stacked.shape[0], 1, 1))) if len(model.stack) == 1
+    weights = (Tensor(np.ones(stacked.shape[:-2] + (1, 1))) if len(model.stack) == 1
                else gate_forward(model.gate, gate_in))
     combined = ensemble_combine(stacked, weights)
     return stacked, weights, combined
 
 
+def _unstack(x: Tensor) -> list[Tensor]:
+    """The slices of ``x`` along its first axis, each taken as one row so
+    that its gradient arrives contiguous."""
+    return [ad.reshape(ad.take_rows(x, [i]), x.shape[1:]) for i in range(x.shape[0])]
+
+
 def _outputs(model: TaskModel, inputs: list[Tensor], gate_in: Tensor) -> list[Tensor]:
     """The (B,L) outputs a model is scored on: a gated model's combination,
     or, for a gate-less one, each expert's logits in roster order, taken on
-    axis 0 of its group's (n,B,L) output, so the layers get a contiguous gradient."""
+    axis 0 of its group's (n,B,L) output. A joint of T models gives each
+    model's outputs in turn, from its (T,B,L) combination or (T,n,B,L) logits."""
     if model.gate is not None:
-        return [_forward_grouped(model, inputs, gate_in)[2]]
-    outs = {}
+        combined = _forward_grouped(model, inputs, gate_in)[2]
+        return _unstack(combined) if len(combined.shape) > 2 else [combined]
+    n, outs = len(model.stack), {}
     for group, members, x in zip(model.stack.groups, model.stack.members, inputs):
         logits = head_forward(group, x)
-        for j, i in enumerate(members):
-            outs[i] = ad.reshape(ad.take_rows(logits, [j]), logits.shape[1:])
+        if len(logits.shape) > 3:
+            logits = ad.reshape(logits, (-1,) + logits.shape[-2:])
+        for row, out in enumerate(_unstack(logits)):
+            t, j = divmod(row, len(members))
+            outs[t * n + members[j]] = out
     return [outs[i] for i in range(len(outs))]
 
 
@@ -408,10 +433,12 @@ def _check_finite(what: str, *arrays: np.ndarray) -> None:
 
 
 def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple[list[Tensor], Tensor]:
-    """The rows ``idx`` of a run's ``_inputs`` as Tensors: each fresh
-    gather is wrapped as it is, without a copy."""
+    """The rows ``idx`` (B,) of a run's ``_inputs`` as Tensors, (n,B,k) per
+    head group and (B,w); a (T,B) row matrix gives (T,n,B,k) and (T,B,w).
+    Each fresh gather is wrapped as it is, without a copy."""
     feats, gate_in = inputs
-    return [ad._make(x[:, idx]) for x in feats], ad._make(gate_in[idx])
+    return ([ad._make(x[np.arange(len(x))[:, None], idx[..., None, :]]) for x in feats],
+            ad._make(gate_in[idx]))
 
 
 def _check_experts(model: TaskModel, experts: list[ExpertModel]) -> None:
@@ -518,46 +545,106 @@ def _adam_step(opt: Adam, named_losses: Callable[[], list[tuple[str, Tensor]]],
     return values, tape
 
 
-def _train_step(models: list[TaskModel], inputs: tuple[list[np.ndarray], np.ndarray],
-                targets: list[np.ndarray], batch: np.ndarray, opt: Adam,
+@dataclass
+class _Joint:
+    """Task models whose heads and gates have equal shapes, run as one
+    model: its tensors carry a leading task axis, of which each model's
+    tensors are views. A model that matches no other is its own joint,
+    without the axis. ``index`` gives each model's position in the list the
+    joints were made from."""
+    index: list[int]
+    models: list[TaskModel]
+    stack: HeadStack
+    gate: GatingNetwork | None
+
+    adapted = TaskModel.adapted
+    trainable = TaskModel.trainable
+
+
+def _stack_tasks(models: list[TaskModel]) -> list[_Joint]:
+    """The joints of ``models``, in the order of each joint's first model:
+    the models whose head groups (members and shapes) and gate agree are
+    stacked into one (``stack_views``)."""
+    keys: dict[tuple, list[int]] = {}
+    for t, m in enumerate(models):
+        heads = m.stack.groups + ([] if m.gate is None else [m.gate])
+        key = (tuple(map(tuple, m.stack.members)), tuple(map(head_shapes, heads)))
+        keys.setdefault(key, []).append(t)
+    joints = []
+    for index in keys.values():
+        ms = [models[t] for t in index]
+        stack, gate = ms[0].stack, ms[0].gate
+        if len(ms) > 1:
+            stack = HeadStack([LoraHead(stack_views(list(groups)))
+                               for groups in zip(*(m.stack.groups for m in ms))], stack.members)
+            gate = None if gate is None else replace(gate, layers=stack_views([m.gate for m in ms]))
+        joints.append(_Joint(index, ms, stack, gate))
+    return joints
+
+
+def _task_outputs(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
+                  rows: np.ndarray) -> list[tuple[TaskModel, list[Tensor]]]:
+    """(model, its ``_outputs``) for every model of ``joints``, in the order
+    they were made from; model t reads the rows ``rows[t]`` of a (T,B) row
+    matrix from the run's ``_inputs``."""
+    found = {}
+    for joint in joints:
+        idx = rows[joint.index] if len(joint.index) > 1 else rows[joint.index[0]]
+        outs = _outputs(joint, *_rows(inputs, idx))
+        per = len(outs) // len(joint.index)
+        for i, (t, model) in enumerate(zip(joint.index, joint.models)):
+            found[t] = model, outs[i * per:(i + 1) * per]
+    return [found[t] for t in range(len(found))]
+
+
+def _train_step(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
+                targets: list[np.ndarray], rows: np.ndarray, opt: Adam,
                 where: str = "") -> tuple[list[float], Tape]:
-    """``_adam_step`` on the losses of every output (``_outputs``) of
-    ``models`` over ``batch``, reading the run's ``_inputs``."""
-    feats, gate_in = _rows(inputs, batch)
+    """``_adam_step`` on the losses of every output of every model of
+    ``joints`` (``_task_outputs``), model t on the rows ``rows[t]``: one
+    tape, one backward and one step for all."""
     return _adam_step(opt, lambda: [
-        (model.task.name, tk.task_loss(model.task, out, y[batch], model.pos_weight, model.neg_weight))
-        for model, y in zip(models, targets) for out in _outputs(model, feats, gate_in)], where)
+        (model.task.name, tk.task_loss(model.task, out, y[r], model.pos_weight, model.neg_weight))
+        for (model, outs), y, r in zip(_task_outputs(joints, inputs, rows), targets, rows)
+        for out in outs], where)
 
 
-def _fit(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDataset,
+def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDataset,
          inputs: tuple[list[np.ndarray], np.ndarray], train_idx: np.ndarray,
-         val_idx: np.ndarray, rng: np.random.Generator
-         ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """Adam over the LoRA factors and biases of ``model`` on the summed
-    losses of its outputs, reading the run's ``_inputs``; each output keeps
+         val_idx: np.ndarray, seed: int) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """Adam over the LoRA factors and biases of every model, reading the
+    run's ``_inputs``: one step per batch for all (``_train_step``), each
+    model on the summed losses of its outputs and on its own batch order,
+    drawn by ``(seed, 0x7E, task id)``. Parameters are disjoint and Adam is
+    elementwise, so each model trains as it would alone. Each output keeps
     the parameters (``_scored``) of its best validation epoch. Returns
     (validation metric per epoch, mean training loss per epoch) by output."""
-    y = prepared.labels[model.task.name][train_idx]
-    if model.task.kind == "regression" and cfg.normalize_targets:
-        model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
-    if model.task.kind == "binary" and cfg.class_weighted_bce:
-        model.pos_weight, model.neg_weight = tk.class_weights(y)
-    targets = [model.targets(prepared)]
-    scored = _scored(cfg, model)
-    opt = Adam(model.trainable(), lr=cfg.learning_rate)
-    history: dict[str, list[float]] = {name: [] for name, _ in scored}
-    losses: dict[str, list[float]] = {name: [] for name, _ in scored}
+    targets = []
+    for model in models:
+        y = prepared.labels[model.task.name][train_idx]
+        if model.task.kind == "regression" and cfg.normalize_targets:
+            model.target_mean, model.target_std = float(y.mean()), float(y.std()) or 1.0
+        if model.task.kind == "binary" and cfg.class_weighted_bce:
+            model.pos_weight, model.neg_weight = tk.class_weights(y)
+        targets.append(model.targets(prepared))
+    joints = _stack_tasks(models)
+    opt = Adam([p for joint in joints for p in joint.trainable()], lr=cfg.learning_rate)
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x7E, _task_id(m.task)))) for m in models]
+    scored = [(model, name, params) for model in models for name, params in _scored(cfg, model)]
+    history: dict[str, list[float]] = {name: [] for _, name, _ in scored}
+    losses: dict[str, list[float]] = {name: [] for _, name, _ in scored}
     best_state: list[list[np.ndarray] | None] = [None] * len(scored)
+    starts = range(0, train_idx.size, cfg.batch_size)
+    val_rows = np.tile(val_idx, (len(models), 1))
     for epoch in range(cfg.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        starts = range(0, order.size, cfg.batch_size)
+        order = np.stack([train_idx[rng.permutation(train_idx.size)] for rng in rngs])
         sums = [0.0] * len(scored)
         for start in starts:
-            values, _ = _train_step([model], inputs, targets, order[start:start + cfg.batch_size],
+            values, _ = _train_step(joints, inputs, targets, order[:, start:start + cfg.batch_size],
                                     opt, where=f"at epoch {epoch}, batch starting {start}")
             sums = [acc + value for acc, value in zip(sums, values)]
-        outs = _outputs(model, *_rows(inputs, val_idx))
-        for i, ((name, params), out) in enumerate(zip(scored, outs)):
+        outs = [out for _, task_outs in _task_outputs(joints, inputs, val_rows) for out in task_outs]
+        for i, ((model, name, params), out) in enumerate(zip(scored, outs)):
             losses[name].append(sums[i] / max(len(starts), 1))
             score = _metric(model, out.data, prepared.labels[model.task.name][val_idx])
             scores = history[name]
@@ -566,7 +653,7 @@ def _fit(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDataset,
                               else score < min(scores)):
                 best_state[i] = [p.data.copy() for p in params]
             scores.append(score)
-    for (_, params), snaps in zip(scored, best_state):
+    for (_, _, params), snaps in zip(scored, best_state):
         for p, snap in zip(params, snaps or []):
             p.data[...] = snap
     return history, losses
@@ -575,7 +662,9 @@ def _fit(cfg: ExperimentConfig, model: TaskModel, prepared: PreparedDataset,
 def train(cfg: ExperimentConfig, seed: int | None = None,
           prepared: PreparedDataset | None = None,
           experts: list[ExpertModel] | None = None) -> TrainedModel:
-    """Fit every task of ``cfg``, each alone with its own RNG."""
+    """Fit every task of ``cfg``, all in one loop (``_fit``), each on its
+    own generators: its heads and gate drawn by ``(seed, 0x4EAD, task id)``,
+    its batch order by ``(seed, 0x7E, task id)``."""
     return _train(cfg, seed, prepared, experts, build_task_model)
 
 
@@ -597,12 +686,8 @@ def _train(cfg: ExperimentConfig, seed: int | None, prepared: PreparedDataset | 
         model.feature_stats, model.gate_stats = stats
     inputs = _inputs(models[cfg.tasks[0]], prepared)
     before = _frozen_checksums(experts, models)
-    trained = TrainedModel(cfg=cfg, experts=experts, tasks=models)
-    for model in models.values():
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7E, _task_id(model.task))))
-        history, losses = _fit(cfg, model, prepared, inputs, train_idx, val_idx, rng)
-        trained.history.update(history)
-        trained.train_loss.update(losses)
+    history, losses = _fit(cfg, list(models.values()), prepared, inputs, train_idx, val_idx, seed)
+    trained = TrainedModel(cfg=cfg, experts=experts, tasks=models, history=history, train_loss=losses)
     after = _frozen_checksums(experts, models)
     changed = [k for k in before if before[k] != after[k]]
     if changed:
@@ -703,8 +788,9 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray) -> 
     and wallclock are left to the caller.
 
     Both throughputs come from the fastest timed pass (``_fastest_pass``);
-    a pass scores every task, or takes one training step on every task.
-    An empty ``idx`` is a UsageError, as in ``evaluate``."""
+    a pass scores every task, or takes one joint training step on every
+    task, after which the task models view the joint tensors (values
+    unchanged). An empty ``idx`` is a UsageError, as in ``evaluate``."""
     if idx.size == 0:
         raise UsageError("bench needs a nonempty split")
     trainable, frozen = parameter_counts(trained)
@@ -717,14 +803,16 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray) -> 
     throughput = idx.size / _fastest_pass(score)
 
     batch = idx[:min(trained.cfg.batch_size, idx.size)]
+    rows = np.tile(batch, (len(models), 1))
     inputs = _inputs(models[0], prepared)
     targets = [model.targets(prepared) for model in models]
+    joints = _stack_tasks(models)
     # lr 0: timed steps leave the models unchanged
-    probe = Adam([p for model in models for p in model.trainable()], lr=0.0)
-    _, tape = _train_step(models, inputs, targets, batch, probe)    # untimed: sizes one step
+    probe = Adam([p for joint in joints for p in joint.trainable()], lr=0.0)
+    _, tape = _train_step(joints, inputs, targets, rows, probe)    # untimed: sizes one step
     activation_bytes = sum(node.output.data.size for node in tape.nodes) * 8
     train_throughput = batch.size / _fastest_pass(
-        lambda: _train_step(models, inputs, targets, batch, probe))
+        lambda: _train_step(joints, inputs, targets, rows, probe))
     probe.zero_grad()
 
     return MetricsReport(

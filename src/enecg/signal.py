@@ -113,11 +113,11 @@ class GeneratorConfig:
 
     def validate(self) -> None:
         if self.n_records < 0:
-            raise ConfigError("n_records must be nonnegative")
+            raise ConfigError(f"experiment.n_records must be >= 0, got {self.n_records}")
         rates = self.heart_rate_bpm
         if not (len(rates) == 2 and 0 < rates[0] <= rates[1]):
             raise ConfigError(f"data.heart_rate_bpm must be two positive, ordered rates, got {rates}")
-        for name, rate in (("potassium_rate", self.potassium_rate), ("sex_ratio", self.sex_ratio)):
+        for name, rate in (("data.potassium_rate", self.potassium_rate), ("data.sex_ratio", self.sex_ratio)):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {rate}")
         if not (0 < self.duration_s < np.inf and 0 < self.fs_hz < np.inf):

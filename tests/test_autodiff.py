@@ -118,9 +118,11 @@ def test_lora_linear_matches_its_composition_bit_for_bit():
 
 # The shapes at which the layer's transposed weights must be contiguous
 # copies to agree with the composition: the gate's first layer on a
-# 32-row batch, and the arrhythmia heads' stacked output layer.
-@pytest.mark.parametrize("lead,batch,d,k", [((), (32,), 64, 250), ((3,), (32,), 15, 64)],
-                         ids=["gate-250-to-64", "stacked-64-to-15"])
+# 32-row batch, the arrhythmia heads' stacked output layer, and the first
+# and output layers of four width-1 tasks' heads stacked on a task axis.
+@pytest.mark.parametrize("lead,batch,d,k", [((), (32,), 64, 250), ((3,), (32,), 15, 64),
+                                            ((4, 3), (32,), 64, 64), ((4, 3), (32,), 1, 64)],
+                         ids=["gate-250-to-64", "stacked-64-to-15", "tasks-64-to-64", "tasks-64-to-1"])
 def test_lora_linear_matches_its_composition_bit_for_bit_at_model_shapes(lead, batch, d, k):
     rng = np.random.default_rng(26)
     operands = lora_operands(rng, lead, batch, d=d, k=k, r=4)

@@ -478,13 +478,21 @@ SHAPE_MISTAKES = [
      "heads.rank must be <= 16 (heads.hidden_dim and every roster feature_dim), got 20"),
     ("stat:statistical:2:128:16", "stat:statistical:2:128:1",
      "heads.rank must be <= 1 (heads.hidden_dim and every roster feature_dim), got 2"),
+    # the gate's first layer would have trained at rank 1
+    ("pooled_len = 25\nhidden_dim = 16", "pooled_len = 25\nhidden_dim = 1",
+     "heads.rank must be <= 1 (gating.hidden_dim and the gate input width, "
+     "gating.leads x gating.pooled_len), got 2"),
+    ("pooled_len = 25", "pooled_len = 1",
+     "heads.rank must be <= 1 (gating.hidden_dim and the gate input width, "
+     "gating.leads x gating.pooled_len), got 2"),
 ]
 
 
 @pytest.mark.parametrize("old,new,message", SHAPE_MISTAKES,
                          ids=["unknown-arch", "spectral-input-1", "statistical-input-8",
                               "convolutional-input-219", "input-beyond-record", "default-input-beyond-record",
-                              "pooled-len-beyond-record", "rank-above-hidden", "rank-above-feature-dim"])
+                              "pooled-len-beyond-record", "rank-above-hidden", "rank-above-feature-dim",
+                              "rank-above-gate-hidden", "rank-above-gate-input"])
 def test_roster_and_width_mistakes_exit_with_config_naming_their_key(tmp_path, capsys, old, new,
                                                                      message):
     path = tmp_path / "shape.cfg"
@@ -495,6 +503,27 @@ def test_roster_and_width_mistakes_exit_with_config_naming_their_key(tmp_path, c
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
     assert not (out / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("fs_hz = 100.0", "fs_hz = 100.0\npotassium_rate = 1.5", "data.potassium_rate must lie in [0,1], got 1.5"),
+    ("fs_hz = 100.0", "fs_hz = 100.0\nsex_ratio = -0.5", "data.sex_ratio must lie in [0,1], got -0.5"),
+    ("pooled_len = 25", "pooled_len = 25\nleads = 1,1",
+     "gating.leads must be distinct indices in 0..11, got (1, 1)"),
+    ("repeats = 1", "repeats = 1\nensemble = vote",
+     "experiment.ensemble: unknown strategy 'vote'; expected one of "
+     "('moe', 'zero_shot', 'greedy', 'sample_aware', 'uniform')"),
+    ("epochs = 2", "epochs = -1", "experiment.epochs must be >= 0, got -1"),
+    ("batch_size = 16", "batch_size = 0", "experiment.batch_size must be >= 1, got 0"),
+    ("repeats = 1", "repeats = 0", "experiment.repeats must be >= 1, got 0"),
+], ids=["potassium-rate", "sex-ratio", "leads", "ensemble", "epochs", "batch-size", "repeats"])
+def test_config_error_names_its_key(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG.replace(old, new))
+    assert run(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
 
 
 def test_shape_bounds_admit_their_limits(tmp_path):
@@ -523,7 +552,7 @@ def test_negative_record_count_exits_with_config_from_gen(tmp_path, capsys):
     path.write_text(SMALL_CFG.replace("n_records = 160", "n_records = -1"))
     assert run(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == EXIT_CODES["config"]
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record == {"error": "ConfigError", "message": "n_records must be nonnegative"}
+    assert record == {"error": "ConfigError", "message": "experiment.n_records must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize("line", ["duration_s = 2.0", "fs_hz = 100.0"])

@@ -76,6 +76,16 @@ def test_finite_diff_restores_input():
     np.testing.assert_array_equal(x.data, before)
 
 
+def test_finite_diff_perturbs_a_transposed_view_in_place():
+    # stacked head weights are views of transposed storage (adapters.stack_views)
+    w = np.arange(6.0).reshape(2, 3)
+    x = Tensor(np.zeros((2, 3)))
+    x.data = np.ascontiguousarray(x.data.T).T
+    g = finite_diff_grad(lambda t: float((t.data * w).sum()), x)
+    np.testing.assert_allclose(g.data, w, rtol=1e-8)
+    np.testing.assert_array_equal(x.data, np.zeros((2, 3)))
+
+
 def test_finite_diff_requires_positive_step():
     with pytest.raises(UsageError):
         finite_diff_grad(lambda t: 0.0, Tensor([1.0]), h=0.0)

@@ -666,8 +666,8 @@ def test_single_task_moe_step_records_at_most_12_nodes():
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
         model.feature_stats, model.gate_stats = stats
-        _, tape = pipeline._train_step([model], _inputs(model, prepared),
-                                       [model.targets(prepared)], np.arange(32),
+        _, tape = pipeline._train_step(pipeline._stack_tasks([model]), _inputs(model, prepared),
+                                       [model.targets(prepared)], np.arange(32)[None],
                                        Adam(model.trainable()))
         assert len(tape) <= 12, name
         ops = [node.op for node in tape.nodes]
@@ -676,3 +676,82 @@ def test_single_task_moe_step_records_at_most_12_nodes():
         loss_op = {"regression": "mse", "binary": "weighted_bce_with_logits",
                    "multiclass": "cross_entropy"}[model.task.kind]
         assert ops[-2:] == ["weighted_sum", loss_op], name
+
+
+@pytest.mark.parametrize("build", [build_task_model, pipeline._build_singles], ids=["moe", "singles"])
+@pytest.mark.parametrize("conv_width", [16, 8], ids=["one-width", "interleaved-widths"])
+def test_each_task_of_a_joint_fit_trains_as_it_would_alone(build, conv_width):
+    """train() steps its tasks together, the four width-1 tasks stacked on a
+    task axis; every task's tensors, scalars, history and train_loss equal
+    those of a train() of that task alone, bit for bit. At width 8 the
+    convolutional expert's head groups sit between the others' (members
+    [[0, 2], [1]]), so the stacked forward reorders its experts."""
+    cfg = tiny_cfg(n_records=96, epochs=3, experts=(
+        ExpertSpec("spec", "spectral", 1, 128, 16),
+        ExpertSpec("conv", "convolutional", 2, 224, conv_width),
+        ExpertSpec("stat", "statistical", 3, 128, 16)))
+    experts = build_experts(cfg)
+    prepared = prepare_dataset(cfg, experts, seed=cfg.seed)
+    together = pipeline._train(cfg, cfg.seed, prepared, experts, build)
+    assert together.tasks["rr"].stack.members == ([[0, 1, 2]] if conv_width == 16 else [[0, 2], [1]])
+    for name in cfg.tasks:
+        alone = pipeline._train(replace(cfg, tasks=(name,)), cfg.seed, prepared, experts, build)
+        got, want = together.tasks[name], alone.tasks[name]
+        assert list(got.named_heads()) == list(want.named_heads())
+        for key, head in got.named_heads().items():
+            for layer, want_layer in zip(head.layers, want.named_heads()[key].layers):
+                for k, t in layer.tensors().items():
+                    np.testing.assert_array_equal(t.data, want_layer.tensors()[k].data,
+                                                  err_msg=f"{name} {key} {k}")
+        assert ((got.target_mean, got.target_std, got.pos_weight, got.neg_weight)
+                == (want.target_mean, want.target_std, want.pos_weight, want.neg_weight)), name
+        assert list(alone.history) == [k for k in together.history if k.split(".")[0] == name]
+        for key in alone.history:
+            np.testing.assert_array_equal(together.history[key], alone.history[key], err_msg=key)
+            np.testing.assert_array_equal(together.train_loss[key], alone.train_loss[key], err_msg=key)
+
+
+def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
+    """One step for the default roster's five tasks: rr, age, sex and
+    potassium (width 1) are one joint of 12 stacked heads and 4 stacked
+    gates, arrhythmia is its own. 37 nodes: per joint, 3 head nodes, a
+    transpose, 5 gate nodes and the combination; per task of the stacked
+    joint, a take_rows and a reshape for its slice; one loss per task; and
+    4 adds summing the losses."""
+    cfg = ExperimentConfig(n_records=40)
+    experts = build_experts(cfg)
+    prepared = prepare_dataset(cfg, experts, seed=0)
+    stats = fit_input_stats(prepared, np.arange(prepared.n))
+    models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=0) for name in cfg.tasks]
+    for model in models:
+        model.feature_stats, model.gate_stats = stats
+    joints = pipeline._stack_tasks(models)
+    assert [joint.index for joint in joints] == [[0, 1, 2, 3], [4]]
+    assert joints[0].stack.groups[0].layers[0].w0.shape == (4, 3, 64, 64)
+    assert joints[0].gate.layers[0].w0.shape == (4, 64, 250)
+    _, tape = pipeline._train_step(joints, _inputs(models[0], prepared),
+                                   [model.targets(prepared) for model in models],
+                                   np.tile(np.arange(32), (5, 1)),
+                                   Adam([p for joint in joints for p in joint.trainable()]))
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("lora_linear") == 8
+    assert [op for op in ops if op in ("mse", "weighted_bce_with_logits", "cross_entropy")] == [
+        "mse", "mse", "weighted_bce_with_logits", "weighted_bce_with_logits", "cross_entropy"]
+    assert len(tape) <= 37
+
+
+def test_task_models_view_the_joint_tensors():
+    # a write to a joint tensor (an Adam step) is a write to each task's view
+    cfg = tiny_cfg(epochs=0)
+    experts = build_experts(cfg)
+    models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=0) for name in ("rr", "sex")]
+    (joint,) = pipeline._stack_tasks(models)
+    for p in joint.trainable():
+        p.data += 1.0
+    for t, model in enumerate(models):
+        for group, joint_group in zip(model.stack.groups + [model.gate],
+                                      joint.stack.groups + [joint.gate]):
+            for layer, joint_layer in zip(group.layers, joint_group.layers):
+                for k, view in layer.tensors().items():
+                    assert np.shares_memory(view.data, joint_layer.tensors()[k].data), k
+                    np.testing.assert_array_equal(view.data, joint_layer.tensors()[k].data[t])
