@@ -61,10 +61,11 @@ class LoraLinear:
     def k(self) -> int:
         return self.w0.shape[-1]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, xw0: np.ndarray | None = None) -> Tensor:
+        """The layer on ``x``; ``xw0``, if given, is ``x @ w0.T`` already formed."""
         if x.shape[-1:] != (self.k,):
             raise DimensionError(f"lora layer expects input width {self.k}, got shape {x.shape}")
-        return ad.lora_linear(x, self.w0, self.lora_a, self.lora_b, self.bias)
+        return ad.lora_linear(x, self.w0, self.lora_a, self.lora_b, self.bias, xw0)
 
     def trainable(self) -> list[Tensor]:
         return [t for t in (self.lora_a, self.lora_b, self.w0, self.bias) if t.requires_grad]
@@ -97,12 +98,12 @@ def build_head(in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: 
                             LoraLinear(out_dim, hidden_dim, min(rank, out_dim), rng, train_bias)])
 
 
-def head_forward(head: LoraHead, features: Tensor) -> Tensor:
+def head_forward(head: LoraHead, features: Tensor, xw0: np.ndarray | None = None) -> Tensor:
     """Task logits for (k,) features or a (B,k) batch; a stacked head maps
-    (N,B,k) to (N,B,L)."""
+    (N,B,k) to (N,B,L). ``xw0``, if given, is the first layer's ``x @ w0.T``."""
     h = features
     for i, layer in enumerate(head.layers):
-        h = layer.forward(h)
+        h = layer.forward(h, xw0 if i == 0 else None)
         if i + 1 < len(head.layers):
             h = ad.relu(h)
     return h
@@ -172,15 +173,16 @@ def stack_heads(heads: list[LoraHead]) -> HeadStack:
     return HeadStack(groups, list(members.values()))
 
 
-def stack_forward(stack: HeadStack, inputs: list[Tensor]) -> Tensor:
+def stack_forward(stack: HeadStack, inputs: list[Tensor], xw0s=None) -> Tensor:
     """(B, N, L) logits of all N expert heads from each group's (n,B,k)
-    input; a stack with a leading task axis maps (T,n,B,k) to (T,B,N,L)."""
+    input; a stack with a leading task axis maps (T,n,B,k) to (T,B,N,L).
+    ``xw0s``, if given, holds each group's first-layer ``x @ w0.T``."""
     # expert axis next to last before the groups are joined, so each
     # expert's gradient arrives as a (B,L) view of a (B,N,L) array, as from
     # a per-head loop stacked on axis 1
     outs = []
-    for group, x in zip(stack.groups, inputs):
-        logits = head_forward(group, x)
+    for group, x, xw0 in zip(stack.groups, inputs, xw0s or [None] * len(inputs)):
+        logits = head_forward(group, x, xw0)
         nd = len(logits.shape)
         outs.append(ad.transpose(logits, (*range(nd - 3), nd - 2, nd - 3, nd - 1)))
     logits = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-2)

@@ -13,7 +13,9 @@ arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
 softmax/log_softmax, window pooling, patch statistics, DFT magnitude, row
 gather, concat/reshape/transpose, reductions, the weighted sum that
 combines expert logits, the three task losses (mse, weighted BCE with
-logits, cross-entropy) and the points of a straight line (``line``).
+logits, cross-entropy), their sum over the slices of one array
+(``slice_losses``, one node for a batch of tasks' outputs) and the points
+of a straight line (``line``).
 Everything downstream (experts, LoRA heads, gating, saliency) composes
 from these. A fused node (the LoRA layer, patch statistics, the weighted
 sum, the losses) keeps the numpy expressions of the composition it
@@ -33,6 +35,7 @@ __all__ = [
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
     "conv1d", "mean_pool", "max_pool", "patch_stats", "dft_magnitude",
     "reduce_sum", "reduce_mean", "weighted_sum", "mse", "weighted_bce_with_logits", "cross_entropy",
+    "slice_losses",
 ]
 
 
@@ -238,7 +241,7 @@ def matmul(a, b) -> Tensor:
     return _apply("matmul", (a, b), out, back)
 
 
-def lora_linear(x, w0, a, b, bias) -> Tensor:
+def lora_linear(x, w0, a, b, bias, xw0=None) -> Tensor:
     """One LoRA layer, ``x @ w0.T + (x @ a.T) @ b.T + bias``, as a single node.
 
     Plain: w0 (d,k), a (r,k), b (d,r), bias (d,) and x (k,) or (B,k).
@@ -250,6 +253,12 @@ def lora_linear(x, w0, a, b, bias) -> Tensor:
     same operand layouts as the matmul/transpose/add composition of the
     layer, so the two agree bit for bit. Any of the five inputs may require
     a gradient.
+
+    ``xw0``, an array, is the ``x @ w0.T`` term already formed: a fit reads
+    each frozen first layer's product once, over every row, and gathers a
+    batch's rows. The node adds it in the product's place, in the same
+    order; the backward is unchanged. It is refused if ``w0`` requires a
+    gradient, as a step would change the product it stands for.
     """
     x, w0, a, b, bias = (as_tensor(t) for t in (x, w0, a, b, bias))
     xd = x.data
@@ -263,11 +272,17 @@ def lora_linear(x, w0, a, b, bias) -> Tensor:
     if not ok:
         raise DimensionError(f"lora_linear: x {x.shape}, w0 {w0.shape}, a {a.shape}, "
                              f"b {b.shape} and bias {bias.shape} do not form a layer")
+    if xw0 is not None and (w0.requires_grad or xw0.shape != xd.shape[:-1] + (d,)):
+        raise UsageError(f"lora_linear: a formed x @ w0.T {xw0.shape} needs a frozen w0 and "
+                         f"the shape {xd.shape[:-1] + (d,)}")
 
-    # a copy unless the weight is stored transposed (adapters.stack_views)
-    w0t, at, bt = (np.ascontiguousarray(t.data.swapaxes(-1, -2)) for t in (w0, a, b))
+    def transposed(t: Tensor) -> np.ndarray:
+        # a copy unless the weight is stored transposed (adapters.stack_views)
+        return np.ascontiguousarray(t.data.swapaxes(-1, -2))
+
+    at, bt = transposed(a), transposed(b)
     xa = xd @ at
-    out = xd @ w0t + xa @ bt + (bias.data[..., None, :] if lead else bias.data)
+    out = (xd @ transposed(w0) if xw0 is None else xw0) + xa @ bt + (bias.data[..., None, :] if lead else bias.data)
 
     def back(g, needs):
         # a single sample is differentiated as a one-row batch
@@ -275,7 +290,7 @@ def lora_linear(x, w0, a, b, bias) -> Tensor:
         dxa = g2 @ bt.swapaxes(-1, -2) if needs[0] or needs[2] else None
         dx = None
         if needs[0]:
-            dx = (dxa @ at.swapaxes(-1, -2) + g2 @ w0t.swapaxes(-1, -2)).reshape(xd.shape)
+            dx = (dxa @ at.swapaxes(-1, -2) + g2 @ transposed(w0).swapaxes(-1, -2)).reshape(xd.shape)
         return (dx,
                 (x2.swapaxes(-1, -2) @ g2).swapaxes(-1, -2) if needs[1] else None,
                 (x2.swapaxes(-1, -2) @ dxa).swapaxes(-1, -2) if needs[2] else None,
@@ -372,10 +387,15 @@ def take_rows(a, indices, axis: int = 0) -> Tensor:
     arr = np.asarray(idx, dtype=np.intp)
     shape = a.data.shape
     where = (slice(None),) * axis + (arr,)
+    distinct = len(set(idx)) == len(idx)
 
     def back(g, needs):
         da = np.zeros(shape)
-        np.add.at(da, where, g)
+        if distinct:    # np.add.at's bits: 0.0 + g, which turns a -0.0 into 0.0
+            da[where] = g
+            da += 0.0
+        else:
+            np.add.at(da, where, g)
         return (da,)
 
     return _apply("take_rows", (a,), np.take(a.data, arr, axis=axis), back)
@@ -461,13 +481,10 @@ def softplus(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function, piecewise so that no exp overflows."""
-    pos = x >= 0
-    sig = np.empty_like(x)
-    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    sig[~pos] = e / (1.0 + e)
-    return sig
+    """The logistic function from one exp that cannot overflow, exp(-|x|):
+    1 / (1 + e) where x >= 0, else e / (1 + e)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sqrt(a) -> Tensor:
@@ -807,29 +824,75 @@ def weighted_sum(w, a, axis: int) -> Tensor:
 # task losses: one node each, against numpy targets of the logits' size.
 # The targets are used as given (the caller checks them once per fit), and
 # forward and backward keep the numpy expressions of the composed loss each
-# replaces, so the two agree bit for bit.
+# replaces, so the two agree bit for bit. Each loss is a (value, backward)
+# pair of an array and its targets, so ``slice_losses`` scores slices of one
+# array with the same expressions.
 
-def _flat_targets(a: Tensor, name: str, *arrays) -> list[np.ndarray]:
-    flat = [np.asarray(x, dtype=np.float64).reshape(-1) for x in arrays]
-    if not a.data.size or any(x.size != a.data.size for x in flat):
-        raise DimensionError(f"{name}: logits {a.shape} and targets "
-                             f"{[np.shape(x) for x in arrays]} differ in size or are empty")
+def _flat_targets(x: np.ndarray, name: str, *arrays) -> list[np.ndarray]:
+    flat = [np.asarray(t, dtype=np.float64).reshape(-1) for t in arrays]
+    if not x.size or any(t.size != x.size for t in flat):
+        raise DimensionError(f"{name}: logits {x.shape} and targets "
+                             f"{[np.shape(t) for t in arrays]} differ in size or are empty")
     return flat
+
+
+def _mse(x: np.ndarray, target):
+    (t,) = _flat_targets(x, "mse", target)
+    diff = x.reshape(-1) - t
+    shape = x.shape
+
+    def back(g):
+        d = (g / t.size) * diff
+        return (d + d).reshape(shape)
+
+    return np.asarray((diff * diff).mean()), back
+
+
+def _weighted_bce(x: np.ndarray, target, weight):
+    y, w = _flat_targets(x, "weighted_bce_with_logits", target, weight)
+    z = x.reshape(-1)
+    not_y = 1.0 - y
+    shape = x.shape
+
+    def back(g):
+        gw = (g / y.size) * w
+        return ((gw * not_y) * _sigmoid(z) + -((gw * y) * _sigmoid(-z))).reshape(shape)
+
+    return np.asarray((w * (y * np.logaddexp(0.0, -z) + not_y * np.logaddexp(0.0, z))).mean()), back
+
+
+def _cross_entropy(x: np.ndarray, labels):
+    y = np.asarray(labels).reshape(-1)
+    n = x.shape[0] if x.ndim == 2 else 0
+    if not n or y.size != n:
+        raise DimensionError(f"cross_entropy: expected (n, C) logits and n labels, "
+                             f"got {x.shape} and {np.shape(labels)}")
+    onehot = np.zeros(x.shape)
+    onehot[np.arange(n), y.astype(int)] = 1.0
+    shifted = x - x.max(axis=1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    scale = -1.0 / n
+
+    def back(g):
+        gl = g * scale * onehot
+        return gl - np.exp(out) * gl.sum(axis=1, keepdims=True)
+
+    return np.asarray((out * onehot).sum()) * scale, back
+
+
+_LOSSES = {"mse": _mse, "weighted_bce_with_logits": _weighted_bce, "cross_entropy": _cross_entropy}
+
+
+def _loss_node(name: str, a, *targets) -> Tensor:
+    a = as_tensor(a)
+    value, back = _LOSSES[name](a.data, *targets)
+    return _apply(name, (a,), value, lambda g, needs: (back(g),))
 
 
 def mse(a, target) -> Tensor:
     """Mean squared error ``mean((a - target)**2)`` over every element, both
     flattened: reduce_mean of the squared sub, in one node."""
-    a = as_tensor(a)
-    (t,) = _flat_targets(a, "mse", target)
-    diff = a.data.reshape(-1) - t
-    shape = a.data.shape
-
-    def back(g, needs):
-        d = (g / t.size) * diff
-        return ((d + d).reshape(shape),)
-
-    return _apply("mse", (a,), np.asarray((diff * diff).mean()), back)
+    return _loss_node("mse", a, target)
 
 
 def weighted_bce_with_logits(a, target, weight) -> Tensor:
@@ -837,38 +900,37 @@ def weighted_bce_with_logits(a, target, weight) -> Tensor:
     ``y`` with per-element weights ``w``, all flattened:
     ``mean(w * (y * softplus(-z) + (1 - y) * softplus(z)))``, the nine
     nodes of neg, two softplus, three mul, add and reduce_mean in one."""
-    a = as_tensor(a)
-    y, w = _flat_targets(a, "weighted_bce_with_logits", target, weight)
-    z = a.data.reshape(-1)
-    not_y = 1.0 - y
-    shape = a.data.shape
-
-    def back(g, needs):
-        gw = (g / y.size) * w
-        return (((gw * not_y) * _sigmoid(z) + -((gw * y) * _sigmoid(-z))).reshape(shape),)
-
-    out = np.asarray((w * (y * np.logaddexp(0.0, -z) + not_y * np.logaddexp(0.0, z))).mean())
-    return _apply("weighted_bce_with_logits", (a,), out, back)
+    return _loss_node("weighted_bce_with_logits", a, target, weight)
 
 
 def cross_entropy(a, labels) -> Tensor:
     """Mean negative log-softmax of each row's class over (n, C) logits,
     with ``labels`` the n class indices: log_softmax, mul by the one-hot
     labels, reduce_sum and mul by -1/n, in one node."""
+    return _loss_node("cross_entropy", a, labels)
+
+
+def slice_losses(a, terms) -> tuple[Tensor, list[float]]:
+    """The losses of the (B, L) slices of ``a`` along its leading axes, in
+    row-major order, as one node whose output is their sum; returns it and
+    each slice's value. ``terms[i]`` is the i-th slice's loss, by its
+    function's name (``mse``, ``weighted_bce_with_logits`` or
+    ``cross_entropy``), then its targets as that function takes them. Each
+    slice keeps its loss's expressions, so its value and gradient are that
+    loss's on the slice alone. A single term is tagged by its loss's name."""
     a = as_tensor(a)
-    x, y = a.data, np.asarray(labels).reshape(-1)
-    n = x.shape[0] if x.ndim == 2 else 0
-    if not n or y.size != n:
-        raise DimensionError(f"cross_entropy: expected (n, C) logits and n labels, "
-                             f"got {a.shape} and {np.shape(labels)}")
-    onehot = np.zeros(x.shape)
-    onehot[np.arange(n), y.astype(int)] = 1.0
-    shifted = x - x.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    scale = -1.0 / n
+    x = a.data.reshape((-1,) + a.shape[-2:])
+    if len(terms) != x.shape[0]:
+        raise DimensionError(f"slice_losses: {len(terms)} losses for the {x.shape[0]} "
+                             f"slices of {a.shape}")
+    parts = [_LOSSES[name](xi, *targets) for xi, (name, *targets) in zip(x, terms)]
+    values = [float(value) for value, _ in parts]
 
     def back(g, needs):
-        gl = g * scale * onehot
-        return (gl - np.exp(out) * gl.sum(axis=1, keepdims=True),)
+        dx = np.empty(x.shape)
+        for i, (_, part_back) in enumerate(parts):
+            dx[i] = part_back(g)
+        return (dx.reshape(a.shape),)
 
-    return _apply("cross_entropy", (a,), np.asarray((out * onehot).sum()) * scale, back)
+    op = terms[0][0] if len(terms) == 1 else "slice_losses"
+    return _apply(op, (a,), np.asarray(sum(values)), back), values

@@ -68,16 +68,16 @@ def gate_input(x: Tensor, lead_indices, pooled_len: int) -> Tensor:
     return ad.reshape(pooled, (x.shape[0], len(idx) * pooled_len))
 
 
-def gate_forward(gate: GatingNetwork, pooled_input: Tensor) -> Tensor:
+def gate_forward(gate: GatingNetwork, pooled_input: Tensor, xw0: np.ndarray | None = None) -> Tensor:
     """Gating probabilities of a (B, input width) batch, shape (B, N, K),
     softmaxed over the experts; a gate stacked over T tasks maps (T,B,width)
-    to (T,B,N,K)."""
+    to (T,B,N,K). ``xw0``, if given, is the first layer's ``x @ w0.T``."""
     lead = gate.layers[0].w0.shape[:-2]
     if len(pooled_input.shape) != len(lead) + 2 or pooled_input.shape[-1] != gate.in_dim:
         raise DimensionError(
             f"gate expects input width {gate.in_dim} on a (B, width) batch, "
             f"got shape {pooled_input.shape}")
-    scores = head_forward(gate, pooled_input)
+    scores = head_forward(gate, pooled_input, xw0)
     grid = ad.reshape(scores, scores.shape[:-1] + (gate.n_experts, gate.weight_dim))
     return ad.softmax(grid, axis=-2)
 

@@ -10,7 +10,8 @@ layer is one ``lora_linear`` node over all experts of a feature width.
 ``train`` fits all its tasks in one loop: the tasks whose heads and gates
 have equal shapes are stacked once more on a leading task axis, and each
 batch takes one tape, one backward and one Adam step for every task, each
-task reading its own rows.
+task reading its own rows. Each stack of tasks is scored by one loss node,
+and the frozen first layers' products are formed once per fit.
 
 Optimization touches exactly the LoRA factors and biases of heads and
 gate; expert parameters and every frozen base weight are checksum-verified
@@ -353,44 +354,35 @@ def _gated(model: TaskModel) -> GatingNetwork:
     return model.gate
 
 
-def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor):
+def _forward_grouped(model: TaskModel, inputs: list[Tensor], gate_in: Tensor,
+                     xw0s: list[np.ndarray] | None = None):
     """Batched forward from already-standardized features, one (n,B,k) input
-    per head group.
+    per head group; ``xw0s``, if given, holds the first-layer products of the
+    heads ``model.adapted()`` runs, in its order (``_frozen_products``).
 
     Returns (stacked expert logits (B,N,L), weights, combined (B,L)); a joint
     (``_stack_tasks``) keeps its leading task axis on each. With a single
     expert the weight is identically one, so the gate is skipped.
     """
-    stacked = stack_forward(model.stack, inputs)
+    n = len(model.stack.groups)
+    stacked = stack_forward(model.stack, inputs, xw0s and xw0s[:n])
     weights = (Tensor(np.ones(stacked.shape[:-2] + (1, 1))) if len(model.stack) == 1
-               else gate_forward(model.gate, gate_in))
+               else gate_forward(model.gate, gate_in, xw0s and xw0s[n]))
     combined = ensemble_combine(stacked, weights)
     return stacked, weights, combined
 
 
-def _unstack(x: Tensor) -> list[Tensor]:
-    """The slices of ``x`` along its first axis, each taken as one row so
-    that its gradient arrives contiguous."""
-    return [ad.reshape(ad.take_rows(x, [i]), x.shape[1:]) for i in range(x.shape[0])]
-
-
-def _outputs(model: TaskModel, inputs: list[Tensor], gate_in: Tensor) -> list[Tensor]:
-    """The (B,L) outputs a model is scored on: a gated model's combination,
-    or, for a gate-less one, each expert's logits in roster order, taken on
-    axis 0 of its group's (n,B,L) output. A joint of T models gives each
-    model's outputs in turn, from its (T,B,L) combination or (T,n,B,L) logits."""
+def _outputs(model: TaskModel, inputs: list[Tensor], gate_in: Tensor,
+             xw0s: list[np.ndarray] | None = None) -> list[Tensor]:
+    """The outputs a model is scored on, each a stack of (B,L) slices: a
+    gated model's (B,L) combination, or, for a gate-less one, each head
+    group's (n,B,L) expert logits, ``stack.members`` giving their experts. A
+    joint of T models keeps its leading task axis: (T,B,L) and (T,n,B,L).
+    ``xw0s`` as in ``_forward_grouped``."""
     if model.gate is not None:
-        combined = _forward_grouped(model, inputs, gate_in)[2]
-        return _unstack(combined) if len(combined.shape) > 2 else [combined]
-    n, outs = len(model.stack), {}
-    for group, members, x in zip(model.stack.groups, model.stack.members, inputs):
-        logits = head_forward(group, x)
-        if len(logits.shape) > 3:
-            logits = ad.reshape(logits, (-1,) + logits.shape[-2:])
-        for row, out in enumerate(_unstack(logits)):
-            t, j = divmod(row, len(members))
-            outs[t * n + members[j]] = out
-    return [outs[i] for i in range(len(outs))]
+        return [_forward_grouped(model, inputs, gate_in, xw0s)[2]]
+    return [head_forward(group, x, xw0) for group, x, xw0
+            in zip(model.stack.groups, inputs, xw0s or [None] * len(inputs))]
 
 
 def fit_input_stats(prepared: PreparedDataset, train_idx: np.ndarray
@@ -432,13 +424,27 @@ def _check_finite(what: str, *arrays: np.ndarray) -> None:
         raise UsageError(f"{what} must be finite")
 
 
-def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray) -> tuple[list[Tensor], Tensor]:
+def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray,
+          xw0s: list[np.ndarray] | None = None) -> tuple[list[Tensor], Tensor, list[np.ndarray] | None]:
     """The rows ``idx`` (B,) of a run's ``_inputs`` as Tensors, (n,B,k) per
     head group and (B,w); a (T,B) row matrix gives (T,n,B,k) and (T,B,w).
-    Each fresh gather is wrapped as it is, without a copy."""
+    Each fresh gather is wrapped as it is, without a copy. The same rows of
+    a joint's first-layer products ``xw0s`` ((T,)n,N,d and (T,)N,d) come
+    third: (T,)n,B,d and (T,)B,d, or None."""
     feats, gate_in = inputs
+    picked = None
+    if xw0s is not None:
+        # one row gather per product, viewed as a (slices x N, d) matrix:
+        # leading slice s holds rows s N to s N + N - 1, and the slices of
+        # task t read its rows idx[t]
+        picked = []
+        for p in xw0s:
+            lead, (n, d) = p.shape[:-2], p.shape[-2:]
+            starts = np.arange(0, p.size // d, n).reshape(lead + (1,))
+            at = idx.reshape(idx.shape[:-1] + (1,) * (len(lead) - idx.ndim + 1) + idx.shape[-1:])
+            picked.append(np.take(p.reshape(-1, d), starts + at, axis=0))
     return ([ad._make(x[np.arange(len(x))[:, None], idx[..., None, :]]) for x in feats],
-            ad._make(gate_in[idx]))
+            ad._make(gate_in[idx]), picked)
 
 
 def _check_experts(model: TaskModel, experts: list[ExpertModel]) -> None:
@@ -506,10 +512,12 @@ def _frozen_checksums(experts: list[ExpertModel], models: dict[str, TaskModel]) 
 
 def _task_logits(model: TaskModel, prepared: PreparedDataset, idx: np.ndarray) -> np.ndarray:
     """(rows, L) combined logits of a gated model; (N, rows, L) expert
-    logits of a gate-less one."""
+    logits of a gate-less one, in roster order."""
     feats, gate_in = _inputs(model, prepared, idx)
     outs = [o.data for o in _outputs(model, [ad._make(x) for x in feats], ad._make(gate_in))]
-    return np.stack(outs) if model.gate is None else outs[0]
+    if model.gate is not None:
+        return outs[0]
+    return np.concatenate(outs)[np.argsort([i for m in model.stack.members for i in m])]
 
 
 def _scored(cfg: ExperimentConfig, model: TaskModel) -> list[tuple[str, list[Tensor]]]:
@@ -528,21 +536,21 @@ def _metric(model: TaskModel, logits: np.ndarray, labels: np.ndarray) -> float:
     return tk.task_metric(model.task, pred, labels)
 
 
-def _adam_step(opt: Adam, named_losses: Callable[[], list[tuple[str, Tensor]]],
+def _adam_step(opt: Adam, losses: Callable[[], tuple[list[tuple[str, float]], Tensor]],
                where: str = "") -> tuple[list[float], Tape]:
-    """Every fit's Adam step: zero the gradients, record the (task name,
-    loss) pairs ``named_losses`` makes on a fresh tape, refuse a non-finite
-    loss, back-propagate their sum and step. Returns each loss and the tape."""
+    """Every fit's Adam step: zero the gradients, record on a fresh tape what
+    ``losses`` makes, the (task name, value) of each scored output and the
+    loss to back-propagate, refuse a non-finite value, back-propagate and
+    step. Returns the values and the tape."""
     opt.zero_grad()
     with Tape() as tape:
-        losses = named_losses()
-        values = [loss.item() for _, loss in losses]
-        for (name, _), value in zip(losses, values):
+        named, total = losses()
+        for name, value in named:
             if not np.isfinite(value):
                 raise NonFiniteLossError(f"task {name}: non-finite loss {where}")
-        backward(reduce(ad.add, [loss for _, loss in losses]), tape)
+        backward(total, tape)
     opt.step()
-    return values, tape
+    return [value for _, value in named], tape
 
 
 @dataclass
@@ -551,20 +559,25 @@ class _Joint:
     model: its tensors carry a leading task axis, of which each model's
     tensors are views. A model that matches no other is its own joint,
     without the axis. ``index`` gives each model's position in the list the
-    joints were made from."""
+    joints were made from; ``xw0s``, if set, the first-layer products of a
+    run's rows (``_frozen_products``)."""
     index: list[int]
     models: list[TaskModel]
     stack: HeadStack
     gate: GatingNetwork | None
+    xw0s: list[np.ndarray] | None = None
 
     adapted = TaskModel.adapted
     trainable = TaskModel.trainable
 
 
-def _stack_tasks(models: list[TaskModel]) -> list[_Joint]:
+def _stack_tasks(models: list[TaskModel],
+                 inputs: tuple[list[np.ndarray], np.ndarray] | None = None) -> list[_Joint]:
     """The joints of ``models``, in the order of each joint's first model:
     the models whose head groups (members and shapes) and gate agree are
-    stacked into one (``stack_views``)."""
+    stacked into one (``stack_views``). Given a run's ``_inputs``, each
+    joint forms its first-layer products of them (``_frozen_products``);
+    without, its steps form each batch's in the node."""
     keys: dict[tuple, list[int]] = {}
     for t, m in enumerate(models):
         heads = m.stack.groups + ([] if m.gate is None else [m.gate])
@@ -578,35 +591,61 @@ def _stack_tasks(models: list[TaskModel]) -> list[_Joint]:
             stack = HeadStack([LoraHead(stack_views(list(groups)))
                                for groups in zip(*(m.stack.groups for m in ms))], stack.members)
             gate = None if gate is None else replace(gate, layers=stack_views([m.gate for m in ms]))
-        joints.append(_Joint(index, ms, stack, gate))
+        joint = _Joint(index, ms, stack, gate)
+        if inputs is not None:
+            joint.xw0s = _frozen_products(joint, inputs)
+        joints.append(joint)
     return joints
 
 
-def _task_outputs(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
-                  rows: np.ndarray) -> list[tuple[TaskModel, list[Tensor]]]:
-    """(model, its ``_outputs``) for every model of ``joints``, in the order
-    they were made from; model t reads the rows ``rows[t]`` of a (T,B) row
-    matrix from the run's ``_inputs``."""
-    found = {}
+def _frozen_products(joint: _Joint, inputs: tuple[list[np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    """``x @ w0.T`` of the first layer of each head ``joint.adapted()`` runs,
+    over every row of a run's ``_inputs``: (T,)n,N,d per head group and
+    (T,)N,d for the gate. w0 is frozen and the inputs are fixed, so a fit
+    forms these once and each step gathers its rows (``_rows``). For 2 or
+    more rows the gathered rows equal the batch's own product bit for bit
+    (one BLAS matrix product per slice either way); a 1-row batch is a
+    matrix-vector product in the node, which may round otherwise."""
+    feats, gate_in = inputs
+    return [x @ np.ascontiguousarray(head.layers[0].w0.data.swapaxes(-1, -2))
+            for head, x in zip(joint.adapted(), feats + [gate_in])]
+
+
+def _scored_slices(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
+                   rows: np.ndarray):
+    """Each joint output (``_outputs``), model t of the list the joints were
+    made from on the rows ``rows[t]`` of a (T,B) row matrix from the run's
+    ``_inputs``, with the (model, output) key of each of its (B,L) slices
+    in row-major order: output 0 of a gated model, the expert's roster
+    position for a gate-less one, as in ``_scored``."""
     for joint in joints:
         idx = rows[joint.index] if len(joint.index) > 1 else rows[joint.index[0]]
-        outs = _outputs(joint, *_rows(inputs, idx))
-        per = len(outs) // len(joint.index)
-        for i, (t, model) in enumerate(zip(joint.index, joint.models)):
-            found[t] = model, outs[i * per:(i + 1) * per]
-    return [found[t] for t in range(len(found))]
+        outs = _outputs(joint, *_rows(inputs, idx, joint.xw0s))
+        keys = ([[(t, 0) for t in joint.index]] if joint.gate is not None
+                else [[(t, i) for t in joint.index for i in members] for members in joint.stack.members])
+        yield from zip(outs, keys)
 
 
 def _train_step(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
                 targets: list[np.ndarray], rows: np.ndarray, opt: Adam,
                 where: str = "") -> tuple[list[float], Tape]:
-    """``_adam_step`` on the losses of every output of every model of
-    ``joints`` (``_task_outputs``), model t on the rows ``rows[t]``: one
-    tape, one backward and one step for all."""
-    return _adam_step(opt, lambda: [
-        (model.task.name, tk.task_loss(model.task, out, y[r], model.pos_weight, model.neg_weight))
-        for (model, outs), y, r in zip(_task_outputs(joints, inputs, rows), targets, rows)
-        for out in outs], where)
+    """``_adam_step`` on every output of every model of ``joints``, model t
+    on the rows ``rows[t]``: one tape, one backward and one step for all,
+    and one loss node per joint output (``slice_losses``), each slice scored
+    by its task's loss. Values come in ``_scored`` order, model by model."""
+    models = {t: model for joint in joints for t, model in zip(joint.index, joint.models)}
+
+    def losses():
+        terms = {t: tk.loss_terms(model.task, targets[t][rows[t]], model.pos_weight, model.neg_weight)
+                 for t, model in models.items()}
+        values, nodes = {}, []
+        for out, keys in _scored_slices(joints, inputs, rows):
+            node, slice_values = ad.slice_losses(out, [terms[t] for t, _ in keys])
+            nodes.append(node)
+            values.update(zip(keys, slice_values))
+        return [(models[t].task.name, values[(t, i)]) for t, i in sorted(values)], reduce(ad.add, nodes)
+
+    return _adam_step(opt, losses, where)
 
 
 def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDataset,
@@ -616,7 +655,8 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
     run's ``_inputs``: one step per batch for all (``_train_step``), each
     model on the summed losses of its outputs and on its own batch order,
     drawn by ``(seed, 0x7E, task id)``. Parameters are disjoint and Adam is
-    elementwise, so each model trains as it would alone. Each output keeps
+    elementwise, so each model trains as it would alone. Each joint forms
+    its first-layer products once (``_frozen_products``). Each output keeps
     the parameters (``_scored``) of its best validation epoch. Returns
     (validation metric per epoch, mean training loss per epoch) by output."""
     targets = []
@@ -627,7 +667,7 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
         if model.task.kind == "binary" and cfg.class_weighted_bce:
             model.pos_weight, model.neg_weight = tk.class_weights(y)
         targets.append(model.targets(prepared))
-    joints = _stack_tasks(models)
+    joints = _stack_tasks(models, inputs)
     opt = Adam([p for joint in joints for p in joint.trainable()], lr=cfg.learning_rate)
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x7E, _task_id(m.task)))) for m in models]
     scored = [(model, name, params) for model in models for name, params in _scored(cfg, model)]
@@ -643,10 +683,13 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
             values, _ = _train_step(joints, inputs, targets, order[:, start:start + cfg.batch_size],
                                     opt, where=f"at epoch {epoch}, batch starting {start}")
             sums = [acc + value for acc, value in zip(sums, values)]
-        outs = [out for _, task_outs in _task_outputs(joints, inputs, val_rows) for out in task_outs]
-        for i, ((model, name, params), out) in enumerate(zip(scored, outs)):
+        outs = {}
+        for out, keys in _scored_slices(joints, inputs, val_rows):
+            outs.update(zip(keys, out.data.reshape((-1,) + out.shape[-2:])))
+        for i, ((model, name, params), key) in enumerate(zip(scored, sorted(outs))):
+            out = outs[key]
             losses[name].append(sums[i] / max(len(starts), 1))
-            score = _metric(model, out.data, prepared.labels[model.task.name][val_idx])
+            score = _metric(model, out, prepared.labels[model.task.name][val_idx])
             scores = history[name]
             # strict improvement on the running best: the first best epoch wins ties
             if not scores or (score > max(scores) if model.task.higher_is_better
@@ -806,7 +849,7 @@ def bench(trained: TrainedModel, prepared: PreparedDataset, idx: np.ndarray) -> 
     rows = np.tile(batch, (len(models), 1))
     inputs = _inputs(models[0], prepared)
     targets = [model.targets(prepared) for model in models]
-    joints = _stack_tasks(models)
+    joints = _stack_tasks(models, inputs)
     # lr 0: timed steps leave the models unchanged
     probe = Adam([p for joint in joints for p in joint.trainable()], lr=0.0)
     _, tape = _train_step(joints, inputs, targets, rows, probe)    # untimed: sizes one step
@@ -993,10 +1036,14 @@ def fit_sample_aware(cfg: ExperimentConfig, gate_inputs: np.ndarray, logits: np.
         order = rng.permutation(targets.size)
         for start in range(0, order.size, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
-            _adam_step(opt, lambda: [(task.name, tk.task_loss(task, ensemble_combine(
-                ad._make(stacked[rows]), gate_forward(gate, ad._make(gate_inputs[rows]))),
-                targets[rows], pos_w, neg_w))],
-                f"in the sample-aware gate at epoch {epoch}, batch starting {start}")
+
+            def loss():
+                combined = ensemble_combine(ad._make(stacked[rows]),
+                                            gate_forward(gate, ad._make(gate_inputs[rows])))
+                node = tk.task_loss(task, combined, targets[rows], pos_w, neg_w)
+                return [(task.name, node.item())], node
+
+            _adam_step(opt, loss, f"in the sample-aware gate at epoch {epoch}, batch starting {start}")
     return gate
 
 

@@ -69,21 +69,29 @@ def class_weights(y: np.ndarray) -> tuple[float, float]:
     return w_pos, w_neg
 
 
-def task_loss(task: TaskSpec, logits: Tensor, targets: np.ndarray,
-              pos_weight: float = 1.0, neg_weight: float = 1.0) -> Tensor:
-    """Mean loss of a (B, L) logits batch against raw target values.
+def loss_terms(task: TaskSpec, targets: np.ndarray, pos_weight: float = 1.0,
+               neg_weight: float = 1.0) -> tuple:
+    """A task's loss on a (B, L) logits batch against raw target values, as
+    an ``autodiff.slice_losses`` term: the loss's name, then its targets.
 
     Regression targets are whatever scale the caller trains in (the pipeline
-    standardizes them); binary/multiclass targets are class indices. Each
-    loss is one autodiff node that uses the targets as given: the fits
-    check them for finiteness once.
+    standardizes them); binary/multiclass targets are class indices, and a
+    binary target's weight is ``pos_weight`` or ``neg_weight`` by its class.
+    The losses use the targets as given: the fits check them for finiteness
+    once.
     """
     if task.kind == "regression":
-        return ad.mse(logits, targets)
+        return ("mse", targets)
     if task.kind == "binary":
-        return ad.weighted_bce_with_logits(logits, targets,
-                                           np.where(targets > 0.5, pos_weight, neg_weight))
-    return ad.cross_entropy(logits, targets)
+        return ("weighted_bce_with_logits", targets, np.where(targets > 0.5, pos_weight, neg_weight))
+    return ("cross_entropy", targets)
+
+
+def task_loss(task: TaskSpec, logits: Tensor, targets: np.ndarray,
+              pos_weight: float = 1.0, neg_weight: float = 1.0) -> Tensor:
+    """Mean loss of a (B, L) logits batch (``loss_terms``), as one autodiff
+    node tagged by the loss's name."""
+    return ad.slice_losses(logits, [loss_terms(task, targets, pos_weight, neg_weight)])[0]
 
 
 def predictions(task: TaskSpec, logits: np.ndarray) -> np.ndarray:

@@ -94,6 +94,17 @@ def task_loss_composed(task, logits, targets, pos_weight=1.0, neg_weight=1.0):
     return ad.mul(picked, -1.0 / n)
 
 
+def sigmoid_masked(x):
+    """The logistic function piecewise through boolean masks, one exp per
+    piece: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    pos = x >= 0
+    sig = np.empty_like(x)
+    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    sig[~pos] = e / (1.0 + e)
+    return sig
+
+
 def ensemble_combine_composed(logits, weights):
     """``gating.ensemble_combine`` as mul and reduce_sum over the expert axis."""
     return ad.reduce_sum(ad.mul(weights, logits), axis=len(logits.shape) - 2)

@@ -15,7 +15,7 @@ from enecg.gating import ensemble_combine
 from enecg.optim import finite_diff_grad
 from oracles import (
     conv1d_einsum, dft_magnitude_tables, dft_magnitude_tables_backward,
-    ensemble_combine_composed, patch_stats_composition, task_loss_composed,
+    ensemble_combine_composed, patch_stats_composition, sigmoid_masked, task_loss_composed,
 )
 
 
@@ -141,6 +141,37 @@ def test_lora_linear_matches_its_composition_bit_for_bit_at_model_shapes(lead, b
             backward(ad.reduce_sum(ad.mul(composed, Tensor(weight.data[n]))), tape)
         for got, want in zip(fused, [composed.data] + [t.grad for t in (x, w0, a, b, bias)]):
             np.testing.assert_array_equal(got[n], want)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (4, 3)], ids=["plain", "stacked", "tasks"])
+def test_lora_linear_with_its_product_formed_equals_it_in_the_node(lead):
+    """A fit forms x @ w0.T once over every row and gathers a batch's rows:
+    output and gradients equal the node's own product bit for bit."""
+    rng = np.random.default_rng(27)
+    x, w0, a, b, bias = lora_operands(rng, lead, (40,), d=64, k=64, r=4)
+    weight = Tensor(rng.normal(size=lead + (12, 64)))
+    rows = rng.permutation(40)[:12]
+    product = x.data @ np.ascontiguousarray(w0.data.swapaxes(-1, -2))
+    results = []
+    for xw0 in (None, product[..., rows, :]):
+        for t in (a, b, bias):
+            t.requires_grad, t.grad = True, None
+        with Tape() as tape:
+            out = ad.lora_linear(Tensor(x.data[..., rows, :]), w0, a, b, bias, xw0)
+            backward(ad.reduce_sum(ad.mul(out, weight)), tape)
+        results.append([out.data, a.grad, b.grad, bias.grad])
+    for formed, in_node in zip(*results):
+        np.testing.assert_array_equal(formed, in_node)
+
+
+def test_lora_linear_refuses_a_formed_product_of_a_trainable_w0_or_another_shape():
+    rng = np.random.default_rng(28)
+    x, w0, a, b, bias = lora_operands(rng, batch=(3,))
+    xw0 = x.data @ w0.data.T
+    with pytest.raises(UsageError, match="frozen w0"):
+        ad.lora_linear(x, Tensor(w0.data, requires_grad=True), a, b, bias, xw0)
+    with pytest.raises(UsageError, match="frozen w0"):
+        ad.lora_linear(x, w0, a, b, bias, xw0[:2])
 
 
 def test_stacked_lora_linear_equals_each_expert_alone():
@@ -725,6 +756,89 @@ def test_fused_losses_reject_targets_of_another_size():
         ad.weighted_bce_with_logits(x, np.zeros(4), np.ones(5))
     with pytest.raises(DimensionError):
         ad.cross_entropy(Tensor(np.zeros((4, 3))), np.zeros(5))
+
+
+def _slices_and_terms(rng, lead, b, kinds):
+    """Logits (*lead, b, L) and one ``slice_losses`` term per (b, L) slice,
+    cycling through ``kinds`` (task names); L is the first kind's width."""
+    width = tk.task_by_name(kinds[0]).output_dim
+    logits = rng.normal(size=lead + (b, width)) * 3.0
+    terms = []
+    for i in range(int(np.prod(lead))):
+        task = tk.task_by_name(kinds[i % len(kinds)])
+        targets = (rng.normal(size=b) if task.kind == "regression"
+                   else rng.integers(0, max(task.output_dim, 2), size=b).astype(float))
+        terms.append(tk.loss_terms(task, targets, 1.7, 0.6))
+    return logits, terms
+
+
+@pytest.mark.parametrize("lead,kinds", [((4,), ["rr", "age", "sex", "potassium"]),
+                                        ((2, 3), ["sex", "rr"]), ((3,), ["arrhythmia"]),
+                                        ((1,), ["sex"])],
+                         ids=["tasks", "tasks-experts", "cross-entropy", "one"])
+def test_slice_losses_equal_each_loss_on_its_slice_bit_for_bit(lead, kinds):
+    """One node over every slice: each value and each slice's gradient is
+    that of its task's own loss node on the slice alone."""
+    rng = np.random.default_rng(31)
+    logits, terms = _slices_and_terms(rng, lead, 30, kinds)
+    x = Tensor(logits, requires_grad=True)
+    with Tape() as tape:
+        total, values = ad.slice_losses(x, terms)
+        backward(total, tape)
+    assert tape.nodes[-1].op == (terms[0][0] if len(terms) == 1 else "slice_losses")
+    flat = logits.reshape((-1,) + logits.shape[-2:])
+    for i, (name, *targets) in enumerate(terms):
+        alone = Tensor(flat[i].copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = getattr(ad, name)(alone, *targets)
+            backward(loss, tape)
+        assert values[i] == loss.item()
+        np.testing.assert_array_equal(x.grad.reshape(flat.shape)[i], alone.grad)
+
+
+def test_slice_losses_gradient_matches_finite_differences():
+    rng = np.random.default_rng(32)
+    for lead, kinds in (((2, 2), ["rr", "sex", "potassium", "age"]), ((2,), ["arrhythmia"])):
+        logits, terms = _slices_and_terms(rng, lead, 5, kinds)
+        analytic, numeric = grad_of(lambda t: ad.slice_losses(t, terms)[0], Tensor(logits))
+        assert_close(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
+def test_slice_losses_needs_one_term_per_slice():
+    terms = [("mse", np.zeros(4))] * 2
+    with pytest.raises(DimensionError, match="2 losses for the 3 slices"):
+        ad.slice_losses(Tensor(np.zeros((3, 4, 1))), terms)
+    with pytest.raises(DimensionError):
+        ad.slice_losses(Tensor(np.zeros((2, 4, 1))), [("mse", np.zeros(4)), ("mse", np.zeros(3))])
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(33)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 700.5, -700.5, 745.2, -745.2, 1e308, -1e308]
+    x = np.concatenate([special, rng.normal(size=200) * 40.0])
+    got, want = ad._sigmoid(x), sigmoid_masked(x)
+    np.testing.assert_array_equal(got, want)     # NaN where NaN
+    # zeros keep their sign; a NaN's sign bit is not a value (exp(-|NaN|) sets it)
+    number = ~np.isnan(x)
+    np.testing.assert_array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+@pytest.mark.parametrize("idx,axis", [([2, 0, 1], 0), ([0, 2, 0, 0], 0), ([3, 0], 1), ([1, 1, 3], 1)],
+                         ids=["distinct-0", "repeated-0", "distinct-1", "repeated-1"])
+def test_take_rows_backward_equals_np_add_at_bit_for_bit(idx, axis):
+    """Distinct indices assign into the zero buffer, repeated ones add with
+    np.add.at; both give np.add.at's bits, a -0.0 gradient turned to 0.0."""
+    rng = np.random.default_rng(34)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = ad.take_rows(x, idx, axis=axis)
+    g = rng.normal(size=out.shape)
+    g.reshape(-1)[::3] = -0.0
+    with Tape() as tape:
+        backward(ad.reduce_sum(ad.mul(ad.take_rows(x, idx, axis=axis), Tensor(g))), tape)
+    want = np.zeros((3, 4))
+    np.add.at(want, (slice(None),) * axis + (np.asarray(idx),), g * 1.0)
+    np.testing.assert_array_equal(x.grad, want)
+    np.testing.assert_array_equal(np.signbit(x.grad), np.signbit(want))
 
 
 @pytest.mark.parametrize("idx,axis", [([2, 0], 0), ([0, 2, 0, 0], 0), ([1, 1, 3], 1), ([3], 1)])

@@ -714,10 +714,10 @@ def test_each_task_of_a_joint_fit_trains_as_it_would_alone(build, conv_width):
 def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
     """One step for the default roster's five tasks: rr, age, sex and
     potassium (width 1) are one joint of 12 stacked heads and 4 stacked
-    gates, arrhythmia is its own. 37 nodes: per joint, 3 head nodes, a
-    transpose, 5 gate nodes and the combination; per task of the stacked
-    joint, a take_rows and a reshape for its slice; one loss per task; and
-    4 adds summing the losses."""
+    gates, arrhythmia is its own. Per joint, 3 head nodes, a transpose, 5
+    gate nodes, the combination and one loss node over its tasks' slices
+    (a single task's is its loss); an add sums the two. 23 nodes, within
+    the 37 of one loss node per task."""
     cfg = ExperimentConfig(n_records=40)
     experts = build_experts(cfg)
     prepared = prepare_dataset(cfg, experts, seed=0)
@@ -735,9 +735,72 @@ def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
                                    Adam([p for joint in joints for p in joint.trainable()]))
     ops = [node.op for node in tape.nodes]
     assert ops.count("lora_linear") == 8
-    assert [op for op in ops if op in ("mse", "weighted_bce_with_logits", "cross_entropy")] == [
-        "mse", "mse", "weighted_bce_with_logits", "weighted_bce_with_logits", "cross_entropy"]
+    assert [op for op in ops if op in ("mse", "weighted_bce_with_logits", "cross_entropy",
+                                       "slice_losses")] == ["slice_losses", "cross_entropy"]
     assert len(tape) <= 37
+
+
+def _fit_config_joints(n_records=200, products=True):
+    """The perfbench fit config's five task models (seed 1), stacked into
+    joints, with the run's inputs; the joints form their first-layer
+    products unless ``products`` is False."""
+    cfg = ExperimentConfig(seed=1, n_records=n_records, epochs=15)
+    experts = build_experts(cfg)
+    prepared = prepare_dataset(cfg, experts, seed=1)
+    train_idx, _, _ = split_indices(prepared.n, cfg.split, 1)
+    models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=1) for name in cfg.tasks]
+    for model in models:
+        model.feature_stats, model.gate_stats = fit_input_stats(prepared, train_idx)
+    inputs = _inputs(models[0], prepared)
+    joints = pipeline._stack_tasks(models, inputs if products else None)
+    return joints, inputs, [model.targets(prepared) for model in models]
+
+
+def test_five_task_fit_step_records_one_loss_node_per_joint_and_23_nodes():
+    """The step a fit takes, reading each joint's first-layer products: 8
+    lora_linear nodes, one loss node per joint and an add, 23 nodes."""
+    joints, inputs, targets = _fit_config_joints(n_records=40)
+    assert all(len(joint.xw0s) == 2 for joint in joints)     # a head group and the gate
+    _, tape = pipeline._train_step(joints, inputs, targets, np.tile(np.arange(32), (5, 1)),
+                                   Adam([p for joint in joints for p in joint.trainable()]))
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("lora_linear") == 8
+    assert [op for op in ops if op in ("mse", "weighted_bce_with_logits", "cross_entropy",
+                                       "slice_losses")] == ["slice_losses", "cross_entropy"]
+    assert ops[-1] == "add" and len(tape) == 23
+
+
+def test_train_forms_each_joints_first_layer_products_once(tiny_setup, monkeypatch):
+    cfg, experts, prepared = tiny_setup
+    calls = []
+    frozen = pipeline._frozen_products
+    monkeypatch.setattr(pipeline, "_frozen_products", lambda *a: calls.append(a) or frozen(*a))
+    train(replace(cfg, epochs=2), prepared=prepared, experts=experts)
+    assert len(calls) == 2     # the four width-1 tasks' joint and arrhythmia's
+
+
+def test_formed_first_layer_products_equal_the_nodes_own_at_the_fit_config():
+    """A fit gathers each batch's rows of x @ w0.T formed once over all
+    rows. At the fit config's batch sizes (32 and a last batch of 12; the
+    validation pass reads 40 rows) the step's every node output and every
+    gradient equal those of a step forming the product in the node, bit for
+    bit: one BLAS matrix product per slice either way. A 1-row batch is a
+    matrix-vector product in the node, so its rows agree only to rounding."""
+    formed, inputs, targets = _fit_config_joints()
+    in_node, _, _ = _fit_config_joints(products=False)
+    rng = np.random.default_rng(0)
+    for size in (12, 32, 40, 1):
+        rows = np.stack([rng.permutation(200)[:size] for _ in range(5)])
+        steps = []
+        for joints in (formed, in_node):
+            params = [p for joint in joints for p in joint.trainable()]
+            _, tape = pipeline._train_step(joints, inputs, targets, rows, Adam(params, lr=0.0))
+            steps.append(([node.output.data for node in tape.nodes], [p.grad for p in params]))
+        for got, want in zip(sum(steps[0], []), sum(steps[1], [])):
+            if size > 1:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_task_models_view_the_joint_tensors():
