@@ -61,11 +61,12 @@ class LoraLinear:
     def k(self) -> int:
         return self.w0.shape[-1]
 
-    def forward(self, x: Tensor, xw0: np.ndarray | None = None) -> Tensor:
-        """The layer on ``x``; ``xw0``, if given, is ``x @ w0.T`` already formed."""
+    def forward(self, x: Tensor, xw0: np.ndarray | None = None, relu: bool = False) -> Tensor:
+        """The layer on ``x``, then a ReLU if ``relu``; ``xw0``, if given, is
+        ``x @ w0.T`` already formed."""
         if x.shape[-1:] != (self.k,):
             raise DimensionError(f"lora layer expects input width {self.k}, got shape {x.shape}")
-        return ad.lora_linear(x, self.w0, self.lora_a, self.lora_b, self.bias, xw0)
+        return ad.lora_linear(x, self.w0, self.lora_a, self.lora_b, self.bias, xw0, relu)
 
     def trainable(self) -> list[Tensor]:
         return [t for t in (self.lora_a, self.lora_b, self.w0, self.bias) if t.requires_grad]
@@ -103,9 +104,8 @@ def head_forward(head: LoraHead, features: Tensor, xw0: np.ndarray | None = None
     (N,B,k) to (N,B,L). ``xw0``, if given, is the first layer's ``x @ w0.T``."""
     h = features
     for i, layer in enumerate(head.layers):
-        h = layer.forward(h, xw0 if i == 0 else None)
-        if i + 1 < len(head.layers):
-            h = ad.relu(h)
+        # the ReLU between the layers is the hidden layer's node's own
+        h = layer.forward(h, xw0 if i == 0 else None, relu=i + 1 < len(head.layers))
     return h
 
 

@@ -9,13 +9,13 @@ as parameters and input probes. The ``.grad`` of every node output stays
 None. Calling ``backward`` twice without zeroing doubles leaf gradients.
 
 Primitives keep the backward table small and auditable: elementwise
-arithmetic, matmul, the fused LoRA layer, conv1d, relu/softplus/sqrt,
-softmax/log_softmax, window pooling, patch statistics, DFT magnitude, row
-gather, concat/reshape/transpose, reductions, the weighted sum that
-combines expert logits, the three task losses (mse, weighted BCE with
-logits, cross-entropy), their sum over the slices of one array
-(``slice_losses``, one node for a batch of tasks' outputs) and the points
-of a straight line (``line``).
+arithmetic, matmul, the fused LoRA layer (a hidden layer's ReLU included),
+conv1d, relu/softplus/sqrt, softmax/log_softmax, window pooling, patch
+statistics, DFT magnitude, row gather, concat/reshape/transpose,
+reductions, the weighted sum that combines expert logits, the three task
+losses (mse, weighted BCE with logits, cross-entropy), their sum over the
+slices of one array (``slice_losses``, one node for a batch of tasks'
+outputs) and the points of a straight line (``line``).
 Everything downstream (experts, LoRA heads, gating, saliency) composes
 from these. A fused node (the LoRA layer, patch statistics, the weighted
 sum, the losses) keeps the numpy expressions of the composition it
@@ -90,11 +90,12 @@ def as_tensor(x) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "output", "backward")
+    __slots__ = ("op", "inputs", "needs", "output", "backward")
 
-    def __init__(self, op, inputs, output, backward):
+    def __init__(self, op, inputs, needs, output, backward):
         self.op = op                # backward rule identifier
         self.inputs = inputs
+        self.needs = needs          # which inputs require a gradient
         self.output = output
         self.backward = backward   # fn(upstream, needs) -> per-input grads
 
@@ -127,10 +128,11 @@ def _active_tape() -> Tape | None:
 
 
 def _apply(op, inputs, out_arr, backward, cls=Tensor) -> Tensor:
-    out = _make(out_arr, any(t.requires_grad for t in inputs), cls)
+    needs = tuple(t.requires_grad for t in inputs)
+    out = _make(out_arr, any(needs), cls)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.nodes.append(_Node(op, inputs, out, backward))
+        tape.nodes.append(_Node(op, inputs, needs, out, backward))
     return out
 
 
@@ -149,9 +151,8 @@ def backward(scalar: Tensor, tape: Tape) -> None:
         g = flowing.pop(id(node.output), None)
         if g is None:
             continue
-        grads = node.backward(g, tuple(t.requires_grad for t in node.inputs))
-        for t, gi in zip(node.inputs, grads):
-            if gi is None or not t.requires_grad:
+        for t, need, gi in zip(node.inputs, node.needs, node.backward(g, node.needs)):
+            if gi is None or not need:
                 continue
             key = id(t)
             acc = flowing.get(key)
@@ -241,7 +242,21 @@ def matmul(a, b) -> Tensor:
     return _apply("matmul", (a, b), out, back)
 
 
-def lora_linear(x, w0, a, b, bias, xw0=None) -> Tensor:
+def _matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``p @ q``. Over an inner dimension of 1, numpy's matmul leaves BLAS
+    for a scalar loop, 0.0 + p q per element, at several times the cost: a
+    zero column of p and row of q, appended, keep it in BLAS with the same
+    bits, each element one product and exact zeros."""
+    if p.shape[-1] != 1:
+        return p @ q
+    p2 = np.zeros(p.shape[:-1] + (2,))
+    p2[..., :1] = p
+    q2 = np.zeros(q.shape[:-2] + (2,) + q.shape[-1:])
+    q2[..., :1, :] = q
+    return p2 @ q2
+
+
+def lora_linear(x, w0, a, b, bias, xw0=None, relu=False) -> Tensor:
     """One LoRA layer, ``x @ w0.T + (x @ a.T) @ b.T + bias``, as a single node.
 
     Plain: w0 (d,k), a (r,k), b (d,r), bias (d,) and x (k,) or (B,k).
@@ -259,6 +274,10 @@ def lora_linear(x, w0, a, b, bias, xw0=None) -> Tensor:
     batch's rows. The node adds it in the product's place, in the same
     order; the backward is unchanged. It is refused if ``w0`` requires a
     gradient, as a step would change the product it stands for.
+
+    ``relu`` applies the ``relu`` primitive to the layer's output in the same
+    node (a head's hidden layer), and its mask first in the backward: the
+    bits of a ``relu`` node after the layer.
     """
     x, w0, a, b, bias = (as_tensor(t) for t in (x, w0, a, b, bias))
     xd = x.data
@@ -281,16 +300,25 @@ def lora_linear(x, w0, a, b, bias, xw0=None) -> Tensor:
         return np.ascontiguousarray(t.data.swapaxes(-1, -2))
 
     at, bt = transposed(a), transposed(b)
+    w0t = transposed(w0) if xw0 is None or x.requires_grad else None
     xa = xd @ at
-    out = (xd @ transposed(w0) if xw0 is None else xw0) + xa @ bt + (bias.data[..., None, :] if lead else bias.data)
+    # in place, (x @ w0.T + xa @ b.T) + bias
+    out = xa @ bt
+    out += xd @ w0t if xw0 is None else xw0
+    out += bias.data[..., None, :] if lead else bias.data
+    mask = None
+    if relu:
+        out, mask = _relu(out, out)
 
     def back(g, needs):
+        if mask is not None:
+            g = g * mask
         # a single sample is differentiated as a one-row batch
         x2, xa2, g2 = (xd[None], xa[None], g[None]) if xd.ndim == 1 else (xd, xa, g)
         dxa = g2 @ bt.swapaxes(-1, -2) if needs[0] or needs[2] else None
         dx = None
         if needs[0]:
-            dx = (dxa @ at.swapaxes(-1, -2) + g2 @ transposed(w0).swapaxes(-1, -2)).reshape(xd.shape)
+            dx = (_matmul(dxa, at.swapaxes(-1, -2)) + _matmul(g2, w0t.swapaxes(-1, -2))).reshape(xd.shape)
         return (dx,
                 (x2.swapaxes(-1, -2) @ g2).swapaxes(-1, -2) if needs[1] else None,
                 (x2.swapaxes(-1, -2) @ dxa).swapaxes(-1, -2) if needs[2] else None,
@@ -387,15 +415,10 @@ def take_rows(a, indices, axis: int = 0) -> Tensor:
     arr = np.asarray(idx, dtype=np.intp)
     shape = a.data.shape
     where = (slice(None),) * axis + (arr,)
-    distinct = len(set(idx)) == len(idx)
 
     def back(g, needs):
         da = np.zeros(shape)
-        if distinct:    # np.add.at's bits: 0.0 + g, which turns a -0.0 into 0.0
-            da[where] = g
-            da += 0.0
-        else:
-            np.add.at(da, where, g)
+        np.add.at(da, where, g)
         return (da,)
 
     return _apply("take_rows", (a,), np.take(a.data, arr, axis=axis), back)
@@ -455,13 +478,19 @@ def _carried(a: _Line, op) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
+def _relu(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """np.where(x > 0, x, 0.0), into ``out`` if given, and the mask x > 0.
+    No branch per element: fmax drops negatives and NaN, and adding 0.0
+    turns a -0.0 into 0.0."""
+    mask = x > 0.0
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out, mask
+
+
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0.0
-    # np.where(mask, a, 0.0) without a branch per element: fmax drops
-    # negatives and NaN, and adding 0.0 turns a -0.0 into 0.0
-    out = np.fmax(a.data, 0.0)
-    out += 0.0
+    out, mask = _relu(a.data)
 
     def back(g, needs):
         return (g * mask,)
@@ -824,60 +853,62 @@ def weighted_sum(w, a, axis: int) -> Tensor:
 # task losses: one node each, against numpy targets of the logits' size.
 # The targets are used as given (the caller checks them once per fit), and
 # forward and backward keep the numpy expressions of the composed loss each
-# replaces, so the two agree bit for bit. Each loss is a (value, backward)
-# pair of an array and its targets, so ``slice_losses`` scores slices of one
-# array with the same expressions.
+# replaces, so the two agree bit for bit. Each loss takes a stack of S
+# slices along a leading axis and its targets stacked alike, and gives the
+# S values and a backward: numpy reduces each row of a stack as it reduces
+# that row alone, so a slice's value and gradient are its loss's on the
+# slice alone, and ``slice_losses`` scores a run of one loss's slices at once.
 
 def _flat_targets(x: np.ndarray, name: str, *arrays) -> list[np.ndarray]:
-    flat = [np.asarray(t, dtype=np.float64).reshape(-1) for t in arrays]
+    flat = [np.asarray(t, dtype=np.float64) for t in arrays]
     if not x.size or any(t.size != x.size for t in flat):
-        raise DimensionError(f"{name}: logits {x.shape} and targets "
-                             f"{[np.shape(t) for t in arrays]} differ in size or are empty")
-    return flat
+        raise DimensionError(f"{name}: logits {x.shape[1:]} and targets "
+                             f"{[np.shape(t)[1:] for t in arrays]} differ in size or are empty")
+    return [t.reshape(len(x), -1) for t in flat]
 
 
 def _mse(x: np.ndarray, target):
     (t,) = _flat_targets(x, "mse", target)
-    diff = x.reshape(-1) - t
+    diff = x.reshape(t.shape) - t
     shape = x.shape
 
     def back(g):
-        d = (g / t.size) * diff
+        d = (g / t.shape[1]) * diff
         return (d + d).reshape(shape)
 
-    return np.asarray((diff * diff).mean()), back
+    return (diff * diff).mean(axis=1), back
 
 
 def _weighted_bce(x: np.ndarray, target, weight):
     y, w = _flat_targets(x, "weighted_bce_with_logits", target, weight)
-    z = x.reshape(-1)
+    z = x.reshape(y.shape)
     not_y = 1.0 - y
     shape = x.shape
 
     def back(g):
-        gw = (g / y.size) * w
+        gw = (g / y.shape[1]) * w
         return ((gw * not_y) * _sigmoid(z) + -((gw * y) * _sigmoid(-z))).reshape(shape)
 
-    return np.asarray((w * (y * np.logaddexp(0.0, -z) + not_y * np.logaddexp(0.0, z))).mean()), back
+    return (w * (y * np.logaddexp(0.0, -z) + not_y * np.logaddexp(0.0, z))).mean(axis=1), back
 
 
 def _cross_entropy(x: np.ndarray, labels):
-    y = np.asarray(labels).reshape(-1)
-    n = x.shape[0] if x.ndim == 2 else 0
-    if not n or y.size != n:
+    y = np.asarray(labels).reshape(len(x), -1)
+    n = x.shape[1] if x.ndim == 3 else 0
+    if not n or y.shape[1] != n:
         raise DimensionError(f"cross_entropy: expected (n, C) logits and n labels, "
-                             f"got {x.shape} and {np.shape(labels)}")
+                             f"got {x.shape[1:]} and {np.shape(labels)[1:]}")
     onehot = np.zeros(x.shape)
-    onehot[np.arange(n), y.astype(int)] = 1.0
-    shifted = x - x.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    onehot[np.arange(len(x))[:, None], np.arange(n), y.astype(int)] = 1.0
+    shifted = x - x.max(axis=2, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     scale = -1.0 / n
 
     def back(g):
         gl = g * scale * onehot
-        return gl - np.exp(out) * gl.sum(axis=1, keepdims=True)
+        return gl - np.exp(out) * gl.sum(axis=2, keepdims=True)
 
-    return np.asarray((out * onehot).sum()) * scale, back
+    return (out * onehot).sum(axis=(1, 2)) * scale, back
 
 
 _LOSSES = {"mse": _mse, "weighted_bce_with_logits": _weighted_bce, "cross_entropy": _cross_entropy}
@@ -885,8 +916,8 @@ _LOSSES = {"mse": _mse, "weighted_bce_with_logits": _weighted_bce, "cross_entrop
 
 def _loss_node(name: str, a, *targets) -> Tensor:
     a = as_tensor(a)
-    value, back = _LOSSES[name](a.data, *targets)
-    return _apply(name, (a,), value, lambda g, needs: (back(g),))
+    values, back = _LOSSES[name](a.data[None], *(np.asarray(t)[None] for t in targets))
+    return _apply(name, (a,), np.asarray(values[0]), lambda g, needs: (back(g)[0],))
 
 
 def mse(a, target) -> Tensor:
@@ -916,20 +947,30 @@ def slice_losses(a, terms) -> tuple[Tensor, list[float]]:
     each slice's value. ``terms[i]`` is the i-th slice's loss, by its
     function's name (``mse``, ``weighted_bce_with_logits`` or
     ``cross_entropy``), then its targets as that function takes them. Each
-    slice keeps its loss's expressions, so its value and gradient are that
-    loss's on the slice alone. A single term is tagged by its loss's name."""
+    run of adjacent slices with one loss is scored as one stack, by that
+    loss's expressions, so each slice's value and gradient are that loss's
+    on the slice alone. A single term is tagged by its loss's name."""
     a = as_tensor(a)
     x = a.data.reshape((-1,) + a.shape[-2:])
     if len(terms) != x.shape[0]:
         raise DimensionError(f"slice_losses: {len(terms)} losses for the {x.shape[0]} "
                              f"slices of {a.shape}")
-    parts = [_LOSSES[name](xi, *targets) for xi, (name, *targets) in zip(x, terms)]
-    values = [float(value) for value, _ in parts]
+    starts = [i for i in range(len(terms)) if not i or terms[i][0] != terms[i - 1][0]]
+    parts = []
+    for start, end in zip(starts, starts[1:] + [len(terms)]):
+        run = terms[start:end]
+        try:
+            targets = [np.stack(arrays) for arrays in zip(*(term[1:] for term in run))]
+        except ValueError as e:
+            raise DimensionError(f"slice_losses: the targets of slices {start} to {end - 1} "
+                                 f"differ in shape") from e
+        parts.append((start, end, *_LOSSES[run[0][0]](x[start:end], *targets)))
+    values = [float(v) for _, _, run_values, _ in parts for v in run_values]
 
     def back(g, needs):
         dx = np.empty(x.shape)
-        for i, (_, part_back) in enumerate(parts):
-            dx[i] = part_back(g)
+        for start, end, _, run_back in parts:
+            dx[start:end] = run_back(g)
         return (dx.reshape(a.shape),)
 
     op = terms[0][0] if len(terms) == 1 else "slice_losses"

@@ -28,10 +28,15 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._ends = np.cumsum([p.data.size for p in self.params], dtype=np.int64)
-        size = int(self._ends[-1]) if self.params else 0
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        ends = np.cumsum([0] + [p.data.size for p in self.params], dtype=np.int64)
+        self.m = np.zeros(int(ends[-1]))
+        self.v = np.zeros(int(ends[-1]))
+        # the gradients and the update, reused every step: each parameter
+        # reads its shape's view of the update
+        self._grad = np.zeros(int(ends[-1]))
+        self._update = np.zeros(int(ends[-1]))
+        self._updates = [self._update[start:end].reshape(p.data.shape)
+                         for p, start, end in zip(self.params, ends, ends[1:])]
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -42,7 +47,7 @@ class Adam:
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
         # with no parameters, an empty update
-        g = np.concatenate([p.grad.reshape(-1) for p in self.params] or [self.m])
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params] or [self.m], out=self._grad)
         # in place, the operations of m = b1 m + (1 - b1) g,
         # v = b2 v + (1 - b2) g g and lr (m / c1) / (sqrt(v / c2) + eps)
         self.m *= self.beta1
@@ -51,16 +56,14 @@ class Adam:
         g *= 1.0 - self.beta2
         self.v *= self.beta2
         self.v += g
-        update = self.m / c1
+        update = np.divide(self.m, c1, out=self._update)
         update *= self.lr
         denom = np.divide(self.v, c2, out=g)
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
-        start = 0
-        for p, end in zip(self.params, self._ends):
-            p.data -= update[start:end].reshape(p.data.shape)
-            start = end
+        for p, u in zip(self.params, self._updates):
+            p.data -= u
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -559,8 +559,8 @@ class _Joint:
     model: its tensors carry a leading task axis, of which each model's
     tensors are views. A model that matches no other is its own joint,
     without the axis. ``index`` gives each model's position in the list the
-    joints were made from; ``xw0s``, if set, the first-layer products of a
-    run's rows (``_frozen_products``)."""
+    joints were made from; ``xw0s`` the first-layer products of a run's rows
+    (``_frozen_products``), or None to form each batch's in the node."""
     index: list[int]
     models: list[TaskModel]
     stack: HeadStack
@@ -572,12 +572,11 @@ class _Joint:
 
 
 def _stack_tasks(models: list[TaskModel],
-                 inputs: tuple[list[np.ndarray], np.ndarray] | None = None) -> list[_Joint]:
+                 inputs: tuple[list[np.ndarray], np.ndarray]) -> list[_Joint]:
     """The joints of ``models``, in the order of each joint's first model:
     the models whose head groups (members and shapes) and gate agree are
-    stacked into one (``stack_views``). Given a run's ``_inputs``, each
-    joint forms its first-layer products of them (``_frozen_products``);
-    without, its steps form each batch's in the node."""
+    stacked into one (``stack_views``). Each joint forms its first-layer
+    products of the run's ``_inputs`` (``_frozen_products``)."""
     keys: dict[tuple, list[int]] = {}
     for t, m in enumerate(models):
         heads = m.stack.groups + ([] if m.gate is None else [m.gate])
@@ -592,8 +591,7 @@ def _stack_tasks(models: list[TaskModel],
                                for groups in zip(*(m.stack.groups for m in ms))], stack.members)
             gate = None if gate is None else replace(gate, layers=stack_views([m.gate for m in ms]))
         joint = _Joint(index, ms, stack, gate)
-        if inputs is not None:
-            joint.xw0s = _frozen_products(joint, inputs)
+        joint.xw0s = _frozen_products(joint, inputs)
         joints.append(joint)
     return joints
 
@@ -611,16 +609,21 @@ def _frozen_products(joint: _Joint, inputs: tuple[list[np.ndarray], np.ndarray])
             for head, x in zip(joint.adapted(), feats + [gate_in])]
 
 
-def _scored_slices(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
-                   rows: np.ndarray):
-    """Each joint output (``_outputs``), model t of the list the joints were
-    made from on the rows ``rows[t]`` of a (T,B) row matrix from the run's
-    ``_inputs``, with the (model, output) key of each of its (B,L) slices
-    in row-major order: output 0 of a gated model, the expert's roster
-    position for a gate-less one, as in ``_scored``."""
-    for joint in joints:
-        idx = rows[joint.index] if len(joint.index) > 1 else rows[joint.index[0]]
-        outs = _outputs(joint, *_rows(inputs, idx, joint.xw0s))
+def _joint_rows(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray],
+                rows: np.ndarray) -> list[tuple]:
+    """Each joint's ``_rows`` of the run's ``_inputs``, model t of the list
+    the joints were made from on the rows ``rows[t]`` of a (T,B) row matrix."""
+    return [_rows(inputs, rows[joint.index] if len(joint.index) > 1 else rows[joint.index[0]],
+                  joint.xw0s) for joint in joints]
+
+
+def _scored_slices(joints: list[_Joint], joint_rows: list[tuple]):
+    """Each joint output (``_outputs``) on its rows (``_joint_rows``), with
+    the (model, output) key of each of its (B,L) slices in row-major order:
+    output 0 of a gated model, the expert's roster position for a gate-less
+    one, as in ``_scored``."""
+    for joint, rows in zip(joints, joint_rows):
+        outs = _outputs(joint, *rows)
         keys = ([[(t, 0) for t in joint.index]] if joint.gate is not None
                 else [[(t, i) for t in joint.index for i in members] for members in joint.stack.members])
         yield from zip(outs, keys)
@@ -631,16 +634,17 @@ def _train_step(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray
                 where: str = "") -> tuple[list[float], Tape]:
     """``_adam_step`` on every output of every model of ``joints``, model t
     on the rows ``rows[t]``: one tape, one backward and one step for all,
-    and one loss node per joint output (``slice_losses``), each slice scored
-    by its task's loss. Values come in ``_scored`` order, model by model."""
+    and one loss node per joint output (``tasks.task_loss``), each slice
+    scored by its task's loss. Values come in ``_scored`` order, model by
+    model."""
     models = {t: model for joint in joints for t, model in zip(joint.index, joint.models)}
 
     def losses():
-        terms = {t: tk.loss_terms(model.task, targets[t][rows[t]], model.pos_weight, model.neg_weight)
-                 for t, model in models.items()}
+        slices = {t: (model.task, targets[t][rows[t]], model.pos_weight, model.neg_weight)
+                  for t, model in models.items()}
         values, nodes = {}, []
-        for out, keys in _scored_slices(joints, inputs, rows):
-            node, slice_values = ad.slice_losses(out, [terms[t] for t, _ in keys])
+        for out, keys in _scored_slices(joints, _joint_rows(joints, inputs, rows)):
+            node, slice_values = tk.task_loss(out, [slices[t] for t, _ in keys])
             nodes.append(node)
             values.update(zip(keys, slice_values))
         return [(models[t].task.name, values[(t, i)]) for t, i in sorted(values)], reduce(ad.add, nodes)
@@ -675,7 +679,8 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
     losses: dict[str, list[float]] = {name: [] for _, name, _ in scored}
     best_state: list[list[np.ndarray] | None] = [None] * len(scored)
     starts = range(0, train_idx.size, cfg.batch_size)
-    val_rows = np.tile(val_idx, (len(models), 1))
+    # the validation rows are the same every epoch: gathered once
+    val_rows = _joint_rows(joints, inputs, np.tile(val_idx, (len(models), 1)))
     for epoch in range(cfg.epochs):
         order = np.stack([train_idx[rng.permutation(train_idx.size)] for rng in rngs])
         sums = [0.0] * len(scored)
@@ -684,7 +689,7 @@ def _fit(cfg: ExperimentConfig, models: list[TaskModel], prepared: PreparedDatas
                                     opt, where=f"at epoch {epoch}, batch starting {start}")
             sums = [acc + value for acc, value in zip(sums, values)]
         outs = {}
-        for out, keys in _scored_slices(joints, inputs, val_rows):
+        for out, keys in _scored_slices(joints, val_rows):
             outs.update(zip(keys, out.data.reshape((-1,) + out.shape[-2:])))
         for i, ((model, name, params), key) in enumerate(zip(scored, sorted(outs))):
             out = outs[key]
@@ -1040,8 +1045,8 @@ def fit_sample_aware(cfg: ExperimentConfig, gate_inputs: np.ndarray, logits: np.
             def loss():
                 combined = ensemble_combine(ad._make(stacked[rows]),
                                             gate_forward(gate, ad._make(gate_inputs[rows])))
-                node = tk.task_loss(task, combined, targets[rows], pos_w, neg_w)
-                return [(task.name, node.item())], node
+                node, values = tk.task_loss(combined, [(task, targets[rows], pos_w, neg_w)])
+                return [(task.name, values[0])], node
 
             _adam_step(opt, loss, f"in the sample-aware gate at epoch {epoch}, batch starting {start}")
     return gate

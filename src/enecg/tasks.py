@@ -69,29 +69,31 @@ def class_weights(y: np.ndarray) -> tuple[float, float]:
     return w_pos, w_neg
 
 
-def loss_terms(task: TaskSpec, targets: np.ndarray, pos_weight: float = 1.0,
-               neg_weight: float = 1.0) -> tuple:
-    """A task's loss on a (B, L) logits batch against raw target values, as
-    an ``autodiff.slice_losses`` term: the loss's name, then its targets.
+def task_loss(logits: Tensor, slices) -> tuple[Tensor, list[float]]:
+    """Mean loss of each (B, L) slice of ``logits`` (*lead, B, L), in
+    row-major order, against its task's raw target values, as one autodiff
+    node whose output is their sum (``autodiff.slice_losses``, tagged by the
+    loss's name for a single slice); returns the node and each slice's value.
+    ``slices`` holds a (task, targets) or (task, targets, pos_weight,
+    neg_weight) per slice.
 
     Regression targets are whatever scale the caller trains in (the pipeline
     standardizes them); binary/multiclass targets are class indices, and a
-    binary target's weight is ``pos_weight`` or ``neg_weight`` by its class.
-    The losses use the targets as given: the fits check them for finiteness
-    once.
+    binary target's weight is ``pos_weight`` or ``neg_weight`` by its class
+    (1 without them). The losses use the targets as given: the fits check
+    them for finiteness once.
     """
-    if task.kind == "regression":
-        return ("mse", targets)
-    if task.kind == "binary":
-        return ("weighted_bce_with_logits", targets, np.where(targets > 0.5, pos_weight, neg_weight))
-    return ("cross_entropy", targets)
-
-
-def task_loss(task: TaskSpec, logits: Tensor, targets: np.ndarray,
-              pos_weight: float = 1.0, neg_weight: float = 1.0) -> Tensor:
-    """Mean loss of a (B, L) logits batch (``loss_terms``), as one autodiff
-    node tagged by the loss's name."""
-    return ad.slice_losses(logits, [loss_terms(task, targets, pos_weight, neg_weight)])[0]
+    terms = []
+    for task, targets, *weights in slices:
+        if task.kind == "regression":
+            terms.append(("mse", targets))
+        elif task.kind == "binary":
+            pos_weight, neg_weight = weights or (1.0, 1.0)
+            terms.append(("weighted_bce_with_logits", targets,
+                          np.where(targets > 0.5, pos_weight, neg_weight)))
+        else:
+            terms.append(("cross_entropy", targets))
+    return ad.slice_losses(logits, terms)
 
 
 def predictions(task: TaskSpec, logits: np.ndarray) -> np.ndarray:

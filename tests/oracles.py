@@ -204,7 +204,7 @@ def train_sample_aware(gate_inputs, logits_per_expert, labels, task, seed=0, lea
             with ad.Tape() as tape:
                 w = gate_forward(gate, ad.Tensor(gate_inputs[batch]))
                 combined = ensemble_combine(ad.Tensor(stacked[batch]), w)
-                loss = tk.task_loss(task, combined, labels[batch], pos_w, neg_w)
+                loss, _ = tk.task_loss(combined, [(task, labels[batch], pos_w, neg_w)])
                 ad.backward(loss, tape)
             opt.step()
     return gate

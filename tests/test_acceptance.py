@@ -155,7 +155,7 @@ def test_criterion_1_gradient_suite():
         def loss_fn():
             feats, gate_in = _inputs(model, prepared, idx)
             _, _, combined = _forward_grouped(model, [Tensor(x) for x in feats], Tensor(gate_in))
-            return tk.task_loss(model.task, combined, y)
+            return tk.task_loss(combined, [(model.task, y)])[0]
 
         with Tape() as tape:
             backward(loss_fn(), tape)

@@ -164,6 +164,61 @@ def test_lora_linear_with_its_product_formed_equals_it_in_the_node(lead):
         np.testing.assert_array_equal(formed, in_node)
 
 
+@pytest.mark.parametrize("lead,batch,k", [((), (6,), 5), ((3,), (32,), 64), ((4, 3), (32,), 64)],
+                         ids=["plain", "stacked", "tasks"])
+def test_lora_linear_with_relu_equals_a_relu_node_after_it_bit_for_bit(lead, batch, k):
+    """A head's hidden layer takes its ReLU in the node: output and every
+    gradient equal those of a ``relu`` node after the layer, bit for bit."""
+    rng = np.random.default_rng(29)
+    operands = lora_operands(rng, lead, batch, d=64, k=k, r=4)
+    operands[4].data[..., ::7] = 0.0        # outputs on the kink, where the mask is 0
+    operands[0].data[..., :] = np.where(rng.random(operands[0].shape) < 0.1, 0.0, operands[0].data)
+    weight = Tensor(rng.normal(size=lead + batch + (64,)))
+    results = []
+    for fused in (True, False):
+        for t in operands:
+            t.requires_grad, t.grad = True, None
+        with Tape() as tape:
+            out = (ad.lora_linear(*operands, relu=True) if fused
+                   else ad.relu(ad.lora_linear(*operands)))
+            backward(ad.reduce_sum(ad.mul(out, weight)), tape)
+        results.append([out.data] + [t.grad for t in operands])
+    assert (results[0][0] == 0.0).any()
+    for fused, separate in zip(*results):
+        np.testing.assert_array_equal(fused, separate)
+
+
+def test_lora_linear_with_relu_gradients_match_finite_differences():
+    rng = np.random.default_rng(30)
+    operands = lora_operands(rng, (2,), (3,))
+    weight = Tensor(rng.normal(size=(2, 3, 4)))
+    for i in range(5):
+        def build(t):
+            args = list(operands)
+            args[i] = t
+            return ad.reduce_sum(ad.mul(ad.lora_linear(*args, relu=True), weight))
+
+        analytic, numeric = grad_of(build, operands[i])
+        assert_close(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("p_shape,q_shape", [((32, 1), (1, 64)), ((4, 3, 32, 1), (4, 3, 1, 64)),
+                                             ((4, 3, 32, 4), (4, 3, 4, 64))],
+                         ids=["plain", "tasks", "inner-4"])
+def test_lora_backward_products_equal_numpys_matmul_bit_for_bit(p_shape, q_shape):
+    """The width-1 output layer's rank-1 backward products take BLAS with a
+    zero column appended: numpy's own bits, signed zeros and infinities
+    included."""
+    rng = np.random.default_rng(35)
+    p, q = rng.normal(size=p_shape), rng.normal(size=q_shape)
+    p.reshape(-1)[:5] = [0.0, -0.0, 3.0, np.inf, -2.0]
+    q.reshape(-1)[:5] = [-0.0, 2.0, -0.0, 1.5, 1e-320]
+    with np.errstate(invalid="ignore"):
+        got, want = ad._matmul(p, q), p @ q
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_lora_linear_refuses_a_formed_product_of_a_trainable_w0_or_another_shape():
     rng = np.random.default_rng(28)
     x, w0, a, b, bias = lora_operands(rng, batch=(3,))
@@ -722,8 +777,9 @@ def test_fused_task_losses_equal_their_composition_bit_for_bit(task_name):
     else:
         targets = rng.integers(0, max(task.output_dim, 2), size=n).astype(float)
     for scale in (1.0, 0.37):
-        fused, composed = (_value_and_grads(lambda t: loss(task, t, targets, 1.7, 0.6), [logits], scale)
-                           for loss in (tk.task_loss, task_loss_composed))
+        fused, composed = (_value_and_grads(loss, [logits], scale) for loss in (
+            lambda t: tk.task_loss(t, [(task, targets, 1.7, 0.6)])[0],
+            lambda t: task_loss_composed(task, t, targets, 1.7, 0.6)))
         for a, b in zip(fused, composed):
             np.testing.assert_array_equal(a, b)
 
@@ -768,7 +824,9 @@ def _slices_and_terms(rng, lead, b, kinds):
         task = tk.task_by_name(kinds[i % len(kinds)])
         targets = (rng.normal(size=b) if task.kind == "regression"
                    else rng.integers(0, max(task.output_dim, 2), size=b).astype(float))
-        terms.append(tk.loss_terms(task, targets, 1.7, 0.6))
+        terms.append({"regression": ("mse", targets), "multiclass": ("cross_entropy", targets),
+                      "binary": ("weighted_bce_with_logits", targets,
+                                 np.where(targets > 0.5, 1.7, 0.6))}[task.kind])
     return logits, terms
 
 
@@ -821,24 +879,6 @@ def test_sigmoid_equals_the_masked_form_bit_for_bit():
     # zeros keep their sign; a NaN's sign bit is not a value (exp(-|NaN|) sets it)
     number = ~np.isnan(x)
     np.testing.assert_array_equal(np.signbit(got[number]), np.signbit(want[number]))
-
-
-@pytest.mark.parametrize("idx,axis", [([2, 0, 1], 0), ([0, 2, 0, 0], 0), ([3, 0], 1), ([1, 1, 3], 1)],
-                         ids=["distinct-0", "repeated-0", "distinct-1", "repeated-1"])
-def test_take_rows_backward_equals_np_add_at_bit_for_bit(idx, axis):
-    """Distinct indices assign into the zero buffer, repeated ones add with
-    np.add.at; both give np.add.at's bits, a -0.0 gradient turned to 0.0."""
-    rng = np.random.default_rng(34)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    out = ad.take_rows(x, idx, axis=axis)
-    g = rng.normal(size=out.shape)
-    g.reshape(-1)[::3] = -0.0
-    with Tape() as tape:
-        backward(ad.reduce_sum(ad.mul(ad.take_rows(x, idx, axis=axis), Tensor(g))), tape)
-    want = np.zeros((3, 4))
-    np.add.at(want, (slice(None),) * axis + (np.asarray(idx),), g * 1.0)
-    np.testing.assert_array_equal(x.grad, want)
-    np.testing.assert_array_equal(np.signbit(x.grad), np.signbit(want))
 
 
 @pytest.mark.parametrize("idx,axis", [([2, 0], 0), ([0, 2, 0, 0], 0), ([1, 1, 3], 1), ([3], 1)])

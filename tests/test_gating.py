@@ -101,7 +101,7 @@ def test_gate_gradients_match_finite_differences():
     def loss_fn():
         w = gate_forward(gate, x)
         combined = ensemble_combine(logits, w)
-        return tk.task_loss(tk.TASKS["rr"], combined, y)
+        return tk.task_loss(combined, [(tk.TASKS["rr"], y)])[0]
 
     params = trainable_params(gate)
     with Tape() as tape:

@@ -447,7 +447,7 @@ def test_end_to_end_gradients_match_finite_differences(tiny_setup):
         def loss_fn():
             feats, gate_in = _inputs(model, prepared, idx)
             _, _, combined = _forward_grouped(model, [Tensor(x) for x in feats], Tensor(gate_in))
-            return tk.task_loss(model.task, combined, y)
+            return tk.task_loss(combined, [(model.task, y)])[0]
 
         params = model.trainable()
         with Tape() as tape:
@@ -666,7 +666,8 @@ def test_single_task_moe_step_records_at_most_12_nodes():
     for name in cfg.tasks:
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
         model.feature_stats, model.gate_stats = stats
-        _, tape = pipeline._train_step(pipeline._stack_tasks([model]), _inputs(model, prepared),
+        inputs = _inputs(model, prepared)
+        _, tape = pipeline._train_step(pipeline._stack_tasks([model], inputs), inputs,
                                        [model.targets(prepared)], np.arange(32)[None],
                                        Adam(model.trainable()))
         assert len(tape) <= 12, name
@@ -714,10 +715,10 @@ def test_each_task_of_a_joint_fit_trains_as_it_would_alone(build, conv_width):
 def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
     """One step for the default roster's five tasks: rr, age, sex and
     potassium (width 1) are one joint of 12 stacked heads and 4 stacked
-    gates, arrhythmia is its own. Per joint, 3 head nodes, a transpose, 5
-    gate nodes, the combination and one loss node over its tasks' slices
-    (a single task's is its loss); an add sums the two. 23 nodes, within
-    the 37 of one loss node per task."""
+    gates, arrhythmia is its own. Per joint, 2 head nodes (the hidden
+    layer's ReLU in its node), a transpose, 4 gate nodes, the combination
+    and one loss node over its tasks' slices (a single task's is its loss);
+    an add sums the two. 19 nodes, within the 37 of one loss node per task."""
     cfg = ExperimentConfig(n_records=40)
     experts = build_experts(cfg)
     prepared = prepare_dataset(cfg, experts, seed=0)
@@ -725,11 +726,12 @@ def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
     models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=0) for name in cfg.tasks]
     for model in models:
         model.feature_stats, model.gate_stats = stats
-    joints = pipeline._stack_tasks(models)
+    inputs = _inputs(models[0], prepared)
+    joints = pipeline._stack_tasks(models, inputs)
     assert [joint.index for joint in joints] == [[0, 1, 2, 3], [4]]
     assert joints[0].stack.groups[0].layers[0].w0.shape == (4, 3, 64, 64)
     assert joints[0].gate.layers[0].w0.shape == (4, 64, 250)
-    _, tape = pipeline._train_step(joints, _inputs(models[0], prepared),
+    _, tape = pipeline._train_step(joints, inputs,
                                    [model.targets(prepared) for model in models],
                                    np.tile(np.arange(32), (5, 1)),
                                    Adam([p for joint in joints for p in joint.trainable()]))
@@ -740,10 +742,9 @@ def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
     assert len(tape) <= 37
 
 
-def _fit_config_joints(n_records=200, products=True):
+def _fit_config_joints(n_records=200):
     """The perfbench fit config's five task models (seed 1), stacked into
-    joints, with the run's inputs; the joints form their first-layer
-    products unless ``products`` is False."""
+    joints, with the run's inputs and targets."""
     cfg = ExperimentConfig(seed=1, n_records=n_records, epochs=15)
     experts = build_experts(cfg)
     prepared = prepare_dataset(cfg, experts, seed=1)
@@ -752,13 +753,14 @@ def _fit_config_joints(n_records=200, products=True):
     for model in models:
         model.feature_stats, model.gate_stats = fit_input_stats(prepared, train_idx)
     inputs = _inputs(models[0], prepared)
-    joints = pipeline._stack_tasks(models, inputs if products else None)
+    joints = pipeline._stack_tasks(models, inputs)
     return joints, inputs, [model.targets(prepared) for model in models]
 
 
-def test_five_task_fit_step_records_one_loss_node_per_joint_and_23_nodes():
+def test_five_task_fit_step_records_one_loss_node_per_joint_and_19_nodes():
     """The step a fit takes, reading each joint's first-layer products: 8
-    lora_linear nodes, one loss node per joint and an add, 23 nodes."""
+    lora_linear nodes, no relu node, one loss node per joint and an add, 19
+    nodes."""
     joints, inputs, targets = _fit_config_joints(n_records=40)
     assert all(len(joint.xw0s) == 2 for joint in joints)     # a head group and the gate
     _, tape = pipeline._train_step(joints, inputs, targets, np.tile(np.arange(32), (5, 1)),
@@ -767,7 +769,8 @@ def test_five_task_fit_step_records_one_loss_node_per_joint_and_23_nodes():
     assert ops.count("lora_linear") == 8
     assert [op for op in ops if op in ("mse", "weighted_bce_with_logits", "cross_entropy",
                                        "slice_losses")] == ["slice_losses", "cross_entropy"]
-    assert ops[-1] == "add" and len(tape) == 23
+    assert "relu" not in ops
+    assert ops[-1] == "add" and len(tape) == 19
 
 
 def test_train_forms_each_joints_first_layer_products_once(tiny_setup, monkeypatch):
@@ -787,7 +790,9 @@ def test_formed_first_layer_products_equal_the_nodes_own_at_the_fit_config():
     bit: one BLAS matrix product per slice either way. A 1-row batch is a
     matrix-vector product in the node, so its rows agree only to rounding."""
     formed, inputs, targets = _fit_config_joints()
-    in_node, _, _ = _fit_config_joints(products=False)
+    in_node, _, _ = _fit_config_joints()
+    for joint in in_node:
+        joint.xw0s = None
     rng = np.random.default_rng(0)
     for size in (12, 32, 40, 1):
         rows = np.stack([rng.permutation(200)[:size] for _ in range(5)])
@@ -803,12 +808,13 @@ def test_formed_first_layer_products_equal_the_nodes_own_at_the_fit_config():
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-def test_task_models_view_the_joint_tensors():
+def test_task_models_view_the_joint_tensors(tiny_setup):
     # a write to a joint tensor (an Adam step) is a write to each task's view
-    cfg = tiny_cfg(epochs=0)
-    experts = build_experts(cfg)
+    cfg, experts, prepared = tiny_setup
     models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=0) for name in ("rr", "sex")]
-    (joint,) = pipeline._stack_tasks(models)
+    for model in models:
+        model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
+    (joint,) = pipeline._stack_tasks(models, _inputs(models[0], prepared))
     for p in joint.trainable():
         p.data += 1.0
     for t, model in enumerate(models):
