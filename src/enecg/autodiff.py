@@ -668,19 +668,17 @@ def max_pool(a, window: int, count: int | None = None) -> Tensor:
     return _apply("max_pool", (a,), view.max(axis=-1), back)
 
 
-def _line_arg(view, a: _Line, sign: float) -> np.ndarray:
-    """First-index argmax (sign 1) or argmin (sign -1) of each window of
-    line points. A sample is linear in alpha, so a window whose extreme is
-    one sample at the smallest and the largest alpha, ahead of the runner-up
-    by more than the points' rounding, has it at every alpha between; only
-    the other windows are scanned at every point."""
-    ends = sign * view[[a.alphas.argmin(), a.alphas.argmax()]]
+def _line_arg(view, ends, slack: float, sign: float) -> np.ndarray:
+    """First-index argmax (sign 1) or argmin (sign -1) of each window of one
+    lead row's (P, count, window) line points. A sample is linear in alpha,
+    so a window whose extreme is one sample at the smallest and the largest
+    alpha (the rows ``ends``), ahead of the runner-up by more than
+    ``slack``, has it at every alpha between; only the other windows are
+    scanned at every point."""
+    ends = sign * view[ends]
     arg = ends.argmax(axis=-1)
     top = np.take_along_axis(ends, arg[..., None], axis=-1)[..., 0]
     np.put_along_axis(ends, arg[..., None], -np.inf, axis=-1)
-    # a point is within 2^-53 (|base| + 2 |alpha direction|) of base + alpha
-    # direction; end gaps above 4x that keep the order at every alpha between
-    slack = 2.0 ** -49 * (np.abs(a.base.data).max() + np.abs(a.alphas).max() * np.abs(a.direction).max())
     sure = (arg[0] == arg[1]) & (top - ends.max(axis=-1) > slack).all(axis=0)
     out = np.broadcast_to(arg[0], view.shape[:-1]).copy()
     rest = view[:, ~sure]
@@ -701,23 +699,45 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     not positive), and max and min route to the first tie, as in
     ``max_pool``. Dropped trailing samples get zero gradient.
 
-    On ``line`` points the node's input is the line's base, and the
-    backward returns the sum over the points of that gradient: per window,
-    ``coef + cb * base + cd * direction``, with the max and min terms
-    scattered into the base by ``np.bincount``. The forward then reads max
-    and min through argmax and argmin (``_line_arg``), which the backward
-    reuses; it equals the forward on plain points bit for bit.
+    On ``line`` points the node's input is the line's base, and the points
+    are never formed whole: one lead row's (P, T) points at a time are
+    formed into one reused slab, as ``base + alpha * direction``, and the
+    row's moments, and its max and min through argmax and argmin
+    (``_line_arg``), are read from the slab; they equal the forward on
+    plain points bit for bit. The backward returns the sum over the points
+    of the gradient: per window, ``coef + cb * base + cd * direction``,
+    with the max and min terms scattered into the base by ``np.bincount``.
     """
     a = as_tensor(a)
-    view, lead, t_len, count = _pool_view(a, window, count)
+    on_line = isinstance(a, _Line) and len(a.shape) > 1
+    # the line's base has its points' sample axis, so it takes their checks
+    view, lead, t_len, count = _pool_view(a.base if on_line else a, window, count)
     ones = np.ones(window)
-    mean = (view @ ones) / window
-    var = np.square(view) @ ones / window - mean * mean     # np.square: view * view is slower
+    if on_line:
+        mid, n = lead[1:], len(a.alphas)
+        b, d = (x.reshape(-1, t_len) for x in (a.base.data, a.direction))
+        stats = np.empty((4, n, len(b), count))                  # mean, E[x^2], max, min
+        args = np.empty((2, n, len(b), count), dtype=np.intp)    # argmax, argmin
+        if stats.size:          # a line with no points or no samples has no windows
+            ends = [a.alphas.argmin(), a.alphas.argmax()]
+            # a point is within 2^-53 (|base| + 2 |alpha direction|) of base + alpha
+            # direction; end gaps above 4x that keep the order at every alpha between
+            slack = 2.0 ** -49 * (np.abs(b).max() + np.abs(a.alphas).max() * np.abs(d).max())
+            slab = np.empty((n, t_len))
+            for r in range(len(b)):
+                np.add(b[r], np.multiply(a.alphas[:, None], d[r], out=slab), out=slab)
+                rows = slab[:, :count * window].reshape(n, count, window)
+                stats[0, :, r], stats[1, :, r] = (rows @ ones) / window, np.square(rows) @ ones / window
+                for i, sign in enumerate((1.0, -1.0)):
+                    args[i, :, r] = arg = _line_arg(rows, ends, slack, sign)
+                    stats[2 + i, :, r] = np.take_along_axis(rows, arg[..., None], axis=-1)[..., 0]
+        mean, sq, *extremes = stats.reshape((4, n) + mid + (count,))
+        args = args.reshape((2, n) + mid + (count,))
+    else:
+        mean, sq = (view @ ones) / window, np.square(view) @ ones / window   # np.square: view * view is slower
+    var = sq - mean * mean
     std = np.sqrt(np.maximum(var, 0.0) + 1e-12)
-    if isinstance(a, _Line) and len(a.shape) > 1 and a.data.size:
-        args = (_line_arg(view, a, 1.0), _line_arg(view, a, -1.0))
-        extremes = [np.take_along_axis(view, arg[..., None], axis=-1)[..., 0] for arg in args]
-        mid = lead[1:]
+    if on_line:
 
         def line_back(g, needs):
             g_mean, g_std, g_max, g_min = np.split(g, 4, axis=-1)

@@ -593,6 +593,29 @@ def test_patch_stats_on_a_line_equals_it_on_plain_points(case):
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
+def test_patch_stats_on_a_line_never_forms_its_points():
+    # every case that no second op reads: the forward reads one lead row's
+    # points at a time, and the backward the base and the direction
+    alphas = (np.arange(5) + 0.5) / 5
+    for base, direction, window, count, second in line_cases():
+        if second:
+            continue
+        leaf = Tensor(base, requires_grad=True)
+        with Tape() as tape:
+            points = ad.line(leaf, direction, alphas)
+            backward(ad.reduce_sum(ad.patch_stats(points, window, count)), tape)
+        assert points._points is None and leaf.grad is not None
+
+
+def test_patch_stats_on_a_line_checks_its_windows_as_on_plain_points():
+    base, direction = np.ones((1, 2, 10)), np.ones((1, 2, 10))
+    for window, count, error in ((0, None, UsageError), (11, None, DimensionError),
+                                 (2, 0, DimensionError), (3, 4, DimensionError)):
+        for points in (ad.line(Tensor(base), direction, [0.5]), Tensor(base + 0.5 * direction)):
+            with pytest.raises(error):
+                ad.patch_stats(points, window, count)
+
+
 def line_and_plain_points(base, direction, alphas, op, second=False):
     """``op``'s output and the base gradient of a random weighting of it, on
     ``line`` points and on the same points as a plain leaf, whose gradient

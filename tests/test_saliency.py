@@ -9,6 +9,7 @@ import pytest
 
 from enecg import autodiff as ad
 from enecg import pipeline as pl
+from enecg import saliency
 from enecg import tasks as tk
 from enecg.autodiff import Tape, Tensor, backward
 from enecg.errors import DimensionError, ParseError, UsageError
@@ -259,10 +260,27 @@ def single_tape_ig(model, x, baseline, steps):
     return diff * probe.grad.mean(axis=0)
 
 
-@pytest.mark.parametrize("steps", [1, IG_CHUNK - 1, IG_CHUNK, IG_CHUNK + 1, 100])
+# a chunk of 32 points, patched in: the step counts straddle its bounds and
+# 100 steps take four tapes, at a quarter of the module's chunk
+SMALL_CHUNK = 32
+
+
+@pytest.mark.parametrize("steps", [1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 100])
 @pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
-def test_chunked_map_agrees_with_a_single_tape(small_ensemble, steps, task_name,
+def test_chunked_map_agrees_with_a_single_tape(small_ensemble, monkeypatch, steps, task_name,
                                                expert_index, class_index):
+    monkeypatch.setattr(saliency, "IG_CHUNK", SMALL_CHUNK)
+    trained, record, baseline = small_ensemble
+    model = target_model(trained, task_name, expert_index, class_index)
+    ref = single_tape_ig(model, record.leads, baseline, steps)
+    smap = integrated_gradients(model, record.leads, baseline=baseline, steps=steps)
+    assert relative(smap.attributions, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("task_name, expert_index, class_index", ENSEMBLE_TARGETS)
+def test_map_one_point_past_the_module_chunk_agrees_with_a_single_tape(
+        small_ensemble, task_name, expert_index, class_index):
+    steps = IG_CHUNK + 1
     trained, record, baseline = small_ensemble
     model = target_model(trained, task_name, expert_index, class_index)
     ref = single_tape_ig(model, record.leads, baseline, steps)
@@ -314,7 +332,7 @@ def test_expert_index_must_be_an_integer_naming_an_expert(small_ensemble):
 
 def test_ensemble_map_never_forms_the_record_line(small_ensemble, monkeypatch):
     # downsampling and the gate input carry each chunk's line over the raw
-    # record, and the spectral expert reads its line without forming points
+    # record, and the experts read their lines without forming points
     trained, record, baseline = small_ensemble
     model = target_model(trained, "rr", None, None)
     blocks, views = [], []
@@ -333,8 +351,11 @@ def test_ensemble_map_never_forms_the_record_line(small_ensemble, monkeypatch):
     lines = [b for b in blocks if isinstance(b, ad._Line)]
     assert [b.shape[0] for b in lines] == [IG_CHUNK, IG_CHUNK, 5] and len(blocks) == 5
     assert all(b._points is None for b in lines)
-    spectral = [x for arch, x in views if arch == "spectral" and isinstance(x, ad._Line)]
-    assert len(spectral) == 3 and all(x._points is None for x in spectral)
+    # each chunk's view of each expert: none forms its points, the
+    # statistical one included (patch_stats reads them one lead row at a time)
+    lined = [(arch, x) for arch, x in views if isinstance(x, ad._Line)]
+    assert sorted(arch for arch, _ in lined) == 3 * ["convolutional"] + 3 * ["spectral"] + 3 * ["statistical"]
+    assert all(x._points is None for _, x in lined)
 
 
 def test_ensemble_map_peaks_below_one_raw_probe():
