@@ -19,7 +19,8 @@ outputs) and the points of a straight line (``line``).
 Everything downstream (experts, LoRA heads, gating, saliency) composes
 from these. A fused node (the LoRA layer, patch statistics, the weighted
 sum, the losses) keeps the numpy expressions of the composition it
-replaces, so the two agree bit for bit.
+replaces, so the two agree bit for bit; on ``line`` points, patch
+statistics' mean and std are read in closed form and agree to rounding.
 """
 
 from __future__ import annotations
@@ -668,20 +669,21 @@ def max_pool(a, window: int, count: int | None = None) -> Tensor:
     return _apply("max_pool", (a,), view.max(axis=-1), back)
 
 
-def _line_arg(view, ends, slack: float, sign: float) -> np.ndarray:
-    """First-index argmax (sign 1) or argmin (sign -1) of each window of one
-    lead row's (P, count, window) line points. A sample is linear in alpha,
-    so a window whose extreme is one sample at the smallest and the largest
-    alpha (the rows ``ends``), ahead of the runner-up by more than
-    ``slack``, has it at every alpha between; only the other windows are
-    scanned at every point."""
-    ends = sign * view[ends]
+def _line_arg(vb, vd, alphas, ends, slack: float, sign: float) -> np.ndarray:
+    """First-index argmax (sign 1) or argmin (sign -1) of each window of the
+    line points ``vb + alphas[p] * vd``, with ``vb`` and ``vd`` the (rows,
+    count, window) views of base and direction. A sample is linear in
+    alpha, so a window whose extreme is one sample at the smallest and the
+    largest alpha (``alphas[ends]``), ahead of the runner-up by more than
+    ``slack``, has it at every alpha between; only the other windows form
+    their points at every alpha."""
+    ends = sign * (vb + alphas[ends, None, None, None] * vd)
     arg = ends.argmax(axis=-1)
     top = np.take_along_axis(ends, arg[..., None], axis=-1)[..., 0]
     np.put_along_axis(ends, arg[..., None], -np.inf, axis=-1)
     sure = (arg[0] == arg[1]) & (top - ends.max(axis=-1) > slack).all(axis=0)
-    out = np.broadcast_to(arg[0], view.shape[:-1]).copy()
-    rest = view[:, ~sure]
+    out = np.broadcast_to(arg[0], alphas.shape + sure.shape).copy()
+    rest = vb[~sure] + alphas[:, None, None] * vd[~sure]
     out[:, ~sure] = rest.argmax(axis=-1) if sign > 0 else rest.argmin(axis=-1)
     return out
 
@@ -699,12 +701,15 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     not positive), and max and min route to the first tie, as in
     ``max_pool``. Dropped trailing samples get zero gradient.
 
-    On ``line`` points the node's input is the line's base, and the points
-    are never formed whole: one lead row's (P, T) points at a time are
-    formed into one reused slab, as ``base + alpha * direction``, and the
-    row's moments, and its max and min through argmax and argmin
-    (``_line_arg``), are read from the slab; they equal the forward on
-    plain points bit for bit. The backward returns the sum over the points
+    On ``line`` points the node's input is the line's base b, and the
+    points are not formed: every point's window means and E[x^2] are
+    polynomials in alpha of five window sums of b and the direction d, and
+    its max and min are ``b + alpha d`` at the argmax and argmin of
+    ``_line_arg``. Mean and std equal the forward on plain points to
+    rounding, max and min bit for bit. A lead row with a window whose
+    variance is within rounding of 0 forms its points and takes the plain
+    path's products, so its std and ``var > 0`` switch are the plain
+    path's bit for bit. The backward returns the sum over the points
     of the gradient: per window, ``coef + cb * base + cd * direction``,
     with the max and min terms scattered into the base by ``np.bincount``.
     """
@@ -714,25 +719,34 @@ def patch_stats(a, window: int, count: int | None = None) -> Tensor:
     view, lead, t_len, count = _pool_view(a.base if on_line else a, window, count)
     ones = np.ones(window)
     if on_line:
-        mid, n = lead[1:], len(a.alphas)
-        b, d = (x.reshape(-1, t_len) for x in (a.base.data, a.direction))
-        stats = np.empty((4, n, len(b), count))                  # mean, E[x^2], max, min
-        args = np.empty((2, n, len(b), count), dtype=np.intp)    # argmax, argmin
+        mid, alphas, al = lead[1:], a.alphas, a.alphas[:, None, None]
+        vb, vd = (x.reshape(-1, t_len)[:, :count * window].reshape(-1, count, window)
+                  for x in (a.base.data, a.direction))
+        stats = np.empty((4, len(alphas), len(vb), count))       # mean, E[x^2], max, min
+        args = np.empty((2,) + stats.shape[1:], dtype=np.intp)    # argmax, argmin
+        sb, sd, sbb, sbd, sdd = (x @ ones for x in (vb, vd, np.square(vb), vb * vd, np.square(vd)))
+        mean, sq = stats[:2]
+        mean[...], sq[...] = (sb + al * sd) / window, (sbb + al * (2.0 * sbd + al * sdd)) / window
+        # either path's E[x^2] - mean^2 is within about 2^-53 8 (window + 2) K of the exact
+        # variance, K = (sum b^2 + alpha^2 sum d^2) / window: above 2^-20 K (any window under
+        # 2^28), both are positive and their stds differ by under (window + 2) 2^-40 K^0.5.
+        # A lead row with a window at or below it forms its points for the plain path's
+        # products (the whole row: BLAS rounds a window's sum by its place in the matrix)
+        p, r = np.nonzero((sq - mean * mean <= 2.0 ** -20 * (sbb + al * al * sdd) / window).any(axis=-1))
+        pts = vb[r] + alphas[p, None, None] * vd[r]
+        mean[p, r], sq[p, r] = (pts @ ones) / window, np.square(pts) @ ones / window
         if stats.size:          # a line with no points or no samples has no windows
-            ends = [a.alphas.argmin(), a.alphas.argmax()]
+            ends = [alphas.argmin(), alphas.argmax()]
             # a point is within 2^-53 (|base| + 2 |alpha direction|) of base + alpha
             # direction; end gaps above 4x that keep the order at every alpha between
-            slack = 2.0 ** -49 * (np.abs(b).max() + np.abs(a.alphas).max() * np.abs(d).max())
-            slab = np.empty((n, t_len))
-            for r in range(len(b)):
-                np.add(b[r], np.multiply(a.alphas[:, None], d[r], out=slab), out=slab)
-                rows = slab[:, :count * window].reshape(n, count, window)
-                stats[0, :, r], stats[1, :, r] = (rows @ ones) / window, np.square(rows) @ ones / window
-                for i, sign in enumerate((1.0, -1.0)):
-                    args[i, :, r] = arg = _line_arg(rows, ends, slack, sign)
-                    stats[2 + i, :, r] = np.take_along_axis(rows, arg[..., None], axis=-1)[..., 0]
-        mean, sq, *extremes = stats.reshape((4, n) + mid + (count,))
-        args = args.reshape((2, n) + mid + (count,))
+            slack = 2.0 ** -49 * (np.abs(vb).max() + np.abs(alphas).max() * np.abs(vd).max())
+            for i, sign in enumerate((1.0, -1.0)):
+                args[i] = arg = _line_arg(vb, vd, alphas, ends, slack, sign)
+                # the extreme's point, b + alpha d, as the points form it
+                xb, xd = np.take_along_axis(np.stack([vb, vd])[:, None], arg[None, ..., None], axis=-1)[..., 0]
+                stats[2 + i] = xb + al * xd
+        mean, sq, *extremes = stats.reshape((4, len(alphas)) + mid + (count,))
+        args = args.reshape((2, len(alphas)) + mid + (count,))
     else:
         mean, sq = (view @ ones) / window, np.square(view) @ ones / window   # np.square: view * view is slower
     var = sq - mean * mean

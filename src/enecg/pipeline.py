@@ -93,11 +93,12 @@ class ExperimentConfig:
     data: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def validate(self) -> None:
-        self.data.validate()
+        replace(self.data, n_records=self.n_records).validate()     # the records it makes
         if (len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9
                 or not all(r > 0 for r in self.split)):  # a NaN ratio is not > 0
             raise ConfigError(f"experiment.split: three positive ratios (train, validation, "
                               f"test) must sum to 1, got {self.split}")
+        _split_sizes(self.n_records, self.split, ConfigError, "experiment.n_records: ")
         n_leads = len(DEFAULT_LEAD_MIX)
         if (not self.gate_leads or len(set(self.gate_leads)) != len(self.gate_leads)
                 or not all(0 <= i < n_leads for i in self.gate_leads)):
@@ -221,6 +222,15 @@ def _prepare_records(cfg: ExperimentConfig, experts: list[ExpertModel],
     )
 
 
+def _split_sizes(n: int, ratios, error=UsageError, key: str = "") -> tuple[int, int]:
+    """Train and validation sizes of ``n`` records split by ``ratios``; an empty part raises ``error``."""
+    n_train, n_val = int(n * ratios[0]), int(n * ratios[1])
+    if min(n_train, n_val, n - n_train - n_val) < 1:
+        raise error(f"{key}split {tuple(ratios)} of {n} records leaves an empty split: "
+                    f"train {n_train}, validation {n_val}, test {n - n_train - n_val}")
+    return n_train, n_val
+
+
 def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded shuffle then contiguous partition; disjoint and exhaustive.
 
@@ -231,12 +241,7 @@ def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, np.ndarray, np
         raise UsageError(f"split ratios must sum to 1, got {tuple(ratios)}")
     if n < 1:
         raise UsageError("cannot split an empty dataset")
-    n_train = int(n * ratios[0])
-    n_val = int(n * ratios[1])
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
-        raise UsageError(f"split {tuple(ratios)} of {n} records leaves an empty split: "
-                         f"train {n_train}, validation {n_val}, test {n_test}")
+    n_train, n_val = _split_sizes(n, ratios)
     order = np.random.default_rng(np.random.SeedSequence((seed, 0x5B1))).permutation(n)
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 

@@ -31,8 +31,8 @@ from .pipeline import _block_features, _check_experts, _forward_grouped, _gated,
 # interpolation points per tape: bounds IG's working set by the chunk, not
 # by the step count. No primitive forms a chunk's raw or statistical-view
 # points whole, so a wider chunk costs little memory and saves tapes: an
-# m=256 map on a 12x5000 record (2 vCPU) took 0.131 s in 8 chunks of 32
-# and 0.092 s in 2 of 128, peaking at 9.0 and 26.6 MB (tracemalloc)
+# m=256 map on a 12x5000 record (2 vCPU) took 0.085 s in 8 chunks of 32
+# and 0.056 s in 2 of 128, peaking at 9.0 and 26.6 MB (tracemalloc)
 IG_CHUNK = 128
 
 

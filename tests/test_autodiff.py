@@ -2,6 +2,7 @@
 differences, and tape semantics (accumulation, determinism, errors)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -589,7 +590,10 @@ def test_patch_stats_on_a_line_equals_it_on_plain_points(case):
             backward(loss, tape)
         runs.append((stats.data, leaf.grad if on_line else points.grad.sum(axis=0, keepdims=True)))
     (out, grad), (want_out, want_grad) = runs
-    assert np.array_equal(out, want_out)
+    # mean and std to rounding; max and min, and so their routing, bit for bit
+    half = out.shape[-1] // 2
+    assert np.array_equal(out[..., half:], want_out[..., half:])
+    assert np.abs(out[..., :half] - want_out[..., :half]).max() <= 1e-12 * np.abs(want_out[..., :half]).max()
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
@@ -652,8 +656,50 @@ def test_patch_stats_on_a_line_scans_the_extremes_it_cannot_infer():
     assert (points[[0, 4], 0] == points[[0, 4], 1]).all() and (points[[1, 2, 3], 0] < points[[1, 2, 3], 1]).all()
     (out, grad), (want_out, want_grad) = line_and_plain_points(
         base, direction, alphas, lambda p: ad.patch_stats(p, 3))
-    assert np.array_equal(out, want_out)
+    assert np.array_equal(out[..., 6:], want_out[..., 6:])      # max and min
+    assert np.abs(out[..., :6] - want_out[..., :6]).max() <= 1e-12 * np.abs(want_out[..., :6]).max()
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def test_patch_stats_on_a_line_reads_ill_conditioned_windows_as_plain_points():
+    # windows of variance 0 at every point: constant base and direction, small
+    # (row 0), or large and nearly cancelling, to about 1e-3 at alpha 0.9 (row
+    # 1). The window sums leave such a variance to rounding, so these windows
+    # form their points; max and min get no weight, as their gradient sums in
+    # another order
+    base = np.repeat([[0.5, -2.0], [1e6, -7e5]], 4, axis=1)[None]
+    direction = np.repeat([[0.125, 0.375], [-1e6 / 0.9 * (1 + 1e-9), 7e5 / 0.9 * (1 + 1e-9)]], 4, axis=1)[None]
+    alphas = (np.arange(5) + 0.5) / 5
+    weights = np.random.default_rng(38).normal(size=(5, 2, 8))
+    weights[..., 4:] = 0.0
+    runs = []
+    for on_line in (True, False):
+        leaf = Tensor(base, requires_grad=True)
+        with Tape() as tape:
+            points = ad.line(leaf, direction, alphas)
+            if not on_line:
+                points = Tensor(points.data, requires_grad=True)
+            stats = ad.patch_stats(points, 4)
+            backward(ad.reduce_sum(ad.mul(stats, Tensor(weights))), tape)
+        runs.append((stats.data, leaf.grad if on_line else points.grad.sum(axis=0, keepdims=True)))
+    (out, grad), (want_out, want_grad) = runs
+    assert (want_out[..., 2:4] == np.sqrt(1e-12)).all()      # the plain path's variance is 0
+    assert np.array_equal(out, want_out) and np.array_equal(grad, want_grad)
+
+
+def test_patch_stats_on_a_line_forms_no_slab_of_points():
+    # an IG chunk of 128 points over a (1, 12, 2500) view from a baseline
+    # constant per lead: the forward peaks below one lead row's points
+    rng = np.random.default_rng(39)
+    base = np.repeat(rng.normal(size=(1, 12, 1)), 2500, axis=-1)
+    points = ad.line(Tensor(base), rng.normal(size=(1, 12, 2500)), (np.arange(128) + 0.5) / 128)
+    tracemalloc.start()
+    try:
+        ad.patch_stats(points, 250)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2500 * 8
 
 
 def test_line_primitives_accept_a_line_with_no_points_or_no_samples():

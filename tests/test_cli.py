@@ -584,7 +584,7 @@ def test_sample_count_not_finite_or_below_two_exits_with_config(tmp_path, capsys
 def test_empty_split_exits_with_usage(tmp_path, capsys):
     tiny = tmp_path / "tiny.cfg"
     tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))
-    assert run(["train", "--config", str(tiny), "--out", str(tmp_path / "t")]) == EXIT_CODES["usage"]
+    assert run(["train", "--config", str(tiny), "--out", str(tmp_path / "t")]) == EXIT_CODES["config"]
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "validation 0" in record["message"]
 
@@ -601,9 +601,9 @@ def test_train_splits_before_it_prepares(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(enecg.pipeline, "prepare_dataset", prepare_dataset)
     tiny = tmp_path / "tiny.cfg"
     tiny.write_text(SMALL_CFG.replace("n_records = 160", "n_records = 4"))
-    assert run(["train", "--config", str(tiny), "--out", str(tmp_path / "t")]) == EXIT_CODES["usage"]
+    assert run(["train", "--config", str(tiny), "--out", str(tmp_path / "t")]) == EXIT_CODES["config"]
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "UsageError" and "empty split" in record["message"]
+    assert record["error"] == "ConfigError" and "empty split" in record["message"]
 
 
 # (old, new, key): each value lies outside the range of saliency.<key>
