@@ -12,10 +12,10 @@ Primitives keep the backward table small and auditable: elementwise
 arithmetic, matmul, the fused LoRA layer (a hidden layer's ReLU included),
 conv1d, relu/softplus/sqrt, softmax/log_softmax, window pooling, patch
 statistics, DFT magnitude, row gather, concat/reshape/transpose,
-reductions, the weighted sum that combines expert logits, the three task
-losses (mse, weighted BCE with logits, cross-entropy), their sum over the
-slices of one array (``slice_losses``, one node for a batch of tasks'
-outputs) and the points of a straight line (``line``).
+reductions, the weighted sum that combines expert logits, the task losses
+(``slice_losses``: mse, weighted BCE with logits or cross-entropy on each
+slice of one array, summed in one node for a batch of tasks' outputs) and
+the points of a straight line (``line``).
 Everything downstream (experts, LoRA heads, gating, saliency) composes
 from these. A fused node (the LoRA layer, patch statistics, the weighted
 sum, the losses) keeps the numpy expressions of the composition it
@@ -35,8 +35,7 @@ __all__ = [
     "matmul", "lora_linear", "transpose", "reshape", "concat", "stack", "take_rows", "line",
     "relu", "softplus", "sqrt", "softmax", "log_softmax",
     "conv1d", "mean_pool", "max_pool", "patch_stats", "dft_magnitude",
-    "reduce_sum", "reduce_mean", "weighted_sum", "mse", "weighted_bce_with_logits", "cross_entropy",
-    "slice_losses",
+    "reduce_sum", "reduce_mean", "weighted_sum", "slice_losses",
 ]
 
 
@@ -884,14 +883,14 @@ def weighted_sum(w, a, axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# task losses: one node each, against numpy targets of the logits' size.
-# The targets are used as given (the caller checks them once per fit), and
-# forward and backward keep the numpy expressions of the composed loss each
-# replaces, so the two agree bit for bit. Each loss takes a stack of S
-# slices along a leading axis and its targets stacked alike, and gives the
-# S values and a backward: numpy reduces each row of a stack as it reduces
-# that row alone, so a slice's value and gradient are its loss's on the
-# slice alone, and ``slice_losses`` scores a run of one loss's slices at once.
+# task losses, scored by ``slice_losses`` against numpy targets of the
+# logits' size. The targets are used as given (the caller checks them once
+# per fit), and forward and backward keep the numpy expressions of the
+# composed loss each replaces, so the two agree bit for bit. Each loss takes
+# a stack of S slices along a leading axis and its targets stacked alike,
+# and gives the S values and a backward: numpy reduces each row of a stack
+# as it reduces that row alone, so a slice's value and gradient are its
+# loss's on the slice alone, however many slices share the stack.
 
 def _flat_targets(x: np.ndarray, name: str, *arrays) -> list[np.ndarray]:
     flat = [np.asarray(t, dtype=np.float64) for t in arrays]
@@ -948,42 +947,17 @@ def _cross_entropy(x: np.ndarray, labels):
 _LOSSES = {"mse": _mse, "weighted_bce_with_logits": _weighted_bce, "cross_entropy": _cross_entropy}
 
 
-def _loss_node(name: str, a, *targets) -> Tensor:
-    a = as_tensor(a)
-    values, back = _LOSSES[name](a.data[None], *(np.asarray(t)[None] for t in targets))
-    return _apply(name, (a,), np.asarray(values[0]), lambda g, needs: (back(g)[0],))
-
-
-def mse(a, target) -> Tensor:
-    """Mean squared error ``mean((a - target)**2)`` over every element, both
-    flattened: reduce_mean of the squared sub, in one node."""
-    return _loss_node("mse", a, target)
-
-
-def weighted_bce_with_logits(a, target, weight) -> Tensor:
-    """Weighted binary cross-entropy of logits ``z`` against 0/1 targets
-    ``y`` with per-element weights ``w``, all flattened:
-    ``mean(w * (y * softplus(-z) + (1 - y) * softplus(z)))``, the nine
-    nodes of neg, two softplus, three mul, add and reduce_mean in one."""
-    return _loss_node("weighted_bce_with_logits", a, target, weight)
-
-
-def cross_entropy(a, labels) -> Tensor:
-    """Mean negative log-softmax of each row's class over (n, C) logits,
-    with ``labels`` the n class indices: log_softmax, mul by the one-hot
-    labels, reduce_sum and mul by -1/n, in one node."""
-    return _loss_node("cross_entropy", a, labels)
-
-
 def slice_losses(a, terms) -> tuple[Tensor, list[float]]:
     """The losses of the (B, L) slices of ``a`` along its leading axes, in
     row-major order, as one node whose output is their sum; returns it and
-    each slice's value. ``terms[i]`` is the i-th slice's loss, by its
-    function's name (``mse``, ``weighted_bce_with_logits`` or
-    ``cross_entropy``), then its targets as that function takes them. Each
-    run of adjacent slices with one loss is scored as one stack, by that
-    loss's expressions, so each slice's value and gradient are that loss's
-    on the slice alone. A single term is tagged by its loss's name."""
+    each slice's value. ``terms[i]`` is the i-th slice's loss by name, then
+    its targets: ``("mse", t)``, the mean of (x - t)**2; ``("cross_entropy",
+    labels)``, the mean negative log-softmax of each of B rows' class; and
+    ``("weighted_bce_with_logits", y, w)``, the mean of w * (y softplus(-x)
+    + (1 - y) softplus(x)) on 0/1 targets. Each run of adjacent slices with
+    one loss is scored as one stack, by that loss's expressions, so each
+    slice's value and gradient are that loss's on the slice alone. A single
+    term is tagged by its loss's name."""
     a = as_tensor(a)
     x = a.data.reshape((-1,) + a.shape[-2:])
     if len(terms) != x.shape[0]:

@@ -121,7 +121,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{what} names {repeated[0]!r} more than once")
         samples = (self.data.n_samples, "the samples per record, data.duration_s * data.fs_hz")
         # (key, value, lowest, (highest, what it is) or None), checked in order
-        bounds = [("experiment.epochs", self.epochs, 0, None),
+        bounds = [("experiment.seed", self.seed, 0, None),
+                  ("experiment.epochs", self.epochs, 0, None),
                   ("experiment.batch_size", self.batch_size, 1, None),
                   ("experiment.repeats", self.repeats, 1, None),
                   ("heads.hidden_dim", self.head_hidden, 1, None),
@@ -131,6 +132,7 @@ class ExperimentConfig:
             if s.arch not in ARCHITECTURES:
                 raise ConfigError(f"experts.roster arch of {s.name!r} must be in {ARCHITECTURES}, got {s.arch!r}")
             length = DEFAULT_INPUT_LEN[s.arch] if s.input_len is None else s.input_len
+            bounds.append((f"experts.roster seed of {s.name!r}", s.seed, 0, None))
             bounds.append((f"experts.roster feature_dim of {s.name!r}", s.feature_dim, 1, None))
             bounds.append((f"experts.roster input_len of {s.name!r}", length, MIN_INPUT_LEN[s.arch], samples))
         # a head's first layer refuses a rank above its widths; build_gate would
@@ -431,11 +433,11 @@ def _check_finite(what: str, *arrays: np.ndarray) -> None:
 
 def _rows(inputs: tuple[list[np.ndarray], np.ndarray], idx: np.ndarray,
           xw0s: list[np.ndarray] | None = None) -> tuple[list[Tensor], Tensor, list[np.ndarray] | None]:
-    """The rows ``idx`` (B,) of a run's ``_inputs`` as Tensors, (n,B,k) per
-    head group and (B,w); a (T,B) row matrix gives (T,n,B,k) and (T,B,w).
-    Each fresh gather is wrapped as it is, without a copy. The same rows of
-    a joint's first-layer products ``xw0s`` ((T,)n,N,d and (T,)N,d) come
-    third: (T,)n,B,d and (T,)B,d, or None."""
+    """The rows of a (T,B) row matrix ``idx`` of a run's ``_inputs`` as
+    Tensors, row t for a joint's task t: (T,n,B,k) per head group and
+    (T,B,w). Each fresh gather is wrapped as it is, without a copy. The same rows of
+    a joint's first-layer products ``xw0s`` (T,n,N,d and T,N,d) come
+    third: T,n,B,d and T,B,d, or None."""
     feats, gate_in = inputs
     picked = None
     if xw0s is not None:
@@ -562,9 +564,9 @@ def _adam_step(opt: Adam, losses: Callable[[], tuple[list[tuple[str, float]], Te
 class _Joint:
     """Task models whose heads and gates have equal shapes, run as one
     model: its tensors carry a leading task axis, of which each model's
-    tensors are views. A model that matches no other is its own joint,
-    without the axis. ``index`` gives each model's position in the list the
-    joints were made from; ``xw0s`` the first-layer products of a run's rows
+    tensors are views; a model that matches no other is a joint of one.
+    ``index`` gives each model's position in the list the joints were made
+    from; ``xw0s`` the first-layer products of a run's rows
     (``_frozen_products``), or None to form each batch's in the node."""
     index: list[int]
     models: list[TaskModel]
@@ -590,11 +592,9 @@ def _stack_tasks(models: list[TaskModel],
     joints = []
     for index in keys.values():
         ms = [models[t] for t in index]
-        stack, gate = ms[0].stack, ms[0].gate
-        if len(ms) > 1:
-            stack = HeadStack([LoraHead(stack_views(list(groups)))
-                               for groups in zip(*(m.stack.groups for m in ms))], stack.members)
-            gate = None if gate is None else replace(gate, layers=stack_views([m.gate for m in ms]))
+        stack = HeadStack([LoraHead(stack_views(list(groups)))
+                           for groups in zip(*(m.stack.groups for m in ms))], ms[0].stack.members)
+        gate = None if ms[0].gate is None else replace(ms[0].gate, layers=stack_views([m.gate for m in ms]))
         joint = _Joint(index, ms, stack, gate)
         joint.xw0s = _frozen_products(joint, inputs)
         joints.append(joint)
@@ -603,8 +603,8 @@ def _stack_tasks(models: list[TaskModel],
 
 def _frozen_products(joint: _Joint, inputs: tuple[list[np.ndarray], np.ndarray]) -> list[np.ndarray]:
     """``x @ w0.T`` of the first layer of each head ``joint.adapted()`` runs,
-    over every row of a run's ``_inputs``: (T,)n,N,d per head group and
-    (T,)N,d for the gate. w0 is frozen and the inputs are fixed, so a fit
+    over every row of a run's ``_inputs``: T,n,N,d per head group and
+    T,N,d for the gate. w0 is frozen and the inputs are fixed, so a fit
     forms these once and each step gathers its rows (``_rows``). For 2 or
     more rows the gathered rows equal the batch's own product bit for bit
     (one BLAS matrix product per slice either way); a 1-row batch is a
@@ -618,8 +618,7 @@ def _joint_rows(joints: list[_Joint], inputs: tuple[list[np.ndarray], np.ndarray
                 rows: np.ndarray) -> list[tuple]:
     """Each joint's ``_rows`` of the run's ``_inputs``, model t of the list
     the joints were made from on the rows ``rows[t]`` of a (T,B) row matrix."""
-    return [_rows(inputs, rows[joint.index] if len(joint.index) > 1 else rows[joint.index[0]],
-                  joint.xw0s) for joint in joints]
+    return [_rows(inputs, rows[joint.index], joint.xw0s) for joint in joints]
 
 
 def _scored_slices(joints: list[_Joint], joint_rows: list[tuple]):

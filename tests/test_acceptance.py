@@ -100,9 +100,10 @@ def test_criterion_1_gradient_suite():
         ("conv1d", lambda t: ad.reduce_sum(ad.conv1d(t, kern, stride=1))),
         ("mean_pool", lambda t: ad.reduce_sum(ad.mean_pool(t, 2))),
         ("dft_magnitude", lambda t: ad.reduce_sum(ad.dft_magnitude(t, 3))),
-        ("mse", lambda t: ad.mse(t, target)),
-        ("weighted_bce_with_logits", lambda t: ad.weighted_bce_with_logits(t, y, 0.5 + y)),
-        ("cross_entropy", lambda t: ad.cross_entropy(t, labels)),
+        ("mse", lambda t: ad.slice_losses(t, [("mse", target)])[0]),
+        ("weighted_bce_with_logits",
+         lambda t: ad.slice_losses(t, [("weighted_bce_with_logits", y, 0.5 + y)])[0]),
+        ("cross_entropy", lambda t: ad.slice_losses(t, [("cross_entropy", labels)])[0]),
         ("weighted_sum", lambda t: ad.reduce_sum(ad.mul(ad.weighted_sum(
             ad.reduce_sum(t, axis=1, keepdims=True), t, axis=0), Tensor([1.0, -2.0, 0.5, 3.0])))),
         ("ensemble_combine", lambda t: ad.reduce_sum(ad.mul(

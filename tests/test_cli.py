@@ -516,7 +516,11 @@ def test_roster_and_width_mistakes_exit_with_config_naming_their_key(tmp_path, c
     ("epochs = 2", "epochs = -1", "experiment.epochs must be >= 0, got -1"),
     ("batch_size = 16", "batch_size = 0", "experiment.batch_size must be >= 1, got 0"),
     ("repeats = 1", "repeats = 0", "experiment.repeats must be >= 1, got 0"),
-], ids=["potassium-rate", "sex-ratio", "leads", "ensemble", "epochs", "batch-size", "repeats"])
+    ("seed = 4", "seed = -1", "experiment.seed must be >= 0, got -1"),
+    ("spec:spectral:1:128:16", "spec:spectral:-1:128:16",
+     "experts.roster seed of 'spec' must be >= 0, got -1"),
+], ids=["potassium-rate", "sex-ratio", "leads", "ensemble", "epochs", "batch-size", "repeats",
+        "seed", "expert-seed"])
 def test_config_error_names_its_key(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG.replace(old, new))
@@ -524,6 +528,23 @@ def test_config_error_names_its_key(tmp_path, capsys, old, new, message):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("command,via", [("train", "flag"), ("gen", "flag"), ("train", "env")])
+def test_negative_seed_from_flag_or_env_exits_with_config(tmp_path, capsys, monkeypatch, command, via):
+    # validate bounds the seed before np.random.SeedSequence, which refuses it
+    path = tmp_path / "seedless.cfg"
+    path.write_text(SMALL_CFG.replace("seed = 4\n", ""))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if via == "env":
+        monkeypatch.setenv("ENECG_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    assert run(argv) == EXIT_CODES["config"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError",
+                                    "message": "experiment.seed must be >= 0, got -1"}
 
 
 def test_shape_bounds_admit_their_limits(tmp_path):

@@ -667,9 +667,9 @@ def test_single_task_moe_step_records_at_most_12_nodes():
         model = build_task_model(cfg, experts, tk.task_by_name(name), seed=0)
         model.feature_stats, model.gate_stats = stats
         inputs = _inputs(model, prepared)
-        _, tape = pipeline._train_step(pipeline._stack_tasks([model], inputs), inputs,
-                                       [model.targets(prepared)], np.arange(32)[None],
-                                       Adam(model.trainable()))
+        joints = pipeline._stack_tasks([model], inputs)
+        _, tape = pipeline._train_step(joints, inputs, [model.targets(prepared)],
+                                       np.arange(32)[None], Adam(joints[0].trainable()))
         assert len(tape) <= 12, name
         ops = [node.op for node in tape.nodes]
         # one node per layer: both head layers over all three experts, both gate layers
@@ -715,7 +715,7 @@ def test_each_task_of_a_joint_fit_trains_as_it_would_alone(build, conv_width):
 def test_five_task_step_records_8_lora_nodes_and_at_most_37_nodes():
     """One step for the default roster's five tasks: rr, age, sex and
     potassium (width 1) are one joint of 12 stacked heads and 4 stacked
-    gates, arrhythmia is its own. Per joint, 2 head nodes (the hidden
+    gates, arrhythmia is a joint of one. Per joint, 2 head nodes (the hidden
     layer's ReLU in its node), a transpose, 4 gate nodes, the combination
     and one loss node over its tasks' slices (a single task's is its loss);
     an add sums the two. 19 nodes, within the 37 of one loss node per task."""
@@ -809,18 +809,22 @@ def test_formed_first_layer_products_equal_the_nodes_own_at_the_fit_config():
 
 
 def test_task_models_view_the_joint_tensors(tiny_setup):
-    # a write to a joint tensor (an Adam step) is a write to each task's view
+    # a write to a joint tensor (an Adam step) is a write to each task's
+    # view; a task that matches no other is a joint of one, on a task axis
     cfg, experts, prepared = tiny_setup
-    models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=0) for name in ("rr", "sex")]
-    for model in models:
-        model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
-    (joint,) = pipeline._stack_tasks(models, _inputs(models[0], prepared))
-    for p in joint.trainable():
-        p.data += 1.0
-    for t, model in enumerate(models):
-        for group, joint_group in zip(model.stack.groups + [model.gate],
-                                      joint.stack.groups + [joint.gate]):
-            for layer, joint_layer in zip(group.layers, joint_group.layers):
-                for k, view in layer.tensors().items():
-                    assert np.shares_memory(view.data, joint_layer.tensors()[k].data), k
-                    np.testing.assert_array_equal(view.data, joint_layer.tensors()[k].data[t])
+    for names in (("rr", "sex"), ("arrhythmia",)):
+        models = [build_task_model(cfg, experts, tk.task_by_name(name), seed=0) for name in names]
+        for model in models:
+            model.feature_stats, model.gate_stats = fit_input_stats(prepared, np.arange(prepared.n))
+        (joint,) = pipeline._stack_tasks(models, _inputs(models[0], prepared))
+        for p in joint.trainable():
+            p.data += 1.0
+        for t, model in enumerate(models):
+            for group, joint_group in zip(model.stack.groups + [model.gate],
+                                          joint.stack.groups + [joint.gate]):
+                for layer, joint_layer in zip(group.layers, joint_group.layers):
+                    for k, view in layer.tensors().items():
+                        stacked = joint_layer.tensors()[k].data
+                        assert stacked.shape == (len(models),) + view.shape, (names, k)
+                        assert np.shares_memory(view.data, stacked), (names, k)
+                        np.testing.assert_array_equal(view.data, stacked[t])
